@@ -422,20 +422,14 @@ def random_element(system: GeneratorSystem, rng: random.Random,
                    generators: Sequence[int] | None = None,
                    max_degree: int = 5, n_terms: int = 4) -> Element:
     """Seeded random element; used by the confluence and oracle sweeps."""
-    gens = list(generators) if generators is not None else list(range(system.size()))
-    terms: dict = {}
-    for _ in range(n_terms):
-        deg = rng.randint(0, max_degree)
-        word = tuple(rng.choice(gens) for _ in range(deg))
-        coeff = Cyclo(rng.randint(-3, 3), rng.randint(-2, 2))
-        _accumulate(terms, word, coeff)
-    return Element(system, terms)
+    return Element(system, random_raw_terms(system, rng, generators,
+                                            max_degree, n_terms))
 
 
 def random_raw_terms(system: GeneratorSystem, rng: random.Random,
                      generators: Sequence[int] | None = None,
                      max_degree: int = 5, n_terms: int = 4) -> dict:
-    """Like :func:`random_element` but returns the un-normalised term map."""
+    """Seeded random un-normalised term map; :func:`random_element` normalises it."""
     gens = list(generators) if generators is not None else list(range(system.size()))
     terms: dict = {}
     for _ in range(n_terms):

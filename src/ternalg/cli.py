@@ -7,7 +7,7 @@ Verbs:
 * ``dump-factor --csv``
 * ``export-sc --instance cubic-poincare [--dim N] [--out F]``
 
-Exit status is 0 iff everything requested passed.
+Exit status is 0 iff everything requested passed, and 2 for bad input.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from .order3 import cubic_poincare
 from .report import emit_json, emit_text
 from .suites import SUITE_IDS, SuiteSpec, run_suite
 from .superspace import MetricSignature, SuperspaceConfig, build
+
+# J_{MN} and L_{MN} take single-digit indices, so d = 10 is the largest
+# dimension whose every generator the DSL can name.
+MAX_DIM = 10
 
 _GENERATOR_HELP = """\
 generator names: theta^M, theta, d_M, eps1^M..eps3^M, x^M, P_M,
@@ -79,6 +83,12 @@ def _write(text: str, out: str | None):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+
+    dim = getattr(args, "dim", None)
+    if dim is not None and not 1 <= dim <= MAX_DIM:
+        print(f"error: --dim must be between 1 and {MAX_DIM}, got {dim}",
+              file=sys.stderr)
+        return 2
 
     if args.verb == "verify":
         spec = SuiteSpec(args.suite, dimension=args.dim, seed=args.seed)

@@ -393,7 +393,7 @@ def _resolve(name: str, alg: SuperspaceAlgebra) -> Element:
     d = alg.dimension
     if m.group(1) is not None:
         base, idx = m.group(1), int(m.group(2))
-        if base not in ("V",) and idx >= d:
+        if idx >= d:
             raise KeyError(name)
         if base == "theta":
             return alg.theta(idx)

@@ -95,6 +95,27 @@ def test_export_sc(tmp_path, capsys):
     assert sc.dim0 == 6 and sc.dim1 == 3
 
 
+@pytest.mark.parametrize("dim", ["0", "11"])
+@pytest.mark.parametrize("verb", [
+    ["verify", "--suite", "para"],
+    ["eval", "theta^0"],
+    ["export-sc", "--instance", "cubic-poincare"],
+])
+def test_bad_dim_rejected_before_any_work(verb, dim, monkeypatch, capsys):
+    import ternalg.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --dim was validated")
+
+    for name in ("run_suite", "build", "cubic_poincare"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    assert main(verb + ["--dim", dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--dim" in captured.err
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
