@@ -6,8 +6,15 @@ quadratic rule table: for u strictly after v in canonical order, the word
 ``u v`` rewrites to ``swap_sign(u,v) * v u + contraction(u,v) * 1``, and a
 generator with the zero square rule has ``u u -> 0``.  Every swap strictly
 decreases the number of inversions of a word, so rewriting terminates; local
-confluence is verified at construction time on all descending length-3
-overlap words, and construction fails loudly on a mismatch.
+confluence is verified at construction time on the descending length-3
+overlap words that carry a contraction (the others are confluent by the
+lemma in ``_verify_local_confluence``), and construction fails loudly on a
+mismatch.
+
+Products are normal-ordered by one kernel, ``GeneratorSystem.times_word``:
+each generator of the right factor is inserted into the normal word by a
+single right-to-left scan of the rule table, with no cache.  The one-step
+rewriter ``reduce_terms`` is kept apart from it as the independent oracle.
 
 Elements are finite maps from normal-ordered words to exact Q(q)
 coefficients.  Equality of elements is identity of these maps.  All the
@@ -68,19 +75,19 @@ class GeneratorSystem:
                 raise ValueError(f"swap_sign must be +1/-1, got {s}")
             self._sign[u][v] = s
             self._sign[v][u] = s
-        self._contraction = {}
+        # c(u, v) is stored as self._contraction[v][u]: the scan inserting
+        # v looks up every letter u it passes in one row
+        self._contraction = [{} for _ in range(n)]
         for (u, v), c in (contraction or {}).items():
             if u <= v:
                 raise ValueError(f"contraction pair {(u, v)} must be stored "
                                  "with u after v in canonical order")
             c = c if isinstance(c, Cyclo) else Cyclo(c)
             if c:
-                self._contraction[(u, v)] = c
+                self._contraction[v][u] = c
         self._square_zero = [False] * n
         for u in square_zero:
             self._square_zero[u] = True
-        # caches for the insertion-based normal former
-        self._wtg_cache: dict = {}
         self._verify_local_confluence()
 
     # -- rule accessors --------------------------------------------------
@@ -93,57 +100,66 @@ class GeneratorSystem:
 
     def contraction(self, u: int, v: int) -> Cyclo:
         """Scalar part of the rewrite of u v, for u after v in canonical order."""
-        return self._contraction.get((u, v), ZERO)
+        return self._contraction[v].get(u, ZERO)
 
     def square_is_zero(self, u: int) -> bool:
         return self._square_zero[u]
 
     # -- normal forms ----------------------------------------------------
+    #
+    # The one product kernel.  Right-multiplying a normal word by a
+    # generator g is a single right-to-left scan: g walks left past every
+    # letter u > g, picking up swap_sign(u, g); at each such u with a
+    # contraction c(u, g) a branch drops u and carries the sign accumulated
+    # *before* passing u, times c.  The walk stops at the first u < g, where
+    # g is inserted; at u == g, g is inserted, or the term dies if g is
+    # square-zero.  Every branch word is normal, because removing a letter
+    # from a normal word keeps it normal.
 
-    def word_times_gen(self, word: Word, g: int) -> Mapping[Word, Cyclo]:
-        """Right-multiply a normal word by one generator, renormalising.
+    def times_word(self, word: Word, coeff: Cyclo, right: Word, out: dict):
+        """Accumulate ``coeff * word * right`` into ``out`` in normal form.
 
-        Returns a map word -> coefficient.  Memoised; this is the engine's
-        hot path, every product funnels through it.
+        ``word`` must be normal; ``right`` is any word.  Generators of
+        ``right`` are inserted left to right, and equal words are merged
+        after each insertion.
         """
-        key = (word, g)
-        hit = self._wtg_cache.get(key)
-        if hit is not None:
-            return hit
-        if not word or word[-1] < g:
-            out = {word + (g,): ONE}
-        elif word[-1] == g:
-            out = {} if self._square_zero[g] else {word + (g,): ONE}
-        else:
-            last = word[-1]
-            head = word[:-1]
-            sign = self._sign[last][g]
-            out: dict = {}
-            for t, ct in self.word_times_gen(head, g).items():
-                for t2, c2 in self.word_times_gen(t, last).items():
-                    c = sign * ct * c2
-                    _accumulate(out, t2, c)
-            c = self._contraction.get((last, g))
-            if c is not None:
-                _accumulate(out, head, c)
-        self._wtg_cache[key] = out
-        return out
+        cur = {word: coeff}
+        sign_rows = self._sign
+        con_rows = self._contraction
+        square_zero = self._square_zero
+        for g in right:
+            sign = sign_rows[g]
+            con = con_rows[g]
+            dies = square_zero[g]
+            nxt: dict = {}
+            for t, ct in cur.items():
+                i = len(t)
+                neg = False
+                while i:
+                    u = t[i - 1]
+                    if u <= g:
+                        if u == g and dies:
+                            ct = None  # g g -> 0; only the branches survive
+                        break
+                    c = con.get(u)
+                    if c is not None:
+                        b = ct * c
+                        _accumulate(nxt, t[:i - 1] + t[i:], -b if neg else b)
+                    if sign[u] < 0:
+                        neg = not neg
+                    i -= 1
+                if ct is not None:
+                    _accumulate(nxt, t[:i] + (g,) + t[i:], -ct if neg else ct)
+            cur = nxt
+        for t, ct in cur.items():
+            _accumulate(out, t, ct)
 
     def normalize_terms(self, terms: Mapping[Word, Cyclo]) -> dict:
         """Normal form of an arbitrary word->coefficient map."""
         out: dict = {}
         for word, coeff in terms.items():
-            if not coeff:
-                continue
-            cur = {(): coeff}
-            for g in word:
-                nxt: dict = {}
-                for t, ct in cur.items():
-                    for t2, c2 in self.word_times_gen(t, g).items():
-                        _accumulate(nxt, t2, ct * c2)
-                cur = nxt
-            for t, ct in cur.items():
-                _accumulate(out, t, ct)
+            if coeff:
+                self.times_word((), coeff, word, out)
         return out
 
     # -- single-step reducer (independent of the insertion path) --------
@@ -163,8 +179,8 @@ class GeneratorSystem:
             return out  # square rule: term dies
         swapped = word[:i] + (v, u) + word[i + 2:]
         out[swapped] = Cyclo(self._sign[u][v])
-        c = self._contraction.get((u, v))
-        if c is not None:
+        c = self.contraction(u, v)
+        if c:
             out[word[:i] + word[i + 2:]] = c
         return out
 
@@ -198,10 +214,20 @@ class GeneratorSystem:
         return {w: c for w, c in out.items() if c}
 
     def _verify_local_confluence(self):
+        # Only overlap words with a contraction among their letters are
+        # reduced.  Without one, every rewrite of u v w either swaps two
+        # distinct letters, with their swap sign, or kills a zero square.
+        # Each pair of distinct letters is then swapped exactly once on any
+        # path, so every strategy reaches the product of their swap signs
+        # times w v u; or 0 when a square-zero letter repeats, since the
+        # letters are only permuted and no normal word repeats it.
         n = len(self.names)
+        con = self._contraction
         for u in range(n):
             for v in range(u + 1):
                 for w in range(v + 1):
+                    if u not in con[v] and u not in con[w] and v not in con[w]:
+                        continue
                     word = (u, v, w)
                     if len(self._reducible_positions(word)) < 2:
                         continue
@@ -301,20 +327,12 @@ class Element:
         if isinstance(other, (int, Cyclo)):
             return self.scale(other)
         self._check(other)
-        sys_ = self.system
+        times_word = self.system.times_word
         out: dict = {}
         for wb, cb in other.terms.items():
             for wa, ca in self.terms.items():
-                cur = {wa: ca * cb}
-                for g in wb:
-                    nxt: dict = {}
-                    for t, ct in cur.items():
-                        for t2, c2 in sys_.word_times_gen(t, g).items():
-                            _accumulate(nxt, t2, ct * c2)
-                    cur = nxt
-                for t, ct in cur.items():
-                    _accumulate(out, t, ct)
-        return Element(sys_, _normal=out)
+                times_word(wa, ca * cb, wb, out)
+        return Element(self.system, _normal=out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Cyclo)):

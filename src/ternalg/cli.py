@@ -3,7 +3,7 @@
 Verbs:
 
 * ``verify --suite <id> [--dim N] [--seed S] [--report json|text] [--out F]``
-* ``eval '<expr>' [--dim N] [--normal-form] [--star]``
+* ``eval '<expr>' [--dim N] [--star]``
 * ``dump-factor --csv``
 * ``export-sc --instance cubic-poincare [--dim N] [--out F]``
 
@@ -55,9 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     e.add_argument("expr")
     e.add_argument("--dim", type=int, default=4)
-    e.add_argument("--normal-form", action="store_true",
-                   help="accepted for compatibility; results are always "
-                        "normal-formed")
     e.add_argument("--star", action="store_true",
                    help="apply the star involution to the result")
 

@@ -26,7 +26,7 @@ identity on ASTs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Element, colour3, commutator, nested_action
@@ -82,6 +82,7 @@ def _tokenize(src: str):
 @dataclass(frozen=True)
 class Gen:
     name: str
+    pos: int = field(default=0, compare=False)  # source offset, for errors
 
     def render(self) -> str:
         return self.name
@@ -347,7 +348,8 @@ class _Parser:
 
     # gen := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))?
     def gen(self) -> Gen:
-        name = self.next().text
+        start = self.next()
+        name = start.text
         t = self.peek()
         if t.kind == "^":
             self.next()
@@ -363,7 +365,7 @@ class _Parser:
                 name += "_{" + digits + "}"
             else:
                 name += "_" + self.expect("num").text
-        return Gen(name)
+        return Gen(name, start.pos)
 
 
 def parse(src: str):
@@ -424,7 +426,8 @@ def evaluate(ast, alg: SuperspaceAlgebra) -> Element:
         try:
             return _resolve(ast.name, alg)
         except KeyError:
-            raise DslError(f"unknown generator {ast.name!r}", 0) from None
+            raise DslError(f"unknown generator {ast.name!r}",
+                           ast.pos) from None
     if isinstance(ast, ScalarLit):
         return Element.scalar(alg.system, ast.value)
     if isinstance(ast, Sum):

@@ -1,16 +1,14 @@
 """Named check suites: the batch-verification entry point.
 
 Each suite id maps to a list of check callables; ``run_suite`` executes
-them (optionally on a thread pool capped by ``TERNALG_THREADS``) and
-returns the reports in a deterministic order.  Heavy shared objects (the
-superspace algebra at the requested dimension) are built once per run.
+them one after another and returns the reports in a deterministic order.
+Heavy shared objects (the superspace algebra at the requested dimension)
+are built once per run.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -271,14 +269,6 @@ def check_oracle(alg: SuperspaceAlgebra, seed: int = 0,
 
 # -- suite registry -------------------------------------------------------
 
-def _thread_count() -> int:
-    raw = os.environ.get("TERNALG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(spec: SuiteSpec) -> list[CheckReport]:
     """Execute one suite; deterministic given (suite, seed, dimension)."""
     metric = MetricSignature.minkowski(spec.dimension)
@@ -317,10 +307,4 @@ def run_suite(spec: SuiteSpec) -> list[CheckReport]:
     if spec.suite in ("oracle", "all"):
         jobs.append(lambda: check_oracle(alg, seed=spec.seed))
 
-    n_threads = _thread_count()
-    if n_threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = list(pool.map(lambda j: j(), jobs))
-    else:
-        chunks = [j() for j in jobs]
-    return [r for chunk in chunks for r in chunk]
+    return [r for job in jobs for r in job()]

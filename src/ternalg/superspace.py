@@ -65,14 +65,6 @@ class MetricSignature:
 class SuperspaceConfig:
     metric: MetricSignature = field(default_factory=MetricSignature)
     pairing_kappa: Fraction = Fraction(1, 2)
-    cross_sign: int = 1
-    green_order: int = 2
-
-    def __post_init__(self):
-        if self.green_order != 2:
-            raise ValueError("only order-two parafermions are supported")
-        if self.cross_sign not in (1, -1):
-            raise ValueError("cross_sign must be +1 or -1")
 
 
 class SuperspaceAlgebra:
@@ -116,9 +108,8 @@ class SuperspaceAlgebra:
         for i, (c1, m1, g1) in enumerate(fermionic_keys):
             for j in range(i):
                 c2, m2, g2 = fermionic_keys[j]
-                sign = -1 if g1 == g2 else config.cross_sign
-                if sign != 1:
-                    swap[(i, j)] = sign
+                if g1 == g2:
+                    swap[(i, j)] = -1
             # conjugate pairing: same Green sector, matching index
         for mu in range(d):
             for g in (0, 1):

@@ -1,6 +1,7 @@
 """Rewriting engine: normal forms, confluence, brackets, star."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,9 @@ from ternalg.algebra import (ConfluenceError, Element, GeneratorSystem,
                              nested_action, random_element, random_raw_terms,
                              sym3)
 from ternalg.cyclo import Cyclo, ONE, Q
-from ternalg.superspace import CLS_X
+from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
+                                CLS_THETA_SC, CLS_X, MetricSignature,
+                                SuperspaceConfig, build)
 
 
 def fermion_pair():
@@ -133,6 +136,100 @@ def test_inconsistent_rules_rejected():
             swap_sign={},
             contraction={(1, 0): ONE},
             square_zero=(0,))
+
+
+class _UncheckedSystem(GeneratorSystem):
+    """A generator system whose rule table is not checked at construction."""
+
+    def _verify_local_confluence(self):
+        pass
+
+
+def _confluent_by_full_sweep(sys_) -> bool:
+    """Reference check: reduce every descending overlap word both ways."""
+    n = sys_.size()
+    for u in range(n):
+        for v in range(u + 1):
+            for w in range(v + 1):
+                word = (u, v, w)
+                if (sys_.reduce_terms({word: ONE}, "leftmost")
+                        != sys_.reduce_terms({word: ONE}, "rightmost")):
+                    return False
+    return True
+
+
+def test_confluence_check_matches_full_sweep():
+    """The construction-time check skips overlap words without a
+    contraction; on random small rule tables it must accept and reject
+    exactly what reducing every overlap word accepts and rejects."""
+    rng = random.Random(29)
+    values = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Q, Cyclo(1, -1))
+    outcomes = []
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        names = [f"g{k}" for k in range(n)]
+        pairs = [(u, v) for u in range(n) for v in range(u)]
+        swap = {p: rng.choice((1, -1)) for p in pairs}
+        contraction = {p: rng.choice(values) for p in pairs
+                       if rng.random() < 0.3}
+        square_zero = [u for u in range(n) if rng.random() < 0.5]
+        args = (names, swap, contraction, square_zero)
+        try:
+            GeneratorSystem(*args)
+            accepted = True
+        except ConfluenceError:
+            accepted = False
+        assert accepted == _confluent_by_full_sweep(_UncheckedSystem(*args)), args
+        outcomes.append(accepted)
+    assert any(outcomes) and not all(outcomes)
+
+
+def _raw_product(a_raw: dict, b_raw: dict) -> dict:
+    out = {}
+    for wa, ca in a_raw.items():
+        for wb, cb in b_raw.items():
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return out
+
+
+def _check_product_against_reducer(sys_, pairs, rng):
+    for a_raw, b_raw in pairs:
+        a, b = Element(sys_, a_raw), Element(sys_, b_raw)
+        got = (a * b).terms
+        raw = _raw_product(a_raw, b_raw)
+        assert sys_.reduce_terms(raw, "leftmost") == got
+        assert sys_.reduce_terms(raw, "rightmost") == got
+        assert sys_.reduce_terms(raw, "random", rng=rng) == got
+
+
+def test_product_matches_reducer_superspace():
+    """Differential test of the product kernel against the one-step
+    rewriter at d = 3, on words mixing both Green sectors, conjugate
+    theta/d pairs and repeated bosons."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
+    ids = alg._ids
+    x0, p0 = ids[(CLS_X, 0, 0)], ids[(CLS_P, 0, 0)]
+    pool = [ids[(CLS_THETA, 0, g)] for g in (0, 1)]
+    pool += [ids[(CLS_DEL, 0, g)] for g in (0, 1)]
+    pool += [ids[(CLS_THETA, 1, 0)], ids[(CLS_DEL, 1, 1)],
+             ids[(CLS_THETA_SC, 0, 1)], ids[(CLS_EPS[1], 2, 0)],
+             x0, p0, ids[(CLS_X, 1, 0)], ids[(CLS_P, 1, 0)]]
+    rng = random.Random(31)
+    pairs = [({(p0, p0): ONE}, {(x0, x0): ONE}),
+             ({(x0, p0, x0): Q}, {(p0, p0, x0): ONE})]
+    pairs += [(random_raw_terms(alg.system, rng, pool, 6, 3),
+               random_raw_terms(alg.system, rng, pool, 6, 3))
+              for _ in range(150)]
+    _check_product_against_reducer(alg.system, pairs, rng)
+
+
+def test_product_matches_reducer_fermion_pair():
+    sys_ = fermion_pair()
+    rng = random.Random(37)
+    pairs = [(random_raw_terms(sys_, rng, max_degree=6),
+              random_raw_terms(sys_, rng, max_degree=6))
+             for _ in range(100)]
+    _check_product_against_reducer(sys_, pairs, rng)
 
 
 def test_canonical_rendering_stable(alg2):

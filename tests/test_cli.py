@@ -79,6 +79,17 @@ def test_eval_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr, dim", [
+    ("theta^0 + foo", "4"),
+    ("theta^0 * theta^7", "2"),
+])
+def test_eval_unknown_generator_position(expr, dim, capsys):
+    assert main(["eval", expr, "--dim", dim]) == 2
+    err = capsys.readouterr().err
+    assert "unknown generator" in err
+    assert "(at position 10)" in err
+
+
 def test_dump_factor(capsys):
     assert main(["dump-factor", "--csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -126,14 +137,3 @@ def test_suite_spec_validation():
         SuiteSpec("bogus")
     assert "all" in SUITE_IDS
 
-
-def test_threaded_run_matches_serial(monkeypatch):
-    from ternalg.report import reports_to_document
-    from ternalg.suites import run_suite
-    spec = SuiteSpec("arith", seed=1)
-    serial = run_suite(spec)
-    monkeypatch.setenv("TERNALG_THREADS", "4")
-    threaded = run_suite(spec)
-    a = _strip_timings(reports_to_document(serial, spec.config_dict()))
-    b = _strip_timings(reports_to_document(threaded, spec.config_dict()))
-    assert json.dumps(a) == json.dumps(b)
