@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("dump-factor",
                        help="dump the commutation factor over Z_3^3")
     f.add_argument("--csv", action="store_true", required=True,
-                   help="CSV of q-exponents, 729 x 729")
+                   help="CSV of q-exponents, 27 x 27")
 
     x = sub.add_parser("export-sc", help="export structure constants as JSON")
     x.add_argument("--instance", required=True, choices=("cubic-poincare",))

@@ -265,7 +265,10 @@ class _Parser:
         num = int(self.expect("num").text)
         if self.peek().kind == "/":
             self.next()
-            den = int(self.expect("num").text)
+            t = self.expect("num")
+            den = int(t.text)
+            if not den:
+                raise DslError("zero denominator", t.pos)
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
@@ -307,12 +310,15 @@ class _Parser:
         raise DslError(f"unexpected {t.text or 'end'!r}", t.pos)
 
     def cbr(self):
-        self.next()
+        start = self.next()
         self.expect("(")
         grades = [self.grade()]
         while self.peek().kind == ",":
             self.next()
             grades.append(self.grade())
+        if len(grades) != 3:
+            raise DslError("cbr needs exactly three grade vectors",
+                           start.pos)
         self.expect(";")
         a = self.expr()
         self.expect(",")
@@ -320,18 +326,18 @@ class _Parser:
         self.expect(",")
         c = self.expr()
         self.expect(")")
-        if len(grades) != 3:
-            raise DslError("cbr needs exactly three grade vectors",
-                           self.peek().pos)
         return ColourBracket(tuple(grades), a, b, c)
 
     def grade(self):
-        self.expect("(")
+        start = self.expect("(")
         comps = [int(self.expect("num").text)]
         while self.peek().kind == ",":
             self.next()
             comps.append(int(self.expect("num").text))
         self.expect(")")
+        if len(comps) != 3:
+            raise DslError("a grade vector needs exactly three components",
+                           start.pos)
         return tuple(comps)
 
     def act(self):

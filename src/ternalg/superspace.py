@@ -30,8 +30,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSystem, commutator, sym3
-from .cyclo import Cyclo, ONE, Q, ZERO
+from .algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
+                      commutator, sym3)
+from .cyclo import Cyclo, ONE, Q
 from .report import CheckReport, Timer
 
 # generator classes, in canonical order (fermionic before bosonic)
@@ -123,7 +124,6 @@ class SuperspaceAlgebra:
         square_zero = range(self.n_fermionic)
         self.system = GeneratorSystem(names, swap, contraction, square_zero)
         self._cache = {}
-        self._adv_cache = {}
 
     @staticmethod
     def _base_name(cls, mu):
@@ -232,41 +232,28 @@ class SuperspaceAlgebra:
         return self._cache[key]
 
     def ad_V(self, i: int, element: Element) -> Element:
-        """[V_i, element], memoised word by word.
+        """[V_i, element] by the Leibniz rule.
 
-        The closure sweeps apply the same three operators to hundreds of
-        monomials; the intermediate normal-order words recur massively, so
-        caching the adjoint at word granularity is the difference between
-        seconds and minutes.
+        A commutator is a derivation, so on a word g_1...g_n it is the sum
+        over k of g_1...g_{k-1} [V_i, g_k] g_{k+1}...g_n.  The table of
+        [V_i, g], one row per generator g, is built on first use.
         """
-        cache = self._adv_cache.setdefault(i, {})
-        v = self.V(i)
+        key = ("adV", i)
+        if key not in self._cache:
+            v = self.V(i)
+            self._cache[key] = [
+                commutator(v, Element.generator(self.system, g)).terms
+                for g in range(self.system.size())]
+        table = self._cache[key]
+        times_word = self.system.times_word
         out: dict = {}
         for word, coeff in element.terms.items():
-            hit = cache.get(word)
-            if hit is None:
-                e = Element(self.system, _normal={word: ONE})
-                hit = (v * e - e * v).terms
-                cache[word] = hit
-            for w2, c2 in hit.items():
-                s = out.get(w2, ZERO) + coeff * c2
-                if s:
-                    out[w2] = s
-                else:
-                    del out[w2]
+            for k, g in enumerate(word):
+                for w, c in table[g].items():
+                    times_word(word[:k], coeff * c, w + word[k + 1:], out)
         return Element(self.system, _normal=out)
 
     # -- slot inventory for the relation suites --------------------------
-
-    def fermionic_name_elements(self):
-        """All 21 parafermionic names (at d=4) as (label, Element) pairs."""
-        out = [("theta", self.theta_scalar())]
-        d = self.dimension
-        out += [(f"theta^{mu}", self.theta(mu)) for mu in range(d)]
-        out += [(f"d_{mu}", self.d(mu)) for mu in range(d)]
-        for i in (1, 2, 3):
-            out += [(f"eps{i}^{mu}", self.eps(i, mu)) for mu in range(d)]
-        return out
 
     def non_derivative_choices(self):
         """Slot choices "of the same nature as theta": theta^mu, eps_i^mu
@@ -610,10 +597,9 @@ def colour_action(alg: SuperspaceAlgebra, weights, target: Element) -> Element:
     Weight order follows the ternary-bracket ordering convention
     (123, 231, 312, 132, 213, 321); nesting is [V_p1, [V_p2, [V_p3, target]]].
     """
-    orderings = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (3, 2, 1))
     out = Element.zero(alg.system)
-    for (i, j, k), w in zip(orderings, weights):
-        out = out + alg.ad_V(i, alg.ad_V(j, alg.ad_V(k, target))).scale(w)
+    for (i, j, k), w in zip(TERNARY_ORDERINGS, weights):
+        out = out + alg.ad_V(i + 1, alg.ad_V(j + 1, alg.ad_V(k + 1, target))).scale(w)
     return out
 
 

@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, report formats and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,32 @@ def test_eval_unknown_generator_position(expr, dim, capsys):
     err = capsys.readouterr().err
     assert "unknown generator" in err
     assert "(at position 10)" in err
+
+
+@pytest.mark.parametrize("expr, message, pos", [
+    ("1/0 * theta^0", "zero denominator", 2),
+    ("cbr((1,0),(0,1,0),(0,0,1); theta^0, theta^1, d_1)",
+     "a grade vector needs exactly three components", 4),
+    ("theta^0 + cbr((1,0,0),(0,1,0); theta^0, theta^1, d_1)",
+     "cbr needs exactly three grade vectors", 10),
+])
+def test_eval_bad_literal_position(expr, message, pos, capsys):
+    assert main(["eval", expr, "--dim", "2"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"(at position {pos})" in err
+
+
+def test_verify_all_matches_golden_report(capsys):
+    """``verify --suite all`` at d = 3, seed 0, equals the stored report
+    apart from the timings."""
+    golden = Path(__file__).parent / "data" / "verify_all_d3_seed0.json"
+    assert main(["verify", "--suite", "all", "--dim", "3", "--seed", "0",
+                 "--report", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for c in doc["checks"]:
+        del c["elapsed_ms"]
+    assert doc == json.loads(golden.read_text())
 
 
 def test_dump_factor(capsys):

@@ -14,10 +14,9 @@ def test_axioms_exhaustive():
     assert rep.passed, rep.residuals[:3]
 
 
-def test_trivial_factor_passes_generic_path():
-    trivial = CommutationFactor(evaluate=lambda a, b: ONE)
-    rep = check_axioms(trivial, GradingGroup(modulus=3, rank=2))
-    assert rep.passed
+def test_axioms_reject_group_of_other_modulus():
+    with pytest.raises(ValueError, match="modulus"):
+        check_axioms(paper_factor(), GradingGroup(modulus=2))
 
 
 def test_non_factor_counterexample():

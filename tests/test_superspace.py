@@ -1,11 +1,15 @@
 """Parafermionic relation families, realised symmetry generators and the
 transformation checks, at the small dimension where everything is fast."""
 
+import random
 from fractions import Fraction
 
-from ternalg.algebra import commutator, sym3
+from ternalg.algebra import Element, commutator, random_element, sym3
 from ternalg.colour import col3_weights
-from ternalg.superspace import (MetricSignature, SuperspaceConfig, build,
+from ternalg.cyclo import Q
+from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
+                                CLS_THETA_SC, CLS_X, MetricSignature,
+                                SuperspaceConfig, build,
                                 check_closure, check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
                                 check_roby, check_superspace_transformation)
@@ -96,6 +100,25 @@ def test_transformation_spot_checks(alg2):
     assert commutator(alg2.V(1), alg2.theta(0)) == alg2.eps(1, 0)
     assert commutator(alg2.V(2), alg2.x(1)) == alg2.delta_x(2, 1)
     assert not commutator(alg2.V(1), alg2.eps(3, 0))
+
+
+def test_ad_V_matches_commutator():
+    """Differential test of the Leibniz expansion in ``ad_V`` against
+    V*e - e*V at d = 3, over words from every generator class."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
+    ids = alg._ids
+    pool = [ids[(cls, mu, g)] for cls in (CLS_THETA, CLS_DEL)
+            for mu in (0, 1) for g in (0, 1)]
+    pool += [ids[(cls, 0, g)] for cls in (CLS_THETA_SC,) + CLS_EPS
+             for g in (0, 1)]
+    pool += [ids[(cls, mu, 0)] for cls in (CLS_X, CLS_P) for mu in (0, 1)]
+    rng = random.Random(41)
+    elements = [Element.zero(alg.system), Element.scalar(alg.system, Q)]
+    elements += [random_element(alg.system, rng, pool, max_degree=5, n_terms=3)
+                 for _ in range(40)]
+    for i in (1, 2, 3):
+        for e in elements:
+            assert alg.ad_V(i, e) == commutator(alg.V(i), e), (i, str(e))
 
 
 def test_closure(alg2):
