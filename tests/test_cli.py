@@ -1,14 +1,15 @@
 """CLI verbs, exit codes, report formats and determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ternalg.cli import main
 from ternalg.order3 import StructureConstants3
-from ternalg.report import document_to_reports
-from ternalg.suites import SUITE_IDS, SuiteSpec
+from ternalg.report import document_to_reports, emit_json
+from ternalg.suites import SUITE_IDS, SuiteSpec, run_suite
 
 
 def _strip_timings(doc: dict) -> dict:
@@ -112,6 +113,18 @@ def test_verify_all_matches_golden_report(capsys):
     assert main(["verify", "--suite", "all", "--dim", "3", "--seed", "0",
                  "--report", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    for c in doc["checks"]:
+        del c["elapsed_ms"]
+    assert doc == json.loads(golden.read_text())
+
+
+def test_failing_report_matches_golden():
+    """With the pairing corrupted to kappa = 1/3, ``--suite all`` at d = 2
+    fails 13 checks; their residual indices and renderings equal the stored
+    report apart from the timings."""
+    golden = Path(__file__).parent / "data" / "verify_all_d2_kappa13.json"
+    spec = SuiteSpec("all", dimension=2, seed=0, kappa=Fraction(1, 3))
+    doc = json.loads(emit_json(run_suite(spec), spec.config_dict()))
     for c in doc["checks"]:
         del c["elapsed_ms"]
     assert doc == json.loads(golden.read_text())
