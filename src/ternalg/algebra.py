@@ -102,9 +102,6 @@ class GeneratorSystem:
         """Scalar part of the rewrite of u v, for u after v in canonical order."""
         return self._contraction[v].get(u, ZERO)
 
-    def square_is_zero(self, u: int) -> bool:
-        return self._square_zero[u]
-
     # -- normal forms ----------------------------------------------------
     #
     # The one product kernel.  Right-multiplying a normal word by a
@@ -339,9 +336,6 @@ class Element:
             return self.scale(other)
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -352,9 +346,6 @@ class Element:
 
     def __hash__(self):
         return hash((id(self.system), frozenset(self.terms.items())))
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     # -- involution ------------------------------------------------------
 

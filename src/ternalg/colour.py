@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclo import Cyclo, ONE, Q
-from .report import CheckReport, Timer
+from .report import CheckReport
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class GradingGroup:
 
     def elements(self):
         return itertools.product(range(self.modulus), repeat=self.rank)
-
-    def order(self) -> int:
-        return self.modulus ** self.rank
 
 
 class GradeVector(tuple):
@@ -81,11 +78,9 @@ def check_axioms(factor: CommutationFactor, group: GradingGroup) -> CheckReport:
     if group.modulus != factor.modulus:
         raise ValueError(f"group modulus {group.modulus} differs from the "
                          f"factor's modulus {factor.modulus}")
-    rep = CheckReport(
-        "colour.axioms",
-        "N(a,b) N(b,a) = 1; N(a,b+c) = N(a,b) N(a,c); "
-        "N(a+b,c) = N(a,c) N(b,c)")
-    with Timer(rep):
+    with CheckReport("colour.axioms",
+                     "N(a,b) N(b,a) = 1; N(a,b+c) = N(a,b) N(a,c); "
+                     "N(a+b,c) = N(a,c) N(b,c)") as rep:
         _check_axioms_exponent(factor, group, rep)
     return rep
 

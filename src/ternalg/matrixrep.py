@@ -22,7 +22,7 @@ import random
 
 from .algebra import Element, random_raw_terms
 from .cyclo import Cyclo, ONE, ZERO
-from .report import CheckReport, Timer
+from .report import CheckReport
 from .superspace import CLS_DEL, CLS_THETA, SuperspaceAlgebra
 
 MAX_MODES = 12  # dimension cap 2^12 = 4096
@@ -191,11 +191,11 @@ def check_representation(rep: MatrixRep) -> CheckReport:
     commutators, zero squares."""
     alg = rep.alg
     kappa = Cyclo(alg.config.pairing_kappa)
-    rep_report = CheckReport(
-        "oracle.rep",
-        "matrix model realises the swap/contraction table exactly: "
-        "{theta_r, d_r} = kappa, cross-sector commutators vanish")
-    with Timer(rep_report):
+    with CheckReport(
+            "oracle.rep",
+            "matrix model realises the swap/contraction table exactly: "
+            "{theta_r, d_r} = kappa, cross-sector commutators vanish"
+    ) as rep_report:
         gids = sorted(rep.matrices)
         ident = SparseMatrix.identity(rep.dim)
         for u, v in itertools.combinations_with_replacement(gids, 2):
@@ -224,11 +224,10 @@ def check_random_equivalence(rep: MatrixRep, n_samples: int = 200,
     """Seeded sweep: raw and normal-form matrix evaluations agree."""
     gens = sorted(rep.matrices)
     rng = random.Random(seed)
-    report = CheckReport(
-        "oracle.random",
-        f"{n_samples} seeded random elements of degree <= {max_degree}: "
-        "raw-word and normal-form matrix evaluations agree")
-    with Timer(report):
+    with CheckReport(
+            "oracle.random",
+            f"{n_samples} seeded random elements of degree <= {max_degree}: "
+            "raw-word and normal-form matrix evaluations agree") as report:
         for k in range(n_samples):
             raw = random_raw_terms(rep.alg.system, rng, gens,
                                    max_degree=max_degree, n_terms=4)

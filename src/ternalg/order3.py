@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import commutator
-from .report import CheckReport, Timer
+from .algebra import Element, commutator
+from .report import CheckReport
 from .superspace import MetricSignature, SuperspaceAlgebra
 
 
@@ -124,56 +124,51 @@ def check_lie_order3(sc: StructureConstants3) -> list[CheckReport]:
     f, R, Q = sc.f, sc.R, sc.Q
     reports = []
 
-    rep = CheckReport("order3.jacobi",
-                      "f_{ij}^m f_{mk}^l + f_{jk}^m f_{mi}^l + f_{ki}^m f_{mj}^l = 0")
-    with Timer(rep):
+    with CheckReport("order3.jacobi",
+                     "f_{ij}^m f_{mk}^l + f_{jk}^m f_{mi}^l"
+                     " + f_{ki}^m f_{mj}^l = 0") as rep:
         for i, j, k in itertools.combinations(range(n0), 3):
             for l in range(n0):
-                s = sum(f[i, j, m] * f[m, k, l] + f[j, k, m] * f[m, i, l]
-                        + f[k, i, m] * f[m, j, l] for m in range(n0))
-                if s:
-                    rep.add_residual((i, j, k, l), str(s))
+                rep.expect_zero((i, j, k, l), sum(
+                    f[i, j, m] * f[m, k, l] + f[j, k, m] * f[m, i, l]
+                    + f[k, i, m] * f[m, j, l] for m in range(n0)))
     reports.append(rep)
 
-    rep = CheckReport("order3.rep",
-                      "[R_i, R_j] = f_{ij}^k R_k  (g1 is a g0 representation)")
-    with Timer(rep):
+    with CheckReport("order3.rep",
+                     "[R_i, R_j] = f_{ij}^k R_k"
+                     "  (g1 is a g0 representation)") as rep:
         for i, j in itertools.combinations(range(n0), 2):
             for a in range(n1):
                 for c in range(n1):
                     s = sum(R[j, a, b] * R[i, b, c] - R[i, a, b] * R[j, b, c]
                             for b in range(n1))
                     s -= sum(f[i, j, k] * R[k, a, c] for k in range(n0))
-                    if s:
-                        rep.add_residual((i, j, a, c), str(s))
+                    rep.expect_zero((i, j, a, c), s)
     reports.append(rep)
 
-    rep = CheckReport("order3.equivariance",
-                      "R_{ia}^e Q_{ebc}^j + R_{ib}^e Q_{aec}^j + R_{ic}^e Q_{abe}^j"
-                      " = Q_{abc}^k f_{ik}^j  (implied by the even sector acting"
-                      " on the ternary bracket)")
-    with Timer(rep):
+    with CheckReport("order3.equivariance",
+                     "R_{ia}^e Q_{ebc}^j + R_{ib}^e Q_{aec}^j + R_{ic}^e Q_{abe}^j"
+                     " = Q_{abc}^k f_{ik}^j  (implied by the even sector acting"
+                     " on the ternary bracket)") as rep:
         for i in range(n0):
             for a, b, c in itertools.combinations_with_replacement(range(n1), 3):
                 for j in range(n0):
                     s = sum(R[i, a, e] * Q[e, b, c, j] + R[i, b, e] * Q[a, e, c, j]
                             + R[i, c, e] * Q[a, b, e, j] for e in range(n1))
                     s -= sum(Q[a, b, c, k] * f[i, k, j] for k in range(n0))
-                    if s:
-                        rep.add_residual((i, a, b, c, j), str(s))
+                    rep.expect_zero((i, a, b, c, j), s)
     reports.append(rep)
 
-    rep = CheckReport("order3.fi",
-                      "Q_{bcd}^i R_{ia}^e + Q_{dab}^i R_{ic}^e + Q_{cda}^i R_{ib}^e"
-                      " + Q_{abc}^i R_{id}^e = 0  (four-term fundamental identity)")
-    with Timer(rep):
+    with CheckReport("order3.fi",
+                     "Q_{bcd}^i R_{ia}^e + Q_{dab}^i R_{ic}^e + Q_{cda}^i R_{ib}^e"
+                     " + Q_{abc}^i R_{id}^e = 0"
+                     "  (four-term fundamental identity)") as rep:
         for a, b, c, d in itertools.combinations_with_replacement(range(n1), 4):
             for e in range(n1):
-                s = sum(Q[b, c, d, i] * R[i, a, e] + Q[d, a, b, i] * R[i, c, e]
-                        + Q[c, d, a, i] * R[i, b, e] + Q[a, b, c, i] * R[i, d, e]
-                        for i in range(n0))
-                if s:
-                    rep.add_residual((a, b, c, d, e), str(s))
+                rep.expect_zero((a, b, c, d, e), sum(
+                    Q[b, c, d, i] * R[i, a, e] + Q[d, a, b, i] * R[i, c, e]
+                    + Q[c, d, a, i] * R[i, b, e] + Q[a, b, c, i] * R[i, d, e]
+                    for i in range(n0)))
     reports.append(rep)
     return reports
 
@@ -257,11 +252,9 @@ def check_against_superspace(sc: StructureConstants3,
     """
     d = alg.dimension
     lorentz_pairs = list(itertools.combinations(range(d), 2))
-    n_lor = len(lorentz_pairs)
-    rep = CheckReport("order3.superspace",
-                      "engine brackets of the realised L, P match the "
-                      "f table; [J, theta] matches the R table")
-    with Timer(rep):
+    with CheckReport("order3.superspace",
+                     "engine brackets of the realised L, P match the "
+                     "f table; [J, theta] matches the R table") as rep:
         basis = [alg.lorentz(mu, nu) for mu, nu in lorentz_pairs] \
             + [alg.P(mu) for mu in range(d)]
         n0 = len(basis)
@@ -273,26 +266,20 @@ def check_against_superspace(sc: StructureConstants3,
         for i in range(n0):
             for j in range(i + 1, n0):
                 lhs = commutator(basis[i], basis[j])
-                rhs = None
+                rhs = Element.zero(alg.system)
                 for k in range(n0):
                     coef = sc.f[i, j, k]
                     if coef:
-                        term = basis[k].scale(coef)
-                        rhs = term if rhs is None else rhs + term
-                res = lhs if rhs is None else lhs - rhs
-                if res:
-                    rep.add_residual((sc.labels0[i], sc.labels0[j]), str(res))
+                        rhs = rhs + basis[k].scale(coef)
+                rep.expect_zero((sc.labels0[i], sc.labels0[j]), lhs - rhs)
         for idx, (mu, nu) in enumerate(lorentz_pairs):
             for rho in range(d):
                 # theta with the index lowered plays the role of V_rho
                 lhs = commutator(alg.J(mu, nu), alg.theta_lower(rho))
-                rhs = None
+                rhs = Element.zero(alg.system)
                 for b in range(d):
                     coef = sc.R[idx, rho, b]
                     if coef:
-                        term = alg.theta_lower(b).scale(coef)
-                        rhs = term if rhs is None else rhs + term
-                res = lhs if rhs is None else lhs - rhs
-                if res:
-                    rep.add_residual((sc.labels0[idx], f"theta^{rho}"), str(res))
+                        rhs = rhs + alg.theta_lower(b).scale(coef)
+                rep.expect_zero((sc.labels0[idx], f"theta^{rho}"), lhs - rhs)
     return rep

@@ -1,9 +1,18 @@
 """Check reports: the uniform result record of every verification routine.
 
 A check either passes or carries a list of residuals, each a (index tuple,
-rendered nonzero element) pair.  Reports render to text or to a stable JSON
-document; apart from the elapsed_ms fields the JSON is byte-identical for
-identical (suite, seed, config) runs.
+rendered nonzero element) pair.  Every check is written in one idiom::
+
+    with CheckReport("roby", "sum over the six orderings ... vanishes") as rep:
+        for idx, value in instances:
+            rep.expect_zero(idx, value)
+
+Leaving the ``with`` block (normally, by ``return`` or by an exception)
+stamps ``elapsed_ms``; ``expect_zero`` records ``str(value)`` unless the
+value is zero.  ``add_residual`` is left for messages that render no value.
+Reports render to text or to a stable JSON document; apart from the
+elapsed_ms fields the JSON is byte-identical for identical (suite, seed,
+config) runs.
 """
 
 from __future__ import annotations
@@ -24,28 +33,27 @@ class CheckReport:
     elapsed_ms: float = 0.0
     notes: str = ""
 
+    def __enter__(self) -> "CheckReport":
+        # a plain attribute, not a field: it never reaches asdict or the JSON
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
+        return False
+
     def add_residual(self, indices, rendered: str):
         self.residuals.append({"indices": list(indices), "element": rendered})
         self.status = "fail"
 
+    def expect_zero(self, indices, value):
+        """Record ``value`` as a residual unless it is zero."""
+        if value:
+            self.add_residual(indices, str(value))
+
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-class Timer:
-    """Context manager stamping elapsed_ms onto a report."""
-
-    def __init__(self, report: CheckReport):
-        self.report = report
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
-        return False
 
 
 def reports_to_document(reports, config: dict) -> dict:

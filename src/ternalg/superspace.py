@@ -33,7 +33,7 @@ from fractions import Fraction
 from .algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
                       commutator, sym3)
 from .cyclo import Cyclo, ONE, Q
-from .report import CheckReport, Timer
+from .report import CheckReport
 
 # generator classes, in canonical order (fermionic before bosonic)
 CLS_THETA_SC = 0
@@ -364,8 +364,7 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
     reports = []
     for family_id, pattern in DOUBLE_BRACKET_FAMILIES + SYM_BRACKET_FAMILIES:
         symmetric = family_id.startswith("para.")
-        rep = CheckReport(family_id, _FAMILY_REFS[family_id])
-        with Timer(rep):
+        with CheckReport(family_id, _FAMILY_REFS[family_id]) as rep:
             slots = [_slot_choices(alg, kind) for kind in pattern]
             for a, b, c in itertools.product(*slots):
                 if symmetric:
@@ -374,28 +373,23 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
                 else:
                     lhs = commutator(commutator(a[1], b[1]), c[1])
                     rhs = _expected_double(alg, a, b, c)
-                residual = lhs - rhs
-                if residual:
-                    rep.add_residual((a[0], b[0], c[0]), str(residual))
+                rep.expect_zero((a[0], b[0], c[0]), lhs - rhs)
         reports.append(rep)
     return reports
 
 
 def check_roby(alg: SuperspaceAlgebra) -> CheckReport:
     """The three-exterior relation for every unordered triple of names."""
-    rep = CheckReport(
-        "roby",
-        "sum over the six orderings of eta^a eta^b eta^c vanishes, for "
-        "every triple of coordinate-type names (theta^mu, theta, eps_i^mu; "
-        "the conjugates d_mu are excluded since their symmetric brackets "
-        "with theta are the nonzero pairing relations)")
-    with Timer(rep):
+    with CheckReport(
+            "roby",
+            "sum over the six orderings of eta^a eta^b eta^c vanishes, for "
+            "every triple of coordinate-type names (theta^mu, theta, eps_i^mu; "
+            "the conjugates d_mu are excluded since their symmetric brackets "
+            "with theta are the nonzero pairing relations)") as rep:
         names = [(lbl, el) for lbl, el, _ in alg.non_derivative_choices()]
         for (la, ea), (lb, eb), (lc, ec) in \
                 itertools.combinations_with_replacement(names, 3):
-            residual = sym3(ea, eb, ec)
-            if residual:
-                rep.add_residual((la, lb, lc), str(residual))
+            rep.expect_zero((la, lb, lc), sym3(ea, eb, ec))
     return rep
 
 
@@ -405,11 +399,10 @@ def check_poincare_realisation(alg: SuperspaceAlgebra) -> list[CheckReport]:
     eta = alg.eta
     reports = []
 
-    rep = CheckReport("poincare.LL",
-                      "[L_{mu nu}, L_{rho sigma}] = eta_{nu sigma} L_{rho mu}"
-                      " - eta_{mu sigma} L_{rho nu} + eta_{nu rho} L_{mu sigma}"
-                      " - eta_{mu rho} L_{nu sigma}")
-    with Timer(rep):
+    with CheckReport("poincare.LL",
+                     "[L_{mu nu}, L_{rho sigma}] = eta_{nu sigma} L_{rho mu}"
+                     " - eta_{mu sigma} L_{rho nu} + eta_{nu rho} L_{mu sigma}"
+                     " - eta_{mu rho} L_{nu sigma}") as rep:
         for mu, nu in itertools.combinations(range(d), 2):
             for rho, sigma in itertools.combinations(range(d), 2):
                 lhs = commutator(alg.lorentz(mu, nu), alg.lorentz(rho, sigma))
@@ -417,55 +410,45 @@ def check_poincare_realisation(alg: SuperspaceAlgebra) -> list[CheckReport]:
                        - alg.lorentz(rho, nu).scale(eta[mu] if mu == sigma else 0)
                        + alg.lorentz(mu, sigma).scale(eta[nu] if nu == rho else 0)
                        - alg.lorentz(nu, sigma).scale(eta[mu] if mu == rho else 0))
-                if lhs - rhs:
-                    rep.add_residual((mu, nu, rho, sigma), str(lhs - rhs))
+                rep.expect_zero((mu, nu, rho, sigma), lhs - rhs)
     reports.append(rep)
 
-    rep = CheckReport("poincare.LP",
-                      "[L_{mu nu}, P_rho] = eta_{nu rho} P_mu - eta_{mu rho} P_nu")
-    with Timer(rep):
+    with CheckReport("poincare.LP",
+                     "[L_{mu nu}, P_rho] = eta_{nu rho} P_mu"
+                     " - eta_{mu rho} P_nu") as rep:
         for mu, nu in itertools.combinations(range(d), 2):
             for rho in range(d):
                 lhs = commutator(alg.lorentz(mu, nu), alg.P(rho))
                 rhs = (alg.P(mu).scale(eta[nu] if nu == rho else 0)
                        - alg.P(nu).scale(eta[mu] if mu == rho else 0))
-                if lhs - rhs:
-                    rep.add_residual((mu, nu, rho), str(lhs - rhs))
+                rep.expect_zero((mu, nu, rho), lhs - rhs)
     reports.append(rep)
 
-    rep = CheckReport("poincare.PP", "[P_mu, P_nu] = 0")
-    with Timer(rep):
+    with CheckReport("poincare.PP", "[P_mu, P_nu] = 0") as rep:
         for mu, nu in itertools.combinations(range(d), 2):
-            res = commutator(alg.P(mu), alg.P(nu))
-            if res:
-                rep.add_residual((mu, nu), str(res))
+            rep.expect_zero((mu, nu), commutator(alg.P(mu), alg.P(nu)))
     reports.append(rep)
 
-    rep = CheckReport("poincare.Jtheta",
-                      "[J_{mu nu}, theta_rho] = eta_{nu rho} theta_mu"
-                      " - eta_{mu rho} theta_nu")
-    with Timer(rep):
+    with CheckReport("poincare.Jtheta",
+                     "[J_{mu nu}, theta_rho] = eta_{nu rho} theta_mu"
+                     " - eta_{mu rho} theta_nu") as rep:
         for mu, nu in itertools.combinations(range(d), 2):
             for rho in range(d):
                 lhs = commutator(alg.J(mu, nu), alg.theta_lower(rho))
                 rhs = (alg.theta_lower(mu).scale(eta[nu] if nu == rho else 0)
                        - alg.theta_lower(nu).scale(eta[mu] if mu == rho else 0))
-                if lhs - rhs:
-                    rep.add_residual((mu, nu, rho), str(lhs - rhs))
+                rep.expect_zero((mu, nu, rho), lhs - rhs)
     reports.append(rep)
 
-    rep = CheckReport("poincare.Ptheta",
-                      "[P_mu, theta^nu] = 0 and [J_{mu nu}, theta] = 0")
-    with Timer(rep):
+    with CheckReport("poincare.Ptheta",
+                     "[P_mu, theta^nu] = 0 and [J_{mu nu}, theta] = 0") as rep:
         for mu in range(d):
             for nu in range(d):
-                res = commutator(alg.P(mu), alg.theta(nu))
-                if res:
-                    rep.add_residual(("P", mu, nu), str(res))
+                rep.expect_zero(("P", mu, nu),
+                                commutator(alg.P(mu), alg.theta(nu)))
         for mu, nu in itertools.combinations(range(d), 2):
-            res = commutator(alg.J(mu, nu), alg.theta_scalar())
-            if res:
-                rep.add_residual(("J-scalar", mu, nu), str(res))
+            rep.expect_zero(("J-scalar", mu, nu),
+                            commutator(alg.J(mu, nu), alg.theta_scalar()))
     reports.append(rep)
     return reports
 
@@ -480,11 +463,10 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
     """
     d = alg.dimension
     eta = alg.eta
-    rep = CheckReport("psi.bracket",
-                      "{psi_s mu, psi_s nu, psi_s rho} proportional to "
-                      "4(eta_{mu nu} psi_s rho + eta_{nu rho} psi_s mu "
-                      "+ eta_{rho mu} psi_s nu)")
-    with Timer(rep):
+    with CheckReport("psi.bracket",
+                     "{psi_s mu, psi_s nu, psi_s rho} proportional to "
+                     "4(eta_{mu nu} psi_s rho + eta_{nu rho} psi_s mu "
+                     "+ eta_{rho mu} psi_s nu)") as rep:
         global_sign = None
         for s in (1, -1):
             for mu, nu, rho in itertools.product(range(d), repeat=3):
@@ -493,8 +475,7 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
                         + alg.psi(s, mu).scale(4 * eta[nu] if nu == rho else 0)
                         + alg.psi(s, nu).scale(4 * eta[rho] if rho == mu else 0))
                 if not base:
-                    if lhs:
-                        rep.add_residual((s, mu, nu, rho), str(lhs))
+                    rep.expect_zero((s, mu, nu, rho), lhs)
                     continue
                 for candidate in (1, -1):
                     if lhs - base.scale(candidate * s):
@@ -523,51 +504,39 @@ def check_superspace_transformation(alg: SuperspaceAlgebra) -> list[CheckReport]
     d = alg.dimension
     reports = []
 
-    rep = CheckReport("trans.theta", "[V, theta^alpha] = eps^alpha")
-    with Timer(rep):
+    with CheckReport("trans.theta", "[V, theta^alpha] = eps^alpha") as rep:
         for i in (1, 2, 3):
             for a in range(d):
-                res = commutator(alg.V(i), alg.theta(a)) - alg.eps(i, a)
-                if res:
-                    rep.add_residual((i, a), str(res))
+                rep.expect_zero((i, a),
+                                commutator(alg.V(i), alg.theta(a)) - alg.eps(i, a))
     reports.append(rep)
 
-    rep = CheckReport("trans.x",
-                      "[V, x^alpha] = [theta, theta^mu][eps^alpha, theta_mu]")
-    with Timer(rep):
+    with CheckReport("trans.x", "[V, x^alpha] = "
+                     "[theta, theta^mu][eps^alpha, theta_mu]") as rep:
         for i in (1, 2, 3):
             for a in range(d):
-                res = commutator(alg.V(i), alg.x(a)) - alg.delta_x(i, a)
-                if res:
-                    rep.add_residual((i, a), str(res))
+                rep.expect_zero((i, a),
+                                commutator(alg.V(i), alg.x(a)) - alg.delta_x(i, a))
     reports.append(rep)
 
-    rep = CheckReport("trans.eps", "[V_i, eps_j^alpha] = 0")
-    with Timer(rep):
+    with CheckReport("trans.eps", "[V_i, eps_j^alpha] = 0") as rep:
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 for a in range(d):
-                    res = commutator(alg.V(i), alg.eps(j, a))
-                    if res:
-                        rep.add_residual((i, j, a), str(res))
+                    rep.expect_zero((i, j, a),
+                                    commutator(alg.V(i), alg.eps(j, a)))
     reports.append(rep)
 
-    rep = CheckReport("trans.deltax",
-                      "delta-x is star-fixed, commutes with itself and with "
-                      "every theta/eps generator")
-    with Timer(rep):
+    with CheckReport("trans.deltax",
+                     "delta-x is star-fixed, commutes with itself and with "
+                     "every theta/eps generator") as rep:
         dx = [alg.delta_x(1, a) for a in range(d)]
         for a in range(d):
-            if dx[a].star() - dx[a]:
-                rep.add_residual(("star", a), str(dx[a].star() - dx[a]))
+            rep.expect_zero(("star", a), dx[a].star() - dx[a])
             for b in range(d):
-                res = commutator(dx[a], dx[b])
-                if res:
-                    rep.add_residual(("dxdx", a, b), str(res))
+                rep.expect_zero(("dxdx", a, b), commutator(dx[a], dx[b]))
             for lbl, el, _ in alg.non_derivative_choices():
-                res = commutator(dx[a], el)
-                if res:
-                    rep.add_residual(("gen", a, lbl), str(res))
+                rep.expect_zero(("gen", a, lbl), commutator(dx[a], el))
     reports.append(rep)
     return reports
 
@@ -617,37 +586,30 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
     d = alg.dimension
     reports = []
 
-    rep = CheckReport("closure.leib",
-                      "[V_1,[V_2,[V_3, theta^a1 theta^a2 theta^a3]]] equals the "
-                      "symmetric sum of eps_i^a1 eps_j^a2 eps_k^a3")
-    with Timer(rep):
+    with CheckReport("closure.leib",
+                     "[V_1,[V_2,[V_3, theta^a1 theta^a2 theta^a3]]] equals the "
+                     "symmetric sum of eps_i^a1 eps_j^a2 eps_k^a3") as rep:
         for a1, a2, a3 in itertools.product(range(d), repeat=3):
             target = alg.theta(a1) * alg.theta(a2) * alg.theta(a3)
             lhs = alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, target)))
             rhs = Element.zero(alg.system)
             for i, j, k in itertools.permutations((1, 2, 3)):
                 rhs = rhs + alg.eps(i, a1) * alg.eps(j, a2) * alg.eps(k, a3)
-            if lhs - rhs:
-                rep.add_residual((a1, a2, a3), str(lhs - rhs))
+            rep.expect_zero((a1, a2, a3), lhs - rhs)
     reports.append(rep)
 
-    rep = CheckReport("closure.annihilate",
-                      "the colour bracket of (V_1, V_2, V_3) annihilates "
-                      "theta monomials of degree 1..4")
-    with Timer(rep):
+    with CheckReport("closure.annihilate",
+                     "the colour bracket of (V_1, V_2, V_3) annihilates "
+                     "theta monomials of degree 1..4") as rep:
         for a in range(d):
-            res = colour_action(alg, col3_weights, alg.theta(a))
-            if res:
-                rep.add_residual((1, a), str(res))
+            rep.expect_zero((1, a),
+                            colour_action(alg, col3_weights, alg.theta(a)))
         for a, b in itertools.product(range(d), repeat=2):
-            res = colour_action(alg, col3_weights, alg.theta(a) * alg.theta(b))
-            if res:
-                rep.add_residual((2, a, b), str(res))
+            rep.expect_zero((2, a, b), colour_action(
+                alg, col3_weights, alg.theta(a) * alg.theta(b)))
         for tup in itertools.product(range(d), repeat=3):
             target = alg.theta(tup[0]) * alg.theta(tup[1]) * alg.theta(tup[2])
-            res = colour_action(alg, col3_weights, target)
-            if res:
-                rep.add_residual((3,) + tup, str(res))
+            rep.expect_zero((3,) + tup, colour_action(alg, col3_weights, target))
         rng = random.Random(seed)
         tuples4 = sorted({tuple(rng.randrange(d) for _ in range(4))
                           for _ in range(degree4_samples)})
@@ -655,17 +617,14 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
             target = alg.theta(tup[0])
             for mu in tup[1:]:
                 target = target * alg.theta(mu)
-            res = colour_action(alg, col3_weights, target)
-            if res:
-                rep.add_residual((4,) + tup, str(res))
+            rep.expect_zero((4,) + tup, colour_action(alg, col3_weights, target))
         rep.notes = f"degree-4 index tuples sampled with seed {seed}: {tuples4}"
     reports.append(rep)
 
-    rep = CheckReport("closure.deltax",
-                      "colour bracket on x^alpha equals a sum of six quartic "
-                      "[theta,eps][eps,eps] shapes with coefficient multiset "
-                      "{-1,-1,-q,-q,-q^2,-q^2}")
-    with Timer(rep):
+    with CheckReport("closure.deltax",
+                     "colour bracket on x^alpha equals a sum of six quartic "
+                     "[theta,eps][eps,eps] shapes with coefficient multiset "
+                     "{-1,-1,-q,-q,-q^2,-q^2}") as rep:
         # coefficients realised by this nesting convention
         # ([V_p1,[V_p2,[V_p3, x]]] with the rightmost V acting first)
         computed = {
@@ -678,8 +637,7 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
             recomposed = Element.zero(alg.system)
             for (j, k, l), coeff in computed.items():
                 recomposed = recomposed + _quartic_shape(alg, j, k, l, alpha).scale(coeff)
-            if a_alpha - recomposed:
-                rep.add_residual((alpha,), str(a_alpha - recomposed))
+            rep.expect_zero((alpha,), a_alpha - recomposed)
             if not (a_alpha.star() - a_alpha):
                 rep.add_residual(("star", alpha),
                                  "colour bracket on x^alpha is star-fixed; "
@@ -695,10 +653,9 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
                      + " the reference tabulation")
     reports.append(rep)
 
-    rep = CheckReport("closure.symmetric",
-                      "the triple nested action on a theta monomial is "
-                      "symmetric under permuting the V labels")
-    with Timer(rep):
+    with CheckReport("closure.symmetric",
+                     "the triple nested action on a theta monomial is "
+                     "symmetric under permuting the V labels") as rep:
         probes = [(0, 0, 1)]
         if d >= 3:
             probes.append((0, 1, 2))
@@ -709,7 +666,6 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
             base = alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, target)))
             for i, j, k in itertools.permutations((1, 2, 3)):
                 res = alg.ad_V(i, alg.ad_V(j, alg.ad_V(k, target))) - base
-                if res:
-                    rep.add_residual((a1, a2, a3), str(res))
+                rep.expect_zero((a1, a2, a3), res)
     reports.append(rep)
     return reports
