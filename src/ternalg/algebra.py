@@ -24,16 +24,12 @@ ternary, nested commutator action) and the star anti-involution live here.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterable, Mapping, Sequence
 
 from .cyclo import Cyclo, ONE, ZERO
 
 Word = tuple  # tuple of generator ids, () is the identity monomial
-
-SQUARE_FREE = "free"
-SQUARE_ZERO = "zero"
 
 
 class IncompatibleSystems(ValueError):

@@ -1,13 +1,22 @@
-"""Brute-force cross-check: explicit sparse matrices for small fermionic
-subsystems.
+"""Brute-force cross-check: small fermionic subsystems acting on occupation
+states.
 
-Each Green component of each selected name gets one fermionic mode.  Within
-a Green sector the modes carry sign strings (so same-sector components
-anticommute exactly); the two sectors occupy disjoint tensor slots and
-therefore commute exactly.  A conjugate d-component is realised as
-kappa * (annihilation at the partner theta mode), which keeps every entry
-in Q(q) - no square roots, and self-adjointness is irrelevant for identity
-checking.
+Each Green component of each selected name gets one fermionic mode, so a
+basis state is an occupation bitmask over 2n modes (mode 0 is the most
+significant bit).  Every generator acts on the basis as a weighted partial
+map, tabulated once per representation: column j goes to row i with weight
+sign * kappa**k, or to nothing.  A creation operator fails on an occupied
+mode; a conjugate d-component is realised as kappa * (annihilation at the
+partner theta mode), which keeps every weight in Q(q) - no square roots, and
+self-adjointness is irrelevant for identity checking.  Within a Green sector
+the modes carry Jordan-Wigner sign strings (so same-sector components
+anticommute exactly); the two sectors carry no string across each other and
+therefore commute exactly.
+
+A word is evaluated by walking each of the 2^(2n) columns through its
+letters, right to left, with an integer sign and a kappa exponent; no matrix
+product is formed.  ``matrices`` holds the same actions as sparse matrices
+for the rule-table check.
 
 Only one direction of faithfulness is used: a symbolic zero must map to the
 zero matrix.  The converse is not claimed (the parafermionic realisation is
@@ -88,37 +97,8 @@ class SparseMatrix:
         raise TypeError("unhashable")
 
 
-def _kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    out = {}
-    for (i, j), u in a.entries.items():
-        for (k, l), v in b.entries.items():
-            out[(i * b.dim + k, j * b.dim + l)] = u * v
-    return SparseMatrix(a.dim * b.dim, out)
-
-
-_I2 = SparseMatrix(2, {(0, 0): ONE, (1, 1): ONE})
-_Z = SparseMatrix(2, {(0, 0): ONE, (1, 1): -ONE})
-_CREATE = SparseMatrix(2, {(1, 0): ONE})   # raising on one mode
-_ANNIHILATE = SparseMatrix(2, {(0, 1): ONE})
-
-
-def _mode_operator(n_modes, sector_slice, mode, local: SparseMatrix):
-    """Jordan-Wigner string inside one sector, identity outside it."""
-    lo, hi = sector_slice
-    out = SparseMatrix(1, {(0, 0): ONE})
-    for m in range(n_modes):
-        if m == mode:
-            fac = local
-        elif lo <= m < hi and m > mode:
-            fac = _Z
-        else:
-            fac = _I2
-        out = _kron(out, fac)
-    return out
-
-
 class MatrixRep:
-    """Sparse matrices for every Green component of the selected names."""
+    """Basis actions of every Green component of the selected names."""
 
     def __init__(self, alg: SuperspaceAlgebra, names):
         """``names`` are (cls, mu) keys of parafermionic names, e.g.
@@ -129,28 +109,38 @@ class MatrixRep:
         if n_modes > MAX_MODES:
             raise ValueError(f"{n_modes} modes exceed the {MAX_MODES}-mode cap")
         self.dim = 2 ** n_modes
-        kappa = Cyclo(alg.config.pairing_kappa)
+        self.kappa = Cyclo(alg.config.pairing_kappa)
         # sector 0 occupies modes [0, len), sector 1 modes [len, 2 len)
         half = len(self.names)
         mode_of = {}
         for pos, (cls, mu) in enumerate(self.names):
             for green in (0, 1):
                 mode_of[(cls, mu, green)] = green * half + pos
-        self.matrices = {}
+        # gid -> per-state action: None, or (row, sign, kappa exponent)
+        self.actions = {}
         for cls, mu in self.names:
             partner = self._conjugate_partner((cls, mu))
             for green in (0, 1):
-                sector = (green * half, green * half + half)
                 gid = alg._ids[(cls, mu, green)]
                 if partner is not None:
                     # land on the partner theta mode, scaled to the pairing
-                    mode = mode_of[partner + (green,)]
-                    mat = _mode_operator(n_modes, sector, mode,
-                                         _ANNIHILATE).scale(kappa)
+                    mode, occupied, k = mode_of[partner + (green,)], True, 1
                 else:
-                    mode = mode_of[(cls, mu, green)]
-                    mat = _mode_operator(n_modes, sector, mode, _CREATE)
-                self.matrices[gid] = mat
+                    mode, occupied, k = mode_of[(cls, mu, green)], False, 0
+                bit = 1 << (n_modes - 1 - mode)
+                # Jordan-Wigner string: the later modes of the same sector
+                string = sum(1 << (n_modes - 1 - m)
+                             for m in range(mode + 1, (green + 1) * half))
+                self.actions[gid] = [
+                    (j ^ bit, -1 if (j & string).bit_count() & 1 else 1, k)
+                    if bool(j & bit) == occupied else None
+                    for j in range(self.dim)]
+        self.matrices = {}
+        for gid, action in self.actions.items():
+            entries = {(step[0], j): self._weight(step[1], step[2])
+                       for j, step in enumerate(action) if step is not None}
+            self.matrices[gid] = SparseMatrix(
+                self.dim, {key: v for key, v in entries.items() if v})
 
     def _conjugate_partner(self, name):
         cls, mu = name
@@ -158,18 +148,38 @@ class MatrixRep:
             return (CLS_THETA, mu)
         return None
 
+    def _weight(self, sign, k):
+        """sign * kappa**k."""
+        power = self.kappa ** k
+        return power if sign > 0 else -power
+
     def evaluate_raw(self, terms) -> SparseMatrix:
         """Evaluate a word->coefficient map without normal forming."""
-        out = SparseMatrix.zero(self.dim)
+        out = {}
         for word, coeff in terms.items():
-            mat = SparseMatrix.identity(self.dim)
-            for g in word:
-                if g not in self.matrices:
+            letters = []
+            for g in reversed(word):
+                if g not in self.actions:
                     raise KeyError(f"generator {self.alg.system.names[g]} "
                                    "not present in this representation")
-                mat = mat * self.matrices[g]
-            out = out + mat.scale(coeff)
-        return out
+                letters.append(self.actions[g])
+            scaled = {}  # (sign, k) -> coeff * sign * kappa**k, for this word
+            for j in range(self.dim):
+                state, sign, k = j, 1, 0
+                for action in letters:
+                    step = action[state]
+                    if step is None:
+                        break
+                    state, s, dk = step
+                    sign *= s
+                    k += dk
+                else:
+                    value = scaled.get((sign, k))
+                    if value is None:
+                        value = scaled[sign, k] = self._weight(sign, k) * coeff
+                    prev = out.get((state, j))
+                    out[(state, j)] = value if prev is None else prev + value
+        return SparseMatrix(self.dim, {key: v for key, v in out.items() if v})
 
     def evaluate(self, element: Element) -> SparseMatrix:
         return self.evaluate_raw(element.terms)
@@ -183,7 +193,7 @@ def cross_check_element(rep: MatrixRep, raw_terms) -> bool:
     """Raw-word evaluation and normal-form evaluation must agree."""
     raw = rep.evaluate_raw(raw_terms)
     nf = rep.evaluate(Element(rep.alg.system, raw_terms))
-    return (raw - nf).is_zero()
+    return raw == nf
 
 
 def check_representation(rep: MatrixRep) -> CheckReport:

@@ -459,7 +459,8 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
     The overall sign is computed, asserted uniform over all index tuples and
     both values of s, and compared against the tabulated reference sign -1
     ("-/+ 4(...)"); the comparison is reported, not asserted.  The mixed
-    bracket {psi_+, psi_+, psi_-} is computed and reported as well.
+    bracket {psi_+, psi_+, psi_-} is computed and reported as well when
+    d >= 2.
     """
     d = alg.dimension
     eta = alg.eta
@@ -489,12 +490,16 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
                 else:
                     rep.add_residual((s, mu, nu, rho),
                                      str(lhs - base) + " (no uniform sign)")
-        mixed = sym3(alg.psi(1, 0), alg.psi(1, 1), alg.psi(-1, min(2, d - 1)))
         sign_txt = "undetermined" if global_sign is None else f"{global_sign:+d}"
         rep.notes = (f"computed global sign {sign_txt} "
                      f"(i.e. bracket = sign * s * 4(...)); "
                      "tabulated reference prints the opposite overall sign -s; "
-                     "mixed bracket {psi+_0, psi+_1, psi-_2} = " + str(mixed))
+                     "mixed bracket {psi+_0, psi+_1, psi-_2} ")
+        if d >= 2:
+            rep.notes += "= " + str(sym3(alg.psi(1, 0), alg.psi(1, 1),
+                                         alg.psi(-1, min(2, d - 1))))
+        else:
+            rep.notes += "not formed: it needs psi^1, and d = 1"
     return rep
 
 
@@ -657,6 +662,9 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
                      "the triple nested action on a theta monomial is "
                      "symmetric under permuting the V labels") as rep:
         probes = [(0, 0, 1)]
+        if d == 1:
+            probes = []
+            rep.notes = "probe (0, 0, 1) skipped: it needs theta^1, and d = 1"
         if d >= 3:
             probes.append((0, 1, 2))
         if d >= 4:

@@ -118,6 +118,18 @@ def test_verify_all_matches_golden_report(capsys):
     assert doc == json.loads(golden.read_text())
 
 
+def test_verify_all_runs_at_dim_1(capsys):
+    """Every suite runs at the smallest accepted dimension; the probes that
+    need a second index are skipped and named in the notes."""
+    assert main(["verify", "--suite", "all", "--dim", "1",
+                 "--report", "json"]) == 0
+    checks = {c["check_id"]: c for c in
+              json.loads(capsys.readouterr().out)["checks"]}
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert "d = 1" in checks["psi.bracket"]["notes"]
+    assert "d = 1" in checks["closure.symmetric"]["notes"]
+
+
 def test_failing_report_matches_golden():
     """With the pairing corrupted to kappa = 1/3, ``--suite all`` at d = 2
     fails 13 checks; their residual indices and renderings equal the stored

@@ -9,6 +9,7 @@ from ternalg.cyclo import Cyclo, ONE
 from ternalg.matrixrep import (MatrixRep, SparseMatrix, build_rep,
                                check_random_equivalence, check_representation,
                                cross_check_element)
+from ternalg.suites import _oracle_subsystems
 from ternalg.superspace import CLS_DEL, CLS_EPS, CLS_THETA
 
 
@@ -47,6 +48,24 @@ def test_homomorphism_on_random_pairs(alg2):
         b = Element(alg2.system, random_raw_terms(alg2.system, rng, gens,
                                                   max_degree=3))
         assert rep.evaluate(a * b) == rep.evaluate(a) * rep.evaluate(b)
+
+
+def test_walk_is_the_matrix_product(alg4):
+    """Walking the columns through a word equals the left-to-right product
+    of the generator matrices; raw-versus-normal-form agreement alone would
+    not notice a walk in the wrong direction, because the fermionic rules
+    are stable under word reversal."""
+    rng = random.Random(3)
+    for _, names in _oracle_subsystems(3):
+        rep = build_rep(alg4, names)
+        gens = sorted(rep.matrices)
+        for _ in range(30):
+            word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 6)))
+            coeff = Cyclo(rng.randint(-3, 3), rng.randint(1, 2))
+            product = SparseMatrix.identity(rep.dim)
+            for g in word:
+                product = product * rep.matrices[g]
+            assert rep.evaluate_raw({word: coeff}) == product.scale(coeff)
 
 
 def test_random_equivalence(alg2):
