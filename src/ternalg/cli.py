@@ -70,12 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _write(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _write(text: str, out=None):
+    (out or sys.stdout).write(text if text.endswith("\n") else text + "\n")
 
 
 def main(argv=None) -> int:
@@ -87,13 +83,30 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
+    # open --out before any work, so an unwritable path costs no run
+    out = None
+    if getattr(args, "out", None) is not None:
+        try:
+            out = open(args.out, "w")
+        except OSError as err:
+            print(f"error: cannot write --out {args.out}: {err.strerror}",
+                  file=sys.stderr)
+            return 2
+    try:
+        return _run(args, out)
+    finally:
+        if out is not None:
+            out.close()
+
+
+def _run(args, out) -> int:
     if args.verb == "verify":
         spec = SuiteSpec(args.suite, dimension=args.dim, seed=args.seed)
         reports = run_suite(spec)
         if args.report == "json":
-            _write(emit_json(reports, spec.config_dict()), args.out)
+            _write(emit_json(reports, spec.config_dict()), out)
         else:
-            _write(emit_text(reports), args.out)
+            _write(emit_text(reports), out)
         return 0 if all(r.passed for r in reports) else 1
 
     if args.verb == "eval":
@@ -110,12 +123,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "dump-factor":
-        _write(factor_table_csv(paper_factor(), GradingGroup()), None)
+        _write(factor_table_csv(paper_factor(), GradingGroup()))
         return 0
 
     if args.verb == "export-sc":
         sc = cubic_poincare(MetricSignature.minkowski(args.dim))
-        _write(sc.to_json(), args.out)
+        _write(sc.to_json(), out)
         return 0
 
     raise AssertionError("unreachable")

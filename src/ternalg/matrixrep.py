@@ -16,7 +16,10 @@ therefore commute exactly.
 A word is evaluated by walking each of the 2^(2n) columns through its
 letters, right to left, with an integer sign and a kappa exponent; no matrix
 product is formed.  ``matrices`` holds the same actions as sparse matrices
-for the rule-table check.
+for the rule-table check.  The random sweep asks for the zero image of
+raw - nf: a raw word map and its normal form are merged into one word map
+(a word in both cancels before it is walked), and the difference must
+evaluate to the zero matrix, which by linearity is raw == nf.
 
 Only one direction of faithfulness is used: a symbolic zero must map to the
 zero matrix.  The converse is not claimed (the parafermionic realisation is
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algebra import Element, random_raw_terms
+from .algebra import Element, _accumulate, random_raw_terms
 from .cyclo import Cyclo, ONE, ZERO
 from .report import CheckReport
 from .superspace import CLS_DEL, CLS_THETA, SuperspaceAlgebra
@@ -190,10 +193,16 @@ def build_rep(alg: SuperspaceAlgebra, names) -> MatrixRep:
 
 
 def cross_check_element(rep: MatrixRep, raw_terms) -> bool:
-    """Raw-word evaluation and normal-form evaluation must agree."""
-    raw = rep.evaluate_raw(raw_terms)
-    nf = rep.evaluate(Element(rep.alg.system, raw_terms))
-    return raw == nf
+    """Raw-word evaluation and normal-form evaluation must agree.
+
+    Evaluation is linear and exact, so this is the zero image of raw - nf:
+    the two word maps are merged first (a word in both cancels before any
+    walk), and every column is walked for every word that remains.
+    """
+    diff = dict(raw_terms)
+    for word, coeff in Element(rep.alg.system, raw_terms).terms.items():
+        _accumulate(diff, word, -coeff)
+    return rep.evaluate_raw(diff).is_zero()
 
 
 def check_representation(rep: MatrixRep) -> CheckReport:

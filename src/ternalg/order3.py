@@ -12,9 +12,14 @@ each exhaustively over its index ranges:
   4. the four-term fundamental identity contracted over structure
      constants.
 
-All entries are exact rationals.  The cubic Poincare extension is provided
-as a built-in instance, and its even sector can be cross-validated against
-the differential realisation on the ternary superspace.
+All entries are exact rationals.  The tables are stored dense, but the
+checks contract over their nonzero entries: the sum of every index tuple is
+still formed, exactly, and the only terms left out are products with a zero
+factor (the cubic Poincare tables are almost all zeros).
+
+The cubic Poincare extension is provided as a built-in instance, and its
+even sector can be cross-validated against the differential realisation on
+the ternary superspace.
 """
 
 from __future__ import annotations
@@ -118,20 +123,49 @@ class StructureConstants3:
         return sc
 
 
+def _rows(arr) -> dict:
+    """The nonzero entries of ``arr`` grouped by their leading indices:
+    {leading index tuple: [(last index, value), ...]}, last index ascending."""
+    rows = {}
+    for idx in zip(*(ix.tolist() for ix in np.nonzero(arr))):
+        rows.setdefault(idx[:-1], []).append((idx[-1], arr[idx]))
+    return rows
+
+
+def _chain(acc, first, rows, prefix=(), suffix=(), sign=1):
+    """acc[l] += sign * u * v for every nonzero u = first[m] and every
+    nonzero v = rows[prefix + (m,) + suffix][l]."""
+    for m, u in first:
+        for l, v in rows.get(prefix + (m,) + suffix, ()):
+            acc[l] = acc.get(l, 0) + sign * u * v
+
+
+def _expect_zero_sums(rep, indices, acc):
+    for last in sorted(acc):
+        rep.expect_zero(indices + (last,), acc[last])
+
+
 def check_lie_order3(sc: StructureConstants3) -> list[CheckReport]:
-    """All four order-three axioms, exhaustively over index ranges."""
+    """All four order-three axioms, exhaustively over index ranges.
+
+    The sum of every index tuple is formed exactly, as a contraction over
+    the nonzero table entries; the only terms left out are products with a
+    zero factor.  The nonzeros are indexed afresh on every call, so a table
+    edited between calls is checked as it stands.  For each outer index
+    tuple the sums of the trailing index are reported in ascending order.
+    """
     n0, n1 = sc.dim0, sc.dim1
-    f, R, Q = sc.f, sc.R, sc.Q
+    f, R, Q = _rows(sc.f), _rows(sc.R), _rows(sc.Q)
     reports = []
 
     with CheckReport("order3.jacobi",
                      "f_{ij}^m f_{mk}^l + f_{jk}^m f_{mi}^l"
                      " + f_{ki}^m f_{mj}^l = 0") as rep:
         for i, j, k in itertools.combinations(range(n0), 3):
-            for l in range(n0):
-                rep.expect_zero((i, j, k, l), sum(
-                    f[i, j, m] * f[m, k, l] + f[j, k, m] * f[m, i, l]
-                    + f[k, i, m] * f[m, j, l] for m in range(n0)))
+            acc = {}
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                _chain(acc, f.get((x, y), ()), f, suffix=(z,))
+            _expect_zero_sums(rep, (i, j, k), acc)
     reports.append(rep)
 
     with CheckReport("order3.rep",
@@ -139,11 +173,11 @@ def check_lie_order3(sc: StructureConstants3) -> list[CheckReport]:
                      "  (g1 is a g0 representation)") as rep:
         for i, j in itertools.combinations(range(n0), 2):
             for a in range(n1):
-                for c in range(n1):
-                    s = sum(R[j, a, b] * R[i, b, c] - R[i, a, b] * R[j, b, c]
-                            for b in range(n1))
-                    s -= sum(f[i, j, k] * R[k, a, c] for k in range(n0))
-                    rep.expect_zero((i, j, a, c), s)
+                acc = {}
+                _chain(acc, R.get((j, a), ()), R, prefix=(i,))
+                _chain(acc, R.get((i, a), ()), R, prefix=(j,), sign=-1)
+                _chain(acc, f.get((i, j), ()), R, suffix=(a,), sign=-1)
+                _expect_zero_sums(rep, (i, j, a), acc)
     reports.append(rep)
 
     with CheckReport("order3.equivariance",
@@ -152,11 +186,12 @@ def check_lie_order3(sc: StructureConstants3) -> list[CheckReport]:
                      " on the ternary bracket)") as rep:
         for i in range(n0):
             for a, b, c in itertools.combinations_with_replacement(range(n1), 3):
-                for j in range(n0):
-                    s = sum(R[i, a, e] * Q[e, b, c, j] + R[i, b, e] * Q[a, e, c, j]
-                            + R[i, c, e] * Q[a, b, e, j] for e in range(n1))
-                    s -= sum(Q[a, b, c, k] * f[i, k, j] for k in range(n0))
-                    rep.expect_zero((i, a, b, c, j), s)
+                acc = {}
+                _chain(acc, R.get((i, a), ()), Q, suffix=(b, c))
+                _chain(acc, R.get((i, b), ()), Q, prefix=(a,), suffix=(c,))
+                _chain(acc, R.get((i, c), ()), Q, prefix=(a, b))
+                _chain(acc, Q.get((a, b, c), ()), f, prefix=(i,), sign=-1)
+                _expect_zero_sums(rep, (i, a, b, c), acc)
     reports.append(rep)
 
     with CheckReport("order3.fi",
@@ -164,11 +199,11 @@ def check_lie_order3(sc: StructureConstants3) -> list[CheckReport]:
                      " + Q_{abc}^i R_{id}^e = 0"
                      "  (four-term fundamental identity)") as rep:
         for a, b, c, d in itertools.combinations_with_replacement(range(n1), 4):
-            for e in range(n1):
-                rep.expect_zero((a, b, c, d, e), sum(
-                    Q[b, c, d, i] * R[i, a, e] + Q[d, a, b, i] * R[i, c, e]
-                    + Q[c, d, a, i] * R[i, b, e] + Q[a, b, c, i] * R[i, d, e]
-                    for i in range(n0)))
+            acc = {}
+            for lead, x in (((b, c, d), a), ((d, a, b), c), ((c, d, a), b),
+                            ((a, b, c), d)):
+                _chain(acc, Q.get(lead, ()), R, suffix=(x,))
+            _expect_zero_sums(rep, (a, b, c, d), acc)
     reports.append(rep)
     return reports
 

@@ -189,3 +189,25 @@ def test_suite_spec_validation():
         SuiteSpec("bogus")
     assert "all" in SUITE_IDS
 
+
+
+@pytest.mark.parametrize("verb", [
+    ["verify", "--suite", "arith", "--dim", "2"],
+    ["export-sc", "--instance", "cubic-poincare", "--dim", "2"],
+])
+def test_unwritable_out_rejected_before_any_work(verb, tmp_path, monkeypatch,
+                                                 capsys):
+    import ternalg.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --out was opened")
+
+    for name in ("run_suite", "build", "cubic_poincare"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    target = tmp_path / "missing" / "r.json"
+    assert main(verb + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "--out" in captured.err
+    assert not target.parent.exists()

@@ -110,3 +110,17 @@ def test_bosonic_generators_rejected(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0)])
     with pytest.raises(KeyError):
         rep.evaluate(alg2.x(0))
+
+
+def test_random_equivalence_catches_a_wrong_contraction(alg2, monkeypatch):
+    """The zero image of raw - nf still tells a wrong normal form: with every
+    contraction of the rule table negated, raw words and their normal forms
+    no longer evaluate to the same matrix."""
+    rep = build_rep(alg2, dict(_oracle_subsystems(2))["th0-d0"])
+    assert check_random_equivalence(rep, seed=0).passed
+    negated = [{u: -c for u, c in row.items()}
+               for row in alg2.system._contraction]
+    monkeypatch.setattr(alg2.system, "_contraction", negated)
+    report = check_random_equivalence(rep, seed=0)
+    assert not report.passed
+    assert len(report.residuals) > 50, len(report.residuals)
