@@ -20,6 +20,18 @@ Elements are finite maps from normal-ordered words to exact Q(q)
 coefficients.  Equality of elements is identity of these maps.  All the
 derived brackets (commutator, fully symmetric ternary, weighted colour
 ternary, nested commutator action) and the star anti-involution live here.
+
+The brackets build no intermediate element: each accumulates into one
+term map through ``times_word``.  A six-term ternary bracket groups its
+orderings by their leading argument,
+
+    sum_s w_s a_s1 a_s2 a_s3 = sum_i a_i (w_ijk a_j a_k + w_ikj a_k a_j),
+
+normal-forming the inner sum before multiplying a_i into it.  This is
+exact because the normal-form product is associative: the rules are
+confluent, and confluence is verified at construction.  For Green-sum
+parafermions the inner sum already contracts same-sector terms to
+scalars, so the outer product sees fewer terms.
 """
 
 from __future__ import annotations
@@ -380,15 +392,29 @@ class Element:
 
 # -- derived brackets ----------------------------------------------------
 
+def _bracket(a: Element, b: Element, sign: int) -> Element:
+    """ab + sign * ba, both orders accumulated into one term map."""
+    a._check(b)
+    times_word = a.system.times_word
+    out: dict = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            c = ca * cb
+            times_word(wa, c, wb, out)
+            times_word(wb, c if sign > 0 else -c, wa, out)
+    return Element(a.system, _normal=out)
+
+
 def commutator(a: Element, b: Element) -> Element:
-    return a * b - b * a
+    return _bracket(a, b, -1)
 
 
 def anticommutator(a: Element, b: Element) -> Element:
-    return a * b + b * a
+    return _bracket(a, b, 1)
 
 
-#: argument orderings of the six-term ternary brackets, in weight order
+#: argument orderings of the six-term ternary brackets, in weight order;
+#: orderings i and i + 3 share the leading argument i
 TERNARY_ORDERINGS = ((0, 1, 2), (1, 2, 0), (2, 0, 1),
                      (0, 2, 1), (1, 0, 2), (2, 1, 0))
 
@@ -402,15 +428,34 @@ def colour3(a: Element, b: Element, c: Element, weights: Sequence) -> Element:
     """Six-term ternary bracket weighted per ordering.
 
     ``weights`` are given in the order (abc, bca, cab, acb, bac, cba); all
-    weights equal to one degenerates to :func:`sym3`.
+    weights equal to one degenerates to :func:`sym3`.  The orderings are
+    grouped by their leading argument x_i, (j, k) = (i + 1, i + 2) mod 3:
+    w_ijk x_j x_k + w_ikj x_k x_j is normal-formed into one map, then x_i
+    is multiplied into it.  The normal-form product is associative (the
+    rules are confluent), so this equals the six triple products exactly.
     """
     if len(weights) != 6:
         raise ValueError("colour3 needs exactly six weights")
+    a._check(b)
+    a._check(c)
     args = (a, b, c)
-    out = Element.zero(a.system)
-    for (i, j, k), w in zip(TERNARY_ORDERINGS, weights):
-        out = out + (args[i] * args[j] * args[k]).scale(w)
-    return out
+    times_word = a.system.times_word
+    out: dict = {}
+    for i in range(3):
+        y, z = args[(i + 1) % 3], args[(i + 2) % 3]
+        inner: dict = {}
+        for w, (p, r) in ((weights[i], (y, z)), (weights[i + 3], (z, y))):
+            w = w if isinstance(w, Cyclo) else Cyclo(w)
+            if not w:
+                continue
+            for wp, cp in p.terms.items():
+                cpw = cp * w
+                for wr, cr in r.terms.items():
+                    times_word(wp, cpw * cr, wr, inner)
+        for wx, cx in args[i].terms.items():
+            for wr, cr in inner.items():
+                times_word(wx, cx * cr, wr, out)
+    return Element(a.system, _normal=out)
 
 
 def nested_action(ops: Sequence[Element], target: Element) -> Element:

@@ -570,10 +570,13 @@ def colour_action(alg: SuperspaceAlgebra, weights, target: Element) -> Element:
 
     Weight order follows the ternary-bracket ordering convention
     (123, 231, 312, 132, 213, 321); nesting is [V_p1, [V_p2, [V_p3, target]]].
+    Each ordering's innermost [V_p3, target] is one of three, formed once per
+    call.
     """
+    innermost = [alg.ad_V(k + 1, target) for k in range(3)]
     out = Element.zero(alg.system)
     for (i, j, k), w in zip(TERNARY_ORDERINGS, weights):
-        out = out + alg.ad_V(i + 1, alg.ad_V(j + 1, alg.ad_V(k + 1, target))).scale(w)
+        out = out + alg.ad_V(i + 1, alg.ad_V(j + 1, innermost[k])).scale(w)
     return out
 
 

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ternalg.algebra import (ConfluenceError, Element, GeneratorSystem,
-                             IncompatibleSystems, anticommutator, commutator,
+from ternalg.algebra import (TERNARY_ORDERINGS, ConfluenceError, Element,
+                             GeneratorSystem, IncompatibleSystems,
+                             anticommutator, colour3, commutator,
                              nested_action, random_element, random_raw_terms,
                              sym3)
-from ternalg.cyclo import Cyclo, ONE, Q
+from ternalg.colour import col3_weights
+from ternalg.cyclo import Cyclo, ONE, Q, ZERO
 from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 CLS_THETA_SC, CLS_X, MetricSignature,
                                 SuperspaceConfig, build)
@@ -123,8 +125,19 @@ def test_nested_action_order():
 
 def test_mixed_systems_rejected(alg2):
     other = fermion_pair()
+    x = Element.generator(alg2.system, 0)
+    y = Element.generator(other, 0)
     with pytest.raises(IncompatibleSystems):
-        Element.generator(alg2.system, 0) + Element.generator(other, 0)
+        x + y
+    with pytest.raises(IncompatibleSystems):
+        commutator(x, y)
+    with pytest.raises(IncompatibleSystems):
+        anticommutator(y, x)
+    for args in ((x, x, y), (x, y, x), (y, x, x)):
+        with pytest.raises(IncompatibleSystems):
+            sym3(*args)
+        with pytest.raises(IncompatibleSystems):
+            colour3(*args, col3_weights())
 
 
 def test_inconsistent_rules_rejected():
@@ -244,3 +257,89 @@ def test_scalar_coercion(alg2):
     assert e.scale(2) == e + e
     assert e * 2 == 2 * e
     assert e.scale(Cyclo(0, 1)) == e.scale(Q)
+
+
+def _bracket_operands(alg, rng, count):
+    """Seeded elements of degree <= 3 at d = 2 over theta/d pairs of both
+    Green sectors, eps, the scalar theta, x and P, half of them plus a Green
+    sum, so that both the fermionic and the bosonic contractions fire."""
+    ids = alg._ids
+    pool = [ids[(CLS_THETA, 0, g)] for g in (0, 1)]
+    pool += [ids[(CLS_DEL, 0, g)] for g in (0, 1)]
+    pool += [ids[(CLS_THETA, 1, 0)], ids[(CLS_DEL, 1, 0)],
+             ids[(CLS_THETA_SC, 0, 1)], ids[(CLS_EPS[0], 0, 1)],
+             ids[(CLS_EPS[2], 1, 0)]]
+    pool += [ids[(cls, mu, 0)] for cls in (CLS_X, CLS_P) for mu in (0, 1)]
+    named = [alg.theta(0), alg.d(0), alg.theta_scalar(), alg.eps(2, 1),
+             alg.x(1), alg.P(1), alg.theta(1) + alg.d(1)]
+    out = []
+    for _ in range(count):
+        e = random_element(alg.system, rng, pool, max_degree=3, n_terms=3)
+        if rng.random() < 0.5:
+            e = e + rng.choice(named)
+        out.append(e)
+    return out
+
+
+def _has_bosonic_contraction(alg, raw) -> bool:
+    """Whether some raw word puts P_mu before x_mu."""
+    pairs = [(alg._ids[(CLS_P, mu, 0)], alg._ids[(CLS_X, mu, 0)])
+             for mu in range(alg.dimension)]
+    return any(p in w and x in w[w.index(p):] for w in raw for p, x in pairs)
+
+
+def _raw_colour3(args, weights) -> dict:
+    """The six-ordering word map of colour3, words concatenated, never
+    normal-formed."""
+    raw: dict = {}
+    for (i, j, k), w in zip(TERNARY_ORDERINGS, weights):
+        for wi, ci in args[i].terms.items():
+            for wj, cj in args[j].terms.items():
+                for wk, ck in args[k].terms.items():
+                    word = wi + wj + wk
+                    raw[word] = raw.get(word, ZERO) + w * ci * cj * ck
+    return raw
+
+
+def test_colour3_matches_reducer_on_raw_orderings(alg2):
+    """Differential test of the grouped ternary bracket against the one-step
+    rewriter applied to the sum of the six concatenated triple words, with
+    unit weights, the paper weights and random weights with a zero."""
+    rng = random.Random(41)
+    weight_sets = [(ONE,) * 6, col3_weights()]
+    for _ in range(4):
+        ws = [Cyclo(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(6)]
+        ws[rng.randrange(6)] = ZERO
+        weight_sets.append(tuple(ws))
+    sys_ = alg2.system
+    bosonic = 0
+    for weights in weight_sets:
+        for _ in range(6):
+            args = _bracket_operands(alg2, rng, 3)
+            raw = _raw_colour3(args, weights)
+            bosonic += _has_bosonic_contraction(alg2, raw)
+            assert sys_.reduce_terms(raw, "leftmost") == \
+                colour3(*args, weights).terms
+    assert bosonic >= 6
+    args = _bracket_operands(alg2, rng, 3)
+    assert sym3(*args).terms == sys_.reduce_terms(
+        _raw_colour3(args, (ONE,) * 6), "leftmost")
+
+
+def test_commutator_matches_reducer_on_raw_products(alg2):
+    """commutator(a, b) equals the one-step normal form of the raw ab - ba
+    word map, and anticommutator that of ab + ba."""
+    rng = random.Random(43)
+    sys_ = alg2.system
+    bosonic = 0
+    for _ in range(40):
+        a, b = _bracket_operands(alg2, rng, 2)
+        for bracket, sign in ((commutator, -1), (anticommutator, 1)):
+            raw: dict = {}
+            for wa, ca in a.terms.items():
+                for wb, cb in b.terms.items():
+                    raw[wa + wb] = raw.get(wa + wb, ZERO) + ca * cb
+                    raw[wb + wa] = raw.get(wb + wa, ZERO) + sign * ca * cb
+            bosonic += _has_bosonic_contraction(alg2, raw)
+            assert sys_.reduce_terms(raw, "leftmost") == bracket(a, b).terms
+    assert bosonic >= 10

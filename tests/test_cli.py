@@ -130,6 +130,17 @@ def test_verify_all_runs_at_dim_1(capsys):
     assert "d = 1" in checks["closure.symmetric"]["notes"]
 
 
+def test_verify_roby_passes_at_dim_5(capsys):
+    """The six-ordering relations at the largest dimension of the
+    day-to-day runs: every fully symmetric bracket of the sweep is formed
+    by the grouped ternary product and must reduce to zero."""
+    assert main(["verify", "--suite", "roby", "--dim", "5",
+                 "--report", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks
+    assert all(c["status"] == "pass" for c in checks)
+
+
 def test_failing_report_matches_golden():
     """With the pairing corrupted to kappa = 1/3, ``--suite all`` at d = 2
     fails 13 checks; their residual indices and renderings equal the stored
