@@ -352,9 +352,6 @@ class Element:
             return NotImplemented
         return self.system is other.system and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((id(self.system), frozenset(self.terms.items())))
-
     # -- involution ------------------------------------------------------
 
     def star(self) -> "Element":

@@ -15,11 +15,12 @@ therefore commute exactly.
 
 A word is evaluated by walking each of the 2^(2n) columns through its
 letters, right to left, with an integer sign and a kappa exponent; no matrix
-product is formed.  ``matrices`` holds the same actions as sparse matrices
-for the rule-table check.  The random sweep asks for the zero image of
-raw - nf: a raw word map and its normal form are merged into one word map
-(a word in both cancels before it is walked), and the difference must
-evaluate to the zero matrix, which by linearity is raw == nf.
+product is formed, and the empty word walks every column to itself.  Every
+check here asks one question: does a raw word map have the zero image?  The
+rule-table check asks it of u v - s v u - c for each rewrite rule
+u v -> s v u + c and of each square g g; the random sweep asks it of
+raw - nf, a raw word map merged with its normal form (a word in both cancels
+before it is walked), which by linearity is raw == nf.
 
 Only one direction of faithfulness is used: a symbolic zero must map to the
 zero matrix.  The converse is not claimed (the parafermionic realisation is
@@ -37,9 +38,6 @@ from .cyclo import Cyclo, ONE, ZERO
 from .report import CheckReport
 from .superspace import CLS_DEL, CLS_THETA, SuperspaceAlgebra
 
-MAX_MODES = 12  # dimension cap 2^12 = 4096
-
-
 class SparseMatrix:
     """Minimal exact sparse matrix over Q(q): {(row, col): Cyclo}."""
 
@@ -48,33 +46,6 @@ class SparseMatrix:
     def __init__(self, dim, entries=None):
         self.dim = dim
         self.entries = entries or {}
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, {(i, i): ONE for i in range(dim)})
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim)
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SparseMatrix(self.dim, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = c if isinstance(c, Cyclo) else Cyclo(c)
-        if not c:
-            return SparseMatrix(self.dim)
-        return SparseMatrix(self.dim, {k: c * v for k, v in self.entries.items()})
 
     def __mul__(self, other):
         by_row = {}
@@ -96,9 +67,6 @@ class SparseMatrix:
     def __eq__(self, other):
         return self.dim == other.dim and self.entries == other.entries
 
-    def __hash__(self):
-        raise TypeError("unhashable")
-
 
 class MatrixRep:
     """Basis actions of every Green component of the selected names."""
@@ -109,8 +77,6 @@ class MatrixRep:
         self.alg = alg
         self.names = list(names)
         n_modes = 2 * len(self.names)
-        if n_modes > MAX_MODES:
-            raise ValueError(f"{n_modes} modes exceed the {MAX_MODES}-mode cap")
         self.dim = 2 ** n_modes
         self.kappa = Cyclo(alg.config.pairing_kappa)
         # sector 0 occupies modes [0, len), sector 1 modes [len, 2 len)
@@ -138,12 +104,6 @@ class MatrixRep:
                     (j ^ bit, -1 if (j & string).bit_count() & 1 else 1, k)
                     if bool(j & bit) == occupied else None
                     for j in range(self.dim)]
-        self.matrices = {}
-        for gid, action in self.actions.items():
-            entries = {(step[0], j): self._weight(step[1], step[2])
-                       for j, step in enumerate(action) if step is not None}
-            self.matrices[gid] = SparseMatrix(
-                self.dim, {key: v for key, v in entries.items() if v})
 
     def _conjugate_partner(self, name):
         cls, mu = name
@@ -206,42 +166,34 @@ def cross_check_element(rep: MatrixRep, raw_terms) -> bool:
 
 
 def check_representation(rep: MatrixRep) -> CheckReport:
-    """Construction targets: pairing anticommutators, cross-sector
-    commutators, zero squares."""
-    alg = rep.alg
-    kappa = Cyclo(alg.config.pairing_kappa)
+    """Construction targets: every rewrite rule v u -> s u v + c (v after
+    u) and every zero square, each as a raw word map with the zero image."""
+    system = rep.alg.system
     with CheckReport(
             "oracle.rep",
             "matrix model realises the swap/contraction table exactly: "
             "{theta_r, d_r} = kappa, cross-sector commutators vanish"
     ) as rep_report:
-        gids = sorted(rep.matrices)
-        ident = SparseMatrix.identity(rep.dim)
-        for u, v in itertools.combinations_with_replacement(gids, 2):
-            mu, mv = rep.matrices[u], rep.matrices[v]
-            sign = alg.system.swap_sign(u, v) if u != v else -1
+        for u, v in itertools.combinations_with_replacement(sorted(rep.actions), 2):
             if u == v:
-                res = mu * mu
-                if not res.is_zero():
-                    rep_report.add_residual((alg.system.names[u],) * 2,
+                if not rep.evaluate_raw({(u, u): ONE}).is_zero():
+                    rep_report.add_residual((system.names[u],) * 2,
                                             "square does not vanish")
                 continue
-            c = alg.system.contraction(max(u, v), min(u, v))
-            if sign == -1:
-                res = mu * mv + mv * mu - ident.scale(c)
-            else:
-                res = mu * mv - mv * mu
-            if not res.is_zero():
-                rep_report.add_residual(
-                    (alg.system.names[u], alg.system.names[v]),
-                    "pair rule not realised")
+            rule = {(v, u): ONE, (u, v): Cyclo(-system.swap_sign(v, u))}
+            c = system.contraction(v, u)
+            if c:
+                rule[()] = -c  # the empty word stands in for the identity
+            if not rep.evaluate_raw(rule).is_zero():
+                rep_report.add_residual((system.names[u], system.names[v]),
+                                        "pair rule not realised")
     return rep_report
 
 
 def check_random_equivalence(rep: MatrixRep, n_samples: int = 200,
                              max_degree: int = 4, seed: int = 0) -> CheckReport:
     """Seeded sweep: raw and normal-form matrix evaluations agree."""
-    gens = sorted(rep.matrices)
+    gens = sorted(rep.actions)
     rng = random.Random(seed)
     with CheckReport(
             "oracle.random",

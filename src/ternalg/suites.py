@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from . import colour, matrixrep, order3
-from .algebra import random_element, random_raw_terms, sym3
+from .algebra import (Element, _accumulate, random_element, random_raw_terms,
+                      sym3)
 from .cyclo import Cyclo, ONE, Q, ZERO
 from .report import CheckReport
 from .superspace import (CLS_DEL, CLS_EPS, CLS_THETA, CLS_THETA_SC, CLS_X,
@@ -199,6 +200,20 @@ def _oracle_subsystems(dim: int):
     return subs
 
 
+def _raw_products(*products) -> dict:
+    """Raw word map of a sum of products, each given as (coeff, f1, f2, ...):
+    every Green sum is expanded into its component words and the words are
+    concatenated in the given order, never normal formed."""
+    out = {}
+    for coeff, *factors in products:
+        for picks in product(*(f.terms.items() for f in factors)):
+            word, c = (), Cyclo(coeff)
+            for w, cw in picks:
+                word, c = word + w, c * cw
+            _accumulate(out, word, c)
+    return out
+
+
 def check_oracle(alg: SuperspaceAlgebra, seed: int = 0,
                  n_samples: int = 200) -> list[CheckReport]:
     reports = []
@@ -213,27 +228,34 @@ def check_oracle(alg: SuperspaceAlgebra, seed: int = 0,
         r.check_id = f"oracle.random.{tag}"
         reports.append(r)
 
+    # each probe is a raw word map: its normal form must vanish, and so must
+    # its matrix image, walked word by word without normal forming
     with CheckReport(
             "oracle.zero",
             "symbolically-zero relation instances map to the zero matrix, and "
             "the one surviving symmetric bracket maps to its matrix value"
     ) as rep:
-        probes = []  # (tag, subsystem, element expected to vanish)
+        probes = []  # (tag, subsystem, raw word map expected to vanish)
         if alg.dimension >= 2:
             th0, th1, d1 = alg.theta(0), alg.theta(1), alg.d(1)
             sub = "th0-th1-d1"
             probes += [
-                ("sym-surviving", sub, sym3(th0, th1, d1) - th0.scale(2)),
-                ("sym-theta", sub, sym3(th0, th1, th1)),
-                ("double-comm", sub, (th0 * th1 - th1 * th0) * th1
-                 - th1 * (th0 * th1 - th1 * th0)),
+                ("sym-surviving", sub, _raw_products(
+                    *((1, *p) for p in permutations((th0, th1, d1))),
+                    (-2, th0))),
+                ("sym-theta", sub, _raw_products(
+                    *((1, *p) for p in permutations((th0, th1, th1))))),
+                ("double-comm", sub, _raw_products(
+                    (1, th0, th1, th1), (-2, th1, th0, th1), (1, th1, th1, th0))),
             ]
-        probes.append(("eps-roby", "e1-e2-e3",
-                       sym3(alg.eps(1, 0), alg.eps(2, 0), alg.eps(3, 0))))
-        for tag, sub, e in probes:
+        eps = (alg.eps(1, 0), alg.eps(2, 0), alg.eps(3, 0))
+        probes.append(("eps-roby", "e1-e2-e3", _raw_products(
+            *((1, *p) for p in permutations(eps)))))
+        for tag, sub, raw in probes:
+            e = Element(alg.system, raw)
             if e:
                 rep.add_residual((tag,), "expected symbolic zero: " + str(e))
-            elif not mats[sub].evaluate(e).is_zero():
+            elif not mats[sub].evaluate_raw(raw).is_zero():
                 rep.add_residual((tag,), "nonzero matrix image")
     reports.append(rep)
     return reports

@@ -106,12 +106,12 @@ class SuperspaceAlgebra:
         swap = {}
         contraction = {}
         kappa = Cyclo(config.pairing_kappa)
-        for i, (c1, m1, g1) in enumerate(fermionic_keys):
+        greens = [g for _, _, g in fermionic_keys]
+        for i, g1 in enumerate(greens):
             for j in range(i):
-                c2, m2, g2 = fermionic_keys[j]
-                if g1 == g2:
+                if greens[j] == g1:
                     swap[(i, j)] = -1
-            # conjugate pairing: same Green sector, matching index
+        # conjugate pairing: same Green sector, matching index
         for mu in range(d):
             for g in (0, 1):
                 u = self._ids[(CLS_DEL, mu, g)]
@@ -202,20 +202,14 @@ class SuperspaceAlgebra:
         return self.theta_lower(mu) + (e if sign == 1 else -e)
 
     def V(self, i: int) -> Element:
-        """Ternary transformation generator for parameter family i."""
+        """Ternary transformation generator for parameter family i: the sum
+        over mu of [eps_i^mu, d_mu] + delta_x(i, mu) P_mu."""
         key = ("V", i)
         if key not in self._cache:
-            d = self.dimension
             out = Element.zero(self.system)
-            for mu in range(d):
-                out = out + commutator(self.eps(i, mu), self.d(mu))
-            th = self.theta_scalar()
-            for mu in range(d):
-                pre = commutator(th, self.theta(mu))
-                for sigma in range(d):
-                    out = out + (pre
-                                 * commutator(self.eps(i, sigma), self.theta_lower(mu))
-                                 * self.P(sigma))
+            for mu in range(self.dimension):
+                out = (out + commutator(self.eps(i, mu), self.d(mu))
+                       + self.delta_x(i, mu) * self.P(mu))
             self._cache[key] = out
         return self._cache[key]
 

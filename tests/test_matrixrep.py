@@ -1,26 +1,39 @@
 """The sparse-matrix oracle for small fermionic subsystems."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from ternalg import suites
 from ternalg.algebra import Element, random_raw_terms, sym3
 from ternalg.cyclo import Cyclo, ONE
-from ternalg.matrixrep import (MatrixRep, SparseMatrix, build_rep,
+from ternalg.matrixrep import (SparseMatrix, build_rep,
                                check_random_equivalence, check_representation,
                                cross_check_element)
 from ternalg.suites import _oracle_subsystems
-from ternalg.superspace import CLS_DEL, CLS_EPS, CLS_THETA
+from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_THETA, MetricSignature,
+                                SuperspaceConfig, build)
+
+
+def _matrices(rep):
+    """Reference generator matrices, read off the per-generator actions."""
+    return {gid: SparseMatrix(rep.dim, {
+                (step[0], j): rep._weight(step[1], step[2])
+                for j, step in enumerate(action) if step is not None})
+            for gid, action in rep.actions.items()}
+
+
+def _identity(dim, c=ONE):
+    return SparseMatrix(dim, {(i, i): c for i in range(dim)})
 
 
 def test_sparse_matrix_arithmetic():
-    ident = SparseMatrix.identity(2)
-    z = SparseMatrix.zero(2)
-    assert (ident - ident).is_zero()
+    q = Cyclo(0, 1)
+    ident = _identity(2)
     assert ident * ident == ident
-    assert ident + z == ident
-    assert ident.scale(Cyclo(0, 1)) * ident.scale(Cyclo(0, 1)) \
-        == ident.scale(Cyclo(0, 1) ** 2)
+    assert _identity(2, q) * _identity(2, q) == _identity(2, q ** 2)
+    assert SparseMatrix(2, {}).is_zero()
 
 
 def test_construction_targets(alg2):
@@ -32,16 +45,24 @@ def test_construction_targets(alg2):
 
 def test_pairing_scaled_to_kappa(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0), (CLS_DEL, 0)])
-    th = rep.matrices[alg2._ids[(CLS_THETA, 0, 0)]]
-    d = rep.matrices[alg2._ids[(CLS_DEL, 0, 0)]]
-    half_ident = SparseMatrix.identity(rep.dim).scale(alg2.config.pairing_kappa)
-    assert th * d + d * th == half_ident
+    mats = _matrices(rep)
+    th = mats[alg2._ids[(CLS_THETA, 0, 0)]]
+    d = mats[alg2._ids[(CLS_DEL, 0, 0)]]
+    kappa = Cyclo(alg2.config.pairing_kappa)
+    # {th, d} = kappa: th d and d th are kappa times the complementary
+    # projectors on "mode occupied" and "mode empty"
+    occupied = {j for _, j in (th * d).entries}
+    assert len(occupied) == rep.dim // 2
+    assert th * d == SparseMatrix(rep.dim, {(j, j): kappa for j in occupied})
+    assert d * th == SparseMatrix(rep.dim, {(j, j): kappa
+                                            for j in range(rep.dim)
+                                            if j not in occupied})
 
 
 def test_homomorphism_on_random_pairs(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0), (CLS_THETA, 1), (CLS_DEL, 1)])
     rng = random.Random(1)
-    gens = sorted(rep.matrices)
+    gens = sorted(rep.actions)
     for _ in range(20):
         a = Element(alg2.system, random_raw_terms(alg2.system, rng, gens,
                                                   max_degree=3))
@@ -58,14 +79,15 @@ def test_walk_is_the_matrix_product(alg4):
     rng = random.Random(3)
     for _, names in _oracle_subsystems(3):
         rep = build_rep(alg4, names)
-        gens = sorted(rep.matrices)
+        mats = _matrices(rep)
+        gens = sorted(mats)
         for _ in range(30):
             word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 6)))
             coeff = Cyclo(rng.randint(-3, 3), rng.randint(1, 2))
-            product = SparseMatrix.identity(rep.dim)
+            product = _identity(rep.dim, coeff)
             for g in word:
-                product = product * rep.matrices[g]
-            assert rep.evaluate_raw({word: coeff}) == product.scale(coeff)
+                product = product * mats[g]
+            assert rep.evaluate_raw({word: coeff}) == product
 
 
 def test_random_equivalence(alg2):
@@ -89,21 +111,14 @@ def test_raw_vs_normal_agreement_example(alg2):
     d = alg2._ids[(CLS_DEL, 0, 0)]
     raw = {(d, th): ONE, (th, d): ONE}   # {theta(1), d(1)} before rewriting
     assert cross_check_element(rep, raw)
-    assert rep.evaluate_raw(raw) == SparseMatrix.identity(rep.dim).scale(
-        alg2.config.pairing_kappa)
+    assert rep.evaluate_raw(raw) == _identity(
+        rep.dim, Cyclo(alg2.config.pairing_kappa))
 
 
 def test_single_component_square_is_zero(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0)])
     th = alg2._ids[(CLS_THETA, 0, 0)]
     assert rep.evaluate_raw({(th, th): ONE}).is_zero()
-
-
-def test_mode_cap(alg4):
-    names = [(CLS_THETA, mu) for mu in range(4)] \
-        + [(CLS_DEL, mu) for mu in range(3)]
-    with pytest.raises(ValueError):
-        MatrixRep(alg4, names)
 
 
 def test_bosonic_generators_rejected(alg2):
@@ -124,3 +139,32 @@ def test_random_equivalence_catches_a_wrong_contraction(alg2, monkeypatch):
     report = check_random_equivalence(rep, seed=0)
     assert not report.passed
     assert len(report.residuals) > 50, len(report.residuals)
+
+
+def test_representation_catches_a_wrong_contraction(alg2, monkeypatch):
+    """The rule-table check walks u v - s v u - c: with every contraction
+    negated, exactly the conjugate theta/d pairs stop being realised."""
+    rep = build_rep(alg2, dict(_oracle_subsystems(2))["th0-d0"])
+    assert check_representation(rep).passed
+    negated = [{u: -c for u, c in row.items()}
+               for row in alg2.system._contraction]
+    monkeypatch.setattr(alg2.system, "_contraction", negated)
+    report = check_representation(rep)
+    assert report.residuals == [
+        {"indices": [f"theta^0({g})", f"d_0({g})"],
+         "element": "pair rule not realised"} for g in (1, 2)]
+
+
+def test_oracle_zero_walks_raw_words(alg2, monkeypatch):
+    """oracle.zero walks the raw probe words: matrices built at kappa = 1/3
+    under normal forms taken at kappa = 1/2 give the surviving symmetric
+    bracket a nonzero image, though every probe is still a symbolic zero."""
+    wrong = build(SuperspaceConfig(metric=MetricSignature.minkowski(2),
+                                   pairing_kappa=Fraction(1, 3)))
+    build_rep = suites.matrixrep.build_rep
+    monkeypatch.setattr(suites.matrixrep, "build_rep",
+                        lambda alg, names: build_rep(wrong, names))
+    zero = suites.check_oracle(alg2, n_samples=1)[-1]
+    assert zero.check_id == "oracle.zero"
+    assert {"indices": ["sym-surviving"],
+            "element": "nonzero matrix image"} in zero.residuals
