@@ -117,6 +117,9 @@ def _run(args, out) -> int:
         except dsl.DslError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
+        except RecursionError:
+            print("error: expression is nested too deeply", file=sys.stderr)
+            return 2
         if args.star:
             value = value.star()
         print(value)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cyclo import Cyclo, ONE, Q
 from .report import CheckReport
 
@@ -41,12 +39,8 @@ class GradeVector(tuple):
 
 
 class CommutationFactor:
-    """A map (grade, grade) -> Q(q)* given by a bilinear exponent form B,
-    N(a, b) = q^(a . B . b mod 3).
-
-    The exponent form makes the axiom sweep over Z_3^3 (all 27^2 pairs and
-    27^3 triples) a vectorised one.
-    """
+    """A map (grade, grade) -> Q(q)* given by a bilinear exponent form B of
+    Python ints, N(a, b) = q^(a . B . b mod 3)."""
 
     def __init__(self, exponent_form=None, modulus: int = 3):
         if exponent_form is None:
@@ -54,11 +48,15 @@ class CommutationFactor:
         if modulus != 3:
             raise ValueError("exponent forms are supported for modulus 3")
         self.modulus = modulus
-        self.exponent_form = np.asarray(exponent_form, dtype=np.int64)
+        self.exponent_form = [[int(x) for x in row] for row in exponent_form]
+
+    def exponent(self, a, b) -> int:
+        """a . B . b mod 3, the exponent of q in N(a, b)."""
+        return sum(x * r * y for x, row in zip(a, self.exponent_form)
+                   for r, y in zip(row, b)) % self.modulus
 
     def __call__(self, a, b) -> Cyclo:
-        e = int(np.dot(np.dot(a, self.exponent_form), b)) % self.modulus
-        return Q ** e
+        return Q ** self.exponent(a, b)
 
 
 def paper_factor() -> CommutationFactor:
@@ -70,56 +68,42 @@ def paper_factor() -> CommutationFactor:
 
 
 def check_axioms(factor: CommutationFactor, group: GradingGroup) -> CheckReport:
-    """Exhaustive verification of the three commutation-factor axioms.
-
-    Axiom 1 runs over all pairs, axioms 2 and 3 over all triples (streamed
-    row by row, never materialising the full cube).
-    """
-    if group.modulus != factor.modulus:
-        raise ValueError(f"group modulus {group.modulus} differs from the "
-                         f"factor's modulus {factor.modulus}")
+    """Exhaustive verification of the three commutation-factor axioms: axiom 1
+    over all pairs, axioms 2 and 3 over all triples, row by row over a and
+    column by column over c (never materialising the cube)."""
+    rank = len(factor.exponent_form)
+    if (group.modulus, group.rank) != (factor.modulus, rank):
+        raise ValueError(f"group Z_{group.modulus}^{group.rank} does not match "
+                         f"the factor's modulus {factor.modulus} and rank {rank}")
+    n = group.modulus
+    elems = list(group.elements())
+    order = range(len(elems))
     with CheckReport("colour.axioms",
                      "N(a,b) N(b,a) = 1; N(a,b+c) = N(a,b) N(a,c); "
                      "N(a+b,c) = N(a,c) N(b,c)") as rep:
-        _check_axioms_exponent(factor, group, rep)
+        # E[i][j]: exponent of N(elems[i], elems[j]); S[i][j]: index of the sum
+        E = [[factor.exponent(a, b) for b in elems] for a in elems]
+        index = {e: i for i, e in enumerate(elems)}
+        S = [[index[tuple((x + y) % n for x, y in zip(b, c))] for c in elems]
+             for b in elems]
+        bad = [(i, j) for i in order for j in order if (E[i][j] + E[j][i]) % n]
+        for i, j in bad[:20]:
+            rep.add_residual((elems[i], elems[j]),
+                             f"N(a,b)N(b,a) = q^{(E[i][j] + E[j][i]) % n}")
+        if len(bad) > 20:
+            rep.add_residual(("...",), f"{len(bad)} axiom-1 violations total")
+        # axiom 3 follows by transposition symmetry, but is verified anyway
+        for axiom, lines in ((2, E), (3, list(zip(*E)))):
+            for x, Ex in enumerate(lines):
+                bad = [(j, k) for j in order for k in order
+                       if (Ex[S[j][k]] - Ex[j] - Ex[k]) % n]
+                for j, k in bad[:5]:
+                    abc = (x, j, k) if axiom == 2 else (j, k, x)
+                    rep.add_residual([elems[t] for t in abc],
+                                     f"axiom {axiom} fails")
+                if bad:
+                    break
     return rep
-
-
-def _check_axioms_exponent(factor, group, rep):
-    n = group.modulus
-    elems = np.array(list(group.elements()), dtype=np.int64)
-    order = len(elems)
-    # E[i, j] = exponent of N(elems[i], elems[j]) mod n
-    E = (elems @ factor.exponent_form @ elems.T) % n
-    bad = np.argwhere((E + E.T) % n != 0)
-    for i, j in bad[:20]:
-        rep.add_residual((tuple(elems[i]), tuple(elems[j])),
-                         f"N(a,b)N(b,a) = q^{int((E[i, j] + E[j, i]) % n)}")
-    if len(bad) > 20:
-        rep.add_residual(("...",), f"{len(bad)} axiom-1 violations total")
-    # index of the sum b + c for every pair, as a flat lookup
-    weights = n ** np.arange(elems.shape[1] - 1, -1, -1)
-    sum_index = (((elems[:, None, :] + elems[None, :, :]) % n) @ weights)
-    for i in range(order):  # stream over a; each row check covers order^2 triples
-        lhs = E[i, sum_index]               # N(a, b+c) exponents
-        rhs = (E[i][:, None] + E[i][None, :]) % n
-        bad = np.argwhere((lhs - rhs) % n != 0)
-        for j, k in bad[:5]:
-            rep.add_residual((tuple(elems[i]), tuple(elems[j]), tuple(elems[k])),
-                             "axiom 2 fails")
-        if len(bad):
-            break
-    # axiom 3 follows by transposition symmetry of the bilinear form, but
-    # verify it independently anyway
-    for k in range(order):
-        lhs = E[sum_index, k]               # N(a+b, c) exponents
-        rhs = (E[:, k][:, None] + E[:, k][None, :]) % n
-        bad = np.argwhere((lhs - rhs) % n != 0)
-        for i, j in bad[:5]:
-            rep.add_residual((tuple(elems[i]), tuple(elems[j]), tuple(elems[k])),
-                             "axiom 3 fails")
-        if len(bad):
-            break
 
 
 def colour_weights(factor: CommutationFactor, g1, g2, g3):
@@ -149,10 +133,10 @@ def col3_weights():
 
 def factor_table_csv(factor: CommutationFactor, group: GradingGroup) -> str:
     """CSV dump of the factor over the whole group, as exponents of q."""
-    elems = np.array(list(group.elements()), dtype=np.int64)
-    E = (elems @ factor.exponent_form @ elems.T) % group.modulus
+    elems = list(group.elements())
     header = "a\\b," + ",".join("".join(map(str, e)) for e in elems)
     lines = [header]
-    for i, e in enumerate(elems):
-        lines.append("".join(map(str, e)) + "," + ",".join(map(str, E[i])))
+    for a in elems:
+        lines.append("".join(map(str, a)) + "," + ",".join(
+            str(factor.exponent(a, b)) for b in elems))
     return "\n".join(lines) + "\n"

@@ -12,8 +12,8 @@ each exhaustively over its index ranges:
   4. the four-term fundamental identity contracted over structure
      constants.
 
-All entries are exact rationals.  The tables are stored dense, but the
-checks contract over their nonzero entries: the sum of every index tuple is
+All entries are exact rationals.  The tables store their nonzero entries
+only, and the checks contract over those: the sum of every index tuple is
 still formed, exactly, and the only terms left out are products with a zero
 factor (the cubic Poincare tables are almost all zeros).
 
@@ -29,22 +29,53 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import Element, commutator
 from .report import CheckReport
 from .superspace import MetricSignature, SuperspaceAlgebra
 
 
-def _zeros(*shape):
-    a = np.empty(shape, dtype=object)
-    a.fill(Fraction(0))
-    return a
+_ZERO = Fraction(0)
+
+
+class Table(dict):
+    """A sparse exact table of the given shape, {index tuple: nonzero
+    Fraction}.  Unset entries read as zero.  A write stores Fraction(value),
+    or deletes the entry if that is zero; ``:`` writes across its axis.  An
+    index of the wrong length or out of range raises IndexError."""
+
+    def __init__(self, *shape):
+        self.shape = shape  # dict.__new__ has made the empty mapping
+
+    def _check(self, idx, slices=False):
+        if len(idx) != len(self.shape) or not all(
+                slices and isinstance(i, slice) or type(i) is int and 0 <= i < n
+                for i, n in zip(idx, self.shape)):
+            raise IndexError(f"index {idx} outside shape {self.shape}")
+
+    def __missing__(self, idx):
+        self._check(idx)
+        return _ZERO
+
+    def __setitem__(self, idx, value):
+        self._check(idx, slices=True)
+        value = Fraction(value)
+        for point in itertools.product(*(
+                range(*i.indices(n)) if isinstance(i, slice) else (i,)
+                for i, n in zip(idx, self.shape))):
+            if value:
+                super().__setitem__(point, value)
+            else:
+                self.pop(point, None)
+
+    def copy(self) -> "Table":
+        out = Table(*self.shape)
+        out.update(self)
+        return out
 
 
 @dataclass
 class StructureConstants3:
-    """Dense exact tables f_{ij}^k, R_{ia}^b, Q_{abc}^i.
+    """Sparse exact tables f_{ij}^k, R_{ia}^b, Q_{abc}^i.
 
     Index convention: [X_i, X_j] = f_{ij}^k X_k, [X_i, Y_a] = R_{ia}^b Y_b,
     {Y_a, Y_b, Y_c} = Q_{abc}^i X_i.
@@ -52,9 +83,9 @@ class StructureConstants3:
 
     dim0: int
     dim1: int
-    f: np.ndarray
-    R: np.ndarray
-    Q: np.ndarray
+    f: Table
+    R: Table
+    Q: Table
     labels0: tuple = ()
     labels1: tuple = ()
 
@@ -73,30 +104,29 @@ class StructureConstants3:
     # -- storage invariants (re-validated defensively on load) ----------
 
     def validate_symmetries(self) -> list:
+        """Broken f antisymmetry and Q symmetry (first i per odd triple), in
+        index order; a broken pair or orbit has a nonzero member to visit."""
         bad = []
-        n0, n1 = self.dim0, self.dim1
-        for i, j, k in itertools.product(range(n0), repeat=3):
-            if self.f[i, j, k] != -self.f[j, i, k]:
+        f, Q = self.f, self.Q
+        pairs = {t for i, j, k in f for t in ((i, j, k), (j, i, k))}
+        for i, j, k in sorted(pairs):
+            if f[i, j, k] != -f[j, i, k]:
                 bad.append(("f-antisym", i, j, k))
-        for a, b, c in itertools.product(range(n1), repeat=3):
-            for i in range(n0):
-                v = self.Q[a, b, c, i]
-                if any(self.Q[p + (i,)] != v
-                       for p in itertools.permutations((a, b, c))):
-                    bad.append(("Q-sym", a, b, c, i))
-                    break
+        failed = set()
+        orbits = {p + (i,) for *odd, i in Q for p in itertools.permutations(odd)}
+        for idx in sorted(orbits):
+            odd, i = idx[:3], idx[3]
+            if odd not in failed and any(
+                    Q[p + (i,)] != Q[idx] for p in itertools.permutations(odd)):
+                failed.add(odd)
+                bad.append(("Q-sym",) + idx)
         return bad
 
     # -- JSON interchange ------------------------------------------------
 
     def to_json(self) -> str:
-        def sparse(arr):
-            out = []
-            for idx in itertools.product(*map(range, arr.shape)):
-                v = arr[idx]
-                if v:
-                    out.append(list(idx) + [str(v)])
-            return out
+        def sparse(table):
+            return [list(idx) + [str(v)] for idx, v in sorted(table.items())]
 
         return json.dumps({
             "dim0": self.dim0, "dim1": self.dim1,
@@ -108,13 +138,13 @@ class StructureConstants3:
     def from_json(cls, text: str) -> "StructureConstants3":
         doc = json.loads(text)
         n0, n1 = doc["dim0"], doc["dim1"]
-        f = _zeros(n0, n0, n0)
-        R = _zeros(n0, n1, n1)
-        Q = _zeros(n1, n1, n1, n0)
-        for arr, entries in ((f, doc["f"]), (R, doc["R"]), (Q, doc["Q"])):
-            for entry in entries:
-                *idx, val = entry
-                arr[tuple(idx)] = Fraction(val)
+        f, R, Q = Table(n0, n0, n0), Table(n0, n1, n1), Table(n1, n1, n1, n0)
+        for name, table in (("f", f), ("R", R), ("Q", Q)):
+            for entry in doc[name]:
+                try:
+                    table[tuple(entry[:-1])] = entry[-1]
+                except IndexError as err:
+                    raise ValueError(f"{name} entry {entry}: {err}") from None
         sc = cls(n0, n1, f, R, Q,
                  tuple(doc.get("labels0", ())), tuple(doc.get("labels1", ())))
         bad = sc.validate_symmetries()
@@ -123,12 +153,12 @@ class StructureConstants3:
         return sc
 
 
-def _rows(arr) -> dict:
-    """The nonzero entries of ``arr`` grouped by their leading indices:
+def _rows(table) -> dict:
+    """The nonzero entries of ``table`` grouped by their leading indices:
     {leading index tuple: [(last index, value), ...]}, last index ascending."""
     rows = {}
-    for idx in zip(*(ix.tolist() for ix in np.nonzero(arr))):
-        rows.setdefault(idx[:-1], []).append((idx[-1], arr[idx]))
+    for idx, v in sorted(table.items()):
+        rows.setdefault(idx[:-1], []).append((idx[-1], v))
     return rows
 
 
@@ -227,9 +257,7 @@ def cubic_poincare(metric: MetricSignature) -> StructureConstants3:
             return lor_index[(mu, nu)], 1
         return lor_index[(nu, mu)], -1
 
-    f = _zeros(n0, n0, n0)
-    R = _zeros(n0, n1, n1)
-    Q = _zeros(n1, n1, n1, n0)
+    f, R, Q = Table(n0, n0, n0), Table(n0, n1, n1), Table(n1, n1, n1, n0)
 
     def add_f(i, j, k, val):
         f[i, j, k] += Fraction(val)

@@ -1,6 +1,9 @@
 """CLI verbs, exit codes, report formats and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,6 +93,17 @@ def test_eval_unknown_generator_position(expr, dim, capsys):
     err = capsys.readouterr().err
     assert "unknown generator" in err
     assert "(at position 10)" in err
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 400 + "theta^0" + ")" * 400,
+    "[" * 400 + "theta^0" + ", theta^1]" * 400,
+], ids=["parentheses", "commutators"])
+def test_eval_deep_nesting_rejected(expr, capsys):
+    assert main(["eval", expr, "--dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expression is nested too deeply\n"
 
 
 @pytest.mark.parametrize("expr, message, pos", [
@@ -222,3 +236,16 @@ def test_unwritable_out_rejected_before_any_work(verb, tmp_path, monkeypatch,
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and "--out" in captured.err
     assert not target.parent.exists()
+
+
+def test_verify_never_imports_numpy():
+    """ternalg runs on the standard library alone: a whole ``verify --suite
+    all`` in a fresh interpreter leaves numpy unimported."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from ternalg import cli; "
+            "code = cli.main(['verify', '--suite', 'all', '--dim', '2']); "
+            "print('numpy' in sys.modules, code)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False 0"

@@ -1,5 +1,7 @@
 """Commutation factors on Z_3^3 and the induced colour-bracket weights."""
 
+import json
+
 import pytest
 
 from ternalg.algebra import colour3, sym3
@@ -7,6 +9,7 @@ from ternalg.colour import (CommutationFactor, GradeVector, GradingGroup,
                             check_axioms, col3_weights, colour_weights,
                             factor_table_csv, paper_factor, standard_grades)
 from ternalg.cyclo import ONE, Q, ZERO
+from ternalg.report import emit_json
 
 
 def test_axioms_exhaustive():
@@ -19,12 +22,48 @@ def test_axioms_reject_group_of_other_modulus():
         check_axioms(paper_factor(), GradingGroup(modulus=2))
 
 
+def test_axioms_reject_group_of_other_rank():
+    with pytest.raises(ValueError, match="rank 3"):
+        check_axioms(paper_factor(), GradingGroup(rank=2))
+
+
 def test_non_factor_counterexample():
     # q^(a1*b1) is symmetric, so N(a,b)N(b,a) = q^(2 a1 b1) != 1
     bad = CommutationFactor(exponent_form=[[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     rep = check_axioms(bad, GradingGroup())
     assert not rep.passed
     assert any("q^" in res["element"] for res in rep.residuals)
+
+
+def test_failing_axioms_report_as_json():
+    """Residual indices of a failing sweep are plain ints, so the report
+    serialises: 20 axiom-1 pairs, then the total."""
+    bad = CommutationFactor(exponent_form=[[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    doc = json.loads(emit_json([check_axioms(bad, GradingGroup())], {}))
+    residuals = doc["checks"][0]["residuals"]
+    assert len(residuals) == 21
+    assert residuals[0] == {"indices": [[1, 0, 0], [1, 0, 0]],
+                            "element": "N(a,b)N(b,a) = q^2"}
+    for res in residuals[:20]:
+        assert all(type(x) is int for grade in res["indices"] for x in grade)
+    assert residuals[20] == {"indices": ["..."],
+                             "element": "324 axiom-1 violations total"}
+
+
+def test_non_biadditive_exponent_fails_axiom_3():
+    """q^(a1^2 b1) is additive in b but not in a: the column sweep over c
+    reports the first failing column, c = (1,0,0), capped at five triples."""
+    class Skewed(CommutationFactor):
+        def exponent(self, a, b):
+            return a[0] * a[0] * b[0] % 3
+
+    rep = check_axioms(Skewed(exponent_form=[[0] * 3] * 3), GradingGroup())
+    messages = [res["element"] for res in rep.residuals]
+    assert "axiom 2 fails" not in messages
+    axiom3 = [res["indices"] for res in rep.residuals
+              if res["element"] == "axiom 3 fails"]
+    assert axiom3 == [[(1, 0, 0), b, (1, 0, 0)] for b in
+                      ((1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1))]
 
 
 def test_col3_weights():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,7 +12,7 @@ from ternalg.cyclo import Cyclo, ONE
 from ternalg.matrixrep import (SparseMatrix, build_rep,
                                check_random_equivalence, check_representation,
                                cross_check_element)
-from ternalg.suites import _oracle_subsystems
+from ternalg.suites import _oracle_subsystems, _raw_products
 from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_THETA, MetricSignature,
                                 SuperspaceConfig, build)
 
@@ -97,12 +98,18 @@ def test_random_equivalence(alg2):
 
 
 def test_symbolic_zero_maps_to_zero_matrix(alg2):
+    """The raw concatenated words of sym3(theta^0, theta^1, d_1) - 2 theta^0
+    and of sym3(theta^0, theta^1, theta^1), never normal formed, walk to the
+    zero matrix."""
     rep = build_rep(alg2, [(CLS_THETA, 0), (CLS_THETA, 1), (CLS_DEL, 1)])
     th0, th1, d1 = alg2.theta(0), alg2.theta(1), alg2.d(1)
-    survivor = sym3(th0, th1, d1) - th0.scale(2)
-    assert not survivor
-    assert rep.evaluate(survivor).is_zero()
-    assert rep.evaluate(sym3(th0, th1, th1)).is_zero()
+    assert not sym3(th0, th1, d1) - th0.scale(2)
+    assert not sym3(th0, th1, th1)
+    for raw in (_raw_products(*((1, *p) for p in permutations((th0, th1, d1))),
+                              (-2, th0)),
+                _raw_products(*((1, *p) for p in permutations((th0, th1, th1))))):
+        assert any(len(word) == 3 for word in raw)
+        assert rep.evaluate_raw(raw).is_zero()
 
 
 def test_raw_vs_normal_agreement_example(alg2):

@@ -1,14 +1,14 @@
 """Structure-constant tables: axioms, the built-in instance, corruption
 detection and JSON interchange."""
 
-import copy
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ternalg.order3 import (StructureConstants3, _zeros,
+from ternalg.order3 import (StructureConstants3, Table,
                             check_against_superspace, check_lie_order3,
                             cubic_poincare)
 from ternalg.report import CheckReport
@@ -35,8 +35,8 @@ def test_euclidean_metric_passes():
 
 
 def test_abelian_instance_passes():
-    sc = StructureConstants3(2, 2, _zeros(2, 2, 2), _zeros(2, 2, 2),
-                             _zeros(2, 2, 2, 2))
+    sc = StructureConstants3(2, 2, Table(2, 2, 2), Table(2, 2, 2),
+                             Table(2, 2, 2, 2))
     _all_pass(check_lie_order3(sc))
 
 
@@ -48,7 +48,7 @@ def _corrupt(sc):
 def _jacobi_corruption():
     sc = _corrupt(cubic_poincare(MetricSignature.minkowski(4)))
     # overwrite [L_{01}, L_{02}] with a wrong target
-    sc.f[0, 1, :] = _zeros(sc.dim0)
+    sc.f[0, 1, :] = 0
     sc.f[0, 1, 3] = Fraction(1)
     sc.f[1, 0, 3] = Fraction(-1)
     return sc
@@ -72,10 +72,14 @@ def test_broken_jacobi_is_localized():
     assert all({0, 1} & set(res["indices"][:3]) for res in bad.residuals)
 
 
-def test_broken_q_symmetry_is_detected():
+def _q_asymmetry():
     sc = _corrupt(cubic_poincare(MetricSignature.minkowski(4)))
     sc.Q[0, 1, 2, 0] += Fraction(1)   # only one permutation touched
-    bad = sc.validate_symmetries()
+    return sc
+
+
+def test_broken_q_symmetry_is_detected():
+    bad = _q_asymmetry().validate_symmetries()
     assert bad
     assert bad[0][0] == "Q-sym"
     assert set(bad[0][1:4]) == {0, 1, 2}
@@ -93,9 +97,9 @@ def test_broken_fi_is_localized():
 def test_json_round_trip():
     sc = cubic_poincare(MetricSignature.minkowski(3))
     again = StructureConstants3.from_json(sc.to_json())
-    assert (again.f == sc.f).all()
-    assert (again.R == sc.R).all()
-    assert (again.Q == sc.Q).all()
+    assert again.f == sc.f
+    assert again.R == sc.R
+    assert again.Q == sc.Q
     assert again.labels0 == sc.labels0
 
 
@@ -121,8 +125,8 @@ def test_superspace_metric_mismatch(alg2):
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        StructureConstants3(2, 2, _zeros(2, 2), _zeros(2, 2, 2),
-                            _zeros(2, 2, 2, 2))
+        StructureConstants3(2, 2, Table(2, 2), Table(2, 2, 2),
+                            Table(2, 2, 2, 2))
 
 
 def _dense_residuals(sc):
@@ -220,3 +224,96 @@ def test_sparse_sweeps_match_dense_on_random_corruptions():
         failing += any(_assert_matches_dense(_random_corruption(seed)).values())
     # the sweep is only a test if most of the corruptions break an axiom
     assert failing >= 40, failing
+
+
+def _dense_symmetry_violations(sc):
+    """Test-only reference: the storage-symmetry scan as dense loops over
+    every index, zeros included; for each odd triple only its first
+    failing i is reported."""
+    bad = []
+    n0, n1 = sc.dim0, sc.dim1
+    for i, j, k in itertools.product(range(n0), repeat=3):
+        if sc.f[i, j, k] != -sc.f[j, i, k]:
+            bad.append(("f-antisym", i, j, k))
+    for a, b, c in itertools.product(range(n1), repeat=3):
+        for i in range(n0):
+            v = sc.Q[a, b, c, i]
+            if any(sc.Q[p + (i,)] != v
+                   for p in itertools.permutations((a, b, c))):
+                bad.append(("Q-sym", a, b, c, i))
+                break
+    return bad
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_symmetry_scan_matches_dense_cubic_poincare(d):
+    sc = cubic_poincare(MetricSignature.minkowski(d))
+    assert sc.validate_symmetries() == _dense_symmetry_violations(sc) == []
+
+
+def test_symmetry_scan_matches_dense_on_corruptions():
+    for sc in (_q_asymmetry(), _jacobi_corruption(), _fi_corruption()):
+        assert sc.validate_symmetries() == _dense_symmetry_violations(sc)
+
+
+def test_symmetry_scan_matches_dense_on_random_corruptions():
+    broken = 0
+    for seed in range(60):
+        sc = _random_corruption(seed)
+        bad = sc.validate_symmetries()
+        assert bad == _dense_symmetry_violations(sc), seed
+        broken += bool(bad)
+    # the comparison is only a test if many corruptions break a symmetry
+    assert broken >= 30, broken
+
+
+def test_table_reads_zero_and_stores_nonzeros_only():
+    t = Table(2, 3)
+    assert t[1, 2] == 0 and t[1, 2] is t[0, 0]
+    t[0, 1] = 2
+    t[1, 1] = "1/3"
+    assert t[0, 1] == Fraction(2) and type(t[0, 1]) is Fraction
+    assert dict(t) == {(0, 1): Fraction(2), (1, 1): Fraction(1, 3)}
+    t[0, 1] -= 2
+    assert dict(t) == {(1, 1): Fraction(1, 3)}
+
+
+def test_table_slice_assigns_across_the_axis():
+    t = Table(2, 3)
+    t[1, :] = 5
+    assert sorted(t) == [(1, 0), (1, 1), (1, 2)]
+    t[1, 1] = 1
+    t[:, 1] = 0
+    assert sorted(t) == [(1, 0), (1, 2)]
+
+
+@pytest.mark.parametrize("idx", [(0,), (0, 1, 0), (-1, 0), (2, 0), (0, 3)])
+def test_table_rejects_bad_index(idx):
+    t = Table(2, 3)
+    with pytest.raises(IndexError):
+        t[idx] = 1
+    with pytest.raises(IndexError):
+        t[idx]
+    assert not t
+
+
+def test_table_copy_is_independent():
+    t = Table(2, 2)
+    t[0, 1] = 1
+    c = t.copy()
+    assert type(c) is Table and c.shape == t.shape and c == t
+    c[0, 1] = 0
+    assert t[0, 1] == 1
+
+
+@pytest.mark.parametrize("table, entry", [
+    ("f", [-1, 0, 0, "1"]),      # negative: no wrap-around to the last index
+    ("R", [0, 2, 0, "1"]),       # out of range: R is 3 x 2 x 2 at d = 2
+    ("Q", [0, 1, "1"]),          # short: no broadcast across a whole row
+])
+def test_json_rejects_bad_index(table, entry):
+    doc = json.loads(cubic_poincare(MetricSignature.minkowski(2)).to_json())
+    doc[table].append(entry)
+    with pytest.raises(ValueError) as err:
+        StructureConstants3.from_json(json.dumps(doc))
+    assert f"{table} entry {entry}" in str(err.value)
