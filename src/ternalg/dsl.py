@@ -14,10 +14,12 @@ Grammar (whitespace insensitive)::
     gen    := IDENT ('^' INT | '_' (INT | '{' INT INT '}'))?
     scalar := rational ('+' rational '* q')?
 
-Generator names follow the algebra's conventions: ``theta^0``, ``theta``,
-``d_1``, ``eps2^3``, ``x^0``, ``P_2``, the derived symbols ``J_{01}``,
-``L_{01}``, ``V_1``..``V_3``, and ``psi+_0`` / ``psi-_0``.  A bare ``q``
-is the primitive cube root of unity.
+Generator names are the algebra's labels, ``SuperspaceAlgebra.symbols``:
+``theta^0``, ``theta``, ``d_1``, ``eps2^3``, ``x^0``, ``P_2``; the derived
+symbols are ``J_{01}``, ``L_{01}``, ``V_1``..``V_3``, and ``psi+_0`` /
+``psi-_0``.  The index position is part of the name: ``theta_0``, ``d^0``
+and ``theta^00`` are unknown generators, not other spellings of
+``theta^0``.  A bare ``q`` is the primitive cube root of unity.
 
 Syntax errors carry the offending position.  ``parse(render(ast))`` is the
 identity on ASTs.
@@ -389,40 +391,28 @@ def render(ast) -> str:
 
 # -- evaluation -----------------------------------------------------------
 
-_GEN_RE = re.compile(
-    r"^(theta|d|x|P|eps[123]|psi[+-])[\^_](\d+)$|"
-    r"^(J|L)_\{(\d)(\d)\}$|^V_([123])$|^theta$|^q$")
+# the derived symbols; every base name is looked up in ``alg.symbols``
+_DERIVED_RE = re.compile(
+    r"^psi([+-])_(0|[1-9]\d*)$|^(J|L)_\{(\d)(\d)\}$|^V_([123])$|^q$")
 
 
 def _resolve(name: str, alg: SuperspaceAlgebra) -> Element:
-    m = _GEN_RE.match(name)
+    """The named element; the accessors raise KeyError for an index at or
+    above the dimension."""
+    if name in alg.symbols:
+        return alg.symbols[name]
+    m = _DERIVED_RE.match(name)
     if m is None:
         raise KeyError(name)
-    d = alg.dimension
     if m.group(1) is not None:
-        base, idx = m.group(1), int(m.group(2))
-        if idx >= d:
-            raise KeyError(name)
-        if base == "theta":
-            return alg.theta(idx)
-        if base == "d":
-            return alg.d(idx)
-        if base == "x":
-            return alg.x(idx)
-        if base == "P":
-            return alg.P(idx)
-        if base.startswith("eps"):
-            return alg.eps(int(base[3]), idx)
-        return alg.psi(1 if base == "psi+" else -1, idx)
+        return alg.psi(1 if m.group(1) == "+" else -1, int(m.group(2)))
     if m.group(3) is not None:
         mu, nu = int(m.group(4)), int(m.group(5))
-        if mu >= d or nu >= d or mu == nu:
+        if mu == nu:
             raise KeyError(name)
         return alg.J(mu, nu) if m.group(3) == "J" else alg.lorentz(mu, nu)
     if m.group(6) is not None:
         return alg.V(int(m.group(6)))
-    if name == "theta":
-        return alg.theta_scalar()
     return Element.scalar(alg.system, Q)   # bare q
 
 

@@ -1,22 +1,24 @@
 """Brute-force cross-check: small fermionic subsystems acting on occupation
 states.
 
-Each Green component of each selected name gets one fermionic mode, so a
-basis state is an occupation bitmask over 2n modes (mode 0 is the most
-significant bit).  Every generator acts on the basis as a weighted partial
-map, tabulated once per representation: column j goes to row i with weight
-sign * kappa**k, or to nothing.  A creation operator fails on an occupied
-mode; a conjugate d-component is realised as kappa * (annihilation at the
-partner theta mode), which keeps every weight in Q(q) - no square roots, and
-self-adjointness is irrelevant for identity checking.  Within a Green sector
-the modes carry Jordan-Wigner sign strings (so same-sector components
-anticommute exactly); the two sectors carry no string across each other and
-therefore commute exactly.
+Each Green component of each selected name gets one fermionic mode.  The
+component ids come from the algebra's layout table ``alg.components``, one
+per Green sector, and the modes are laid out sector by sector in name
+order, so a basis state is an occupation bitmask over (sectors x names)
+modes (mode 0 is the most significant bit).  Every generator acts on the
+basis as a weighted partial map, tabulated once per representation: column
+j goes to row i with weight sign * kappa**k, or to nothing.  A creation
+operator fails on an occupied mode; a conjugate d-component is realised as
+kappa * (annihilation at the partner theta mode of its sector), which keeps
+every weight in Q(q) - no square roots, and self-adjointness is irrelevant
+for identity checking.  Within a Green sector the modes carry Jordan-Wigner
+sign strings (so same-sector components anticommute exactly); distinct
+sectors carry no string across each other and therefore commute exactly.
 
-A word is evaluated by walking each of the 2^(2n) columns through its
-letters, right to left, with an integer sign and a kappa exponent; no matrix
-product is formed, and the empty word walks every column to itself.  Every
-check here asks one question: does a raw word map have the zero image?  The
+A word is evaluated by walking each basis column through its letters,
+right to left, with an integer sign and a kappa exponent; no matrix product
+is formed, and the empty word walks every column to itself.  Every check
+here asks one question: does a raw word map have the zero image?  The
 rule-table check asks it of u v - s v u - c for each rewrite rule
 u v -> s v u + c and of each square g g; the random sweep asks it of
 raw - nf, a raw word map merged with its normal form (a word in both cancels
@@ -36,7 +38,7 @@ import random
 from .algebra import Element, _accumulate, random_raw_terms
 from .cyclo import Cyclo, ONE, ZERO
 from .report import CheckReport
-from .superspace import CLS_DEL, CLS_THETA, SuperspaceAlgebra
+from .superspace import CLS_DEL, CLS_P, CLS_THETA, CLS_X, SuperspaceAlgebra
 
 class SparseMatrix:
     """Minimal exact sparse matrix over Q(q): {(row, col): Cyclo}."""
@@ -76,40 +78,34 @@ class MatrixRep:
         (CLS_THETA, 0); bosonic generators are not representable."""
         self.alg = alg
         self.names = list(names)
-        n_modes = 2 * len(self.names)
+        if any(cls in (CLS_X, CLS_P) for cls, _ in self.names):
+            raise ValueError("bosonic generators are not representable")
+        comps = [alg.components[name] for name in self.names]
+        # sector s occupies modes [s * half, (s + 1) * half), in name order
+        half = len(self.names)
+        n_modes = sum(map(len, comps))
         self.dim = 2 ** n_modes
         self.kappa = Cyclo(alg.config.pairing_kappa)
-        # sector 0 occupies modes [0, len), sector 1 modes [len, 2 len)
-        half = len(self.names)
-        mode_of = {}
-        for pos, (cls, mu) in enumerate(self.names):
-            for green in (0, 1):
-                mode_of[(cls, mu, green)] = green * half + pos
+        theta_pos = {mu: pos for pos, (cls, mu) in enumerate(self.names)
+                     if cls == CLS_THETA}
         # gid -> per-state action: None, or (row, sign, kappa exponent)
         self.actions = {}
-        for cls, mu in self.names:
-            partner = self._conjugate_partner((cls, mu))
-            for green in (0, 1):
-                gid = alg._ids[(cls, mu, green)]
+        for pos, ((cls, mu), ids) in enumerate(zip(self.names, comps)):
+            partner = theta_pos.get(mu) if cls == CLS_DEL else None
+            for s, gid in enumerate(ids):
                 if partner is not None:
                     # land on the partner theta mode, scaled to the pairing
-                    mode, occupied, k = mode_of[partner + (green,)], True, 1
+                    mode, occupied, k = s * half + partner, True, 1
                 else:
-                    mode, occupied, k = mode_of[(cls, mu, green)], False, 0
+                    mode, occupied, k = s * half + pos, False, 0
                 bit = 1 << (n_modes - 1 - mode)
                 # Jordan-Wigner string: the later modes of the same sector
                 string = sum(1 << (n_modes - 1 - m)
-                             for m in range(mode + 1, (green + 1) * half))
+                             for m in range(mode + 1, (s + 1) * half))
                 self.actions[gid] = [
                     (j ^ bit, -1 if (j & string).bit_count() & 1 else 1, k)
                     if bool(j & bit) == occupied else None
                     for j in range(self.dim)]
-
-    def _conjugate_partner(self, name):
-        cls, mu = name
-        if cls == CLS_DEL and (CLS_THETA, mu) in self.names:
-            return (CLS_THETA, mu)
-        return None
 
     def _weight(self, sign, k):
         """sign * kappa**k."""

@@ -18,7 +18,7 @@ from .algebra import (Element, _accumulate, random_element, random_raw_terms,
                       sym3)
 from .cyclo import Cyclo, ONE, Q, ZERO
 from .report import CheckReport
-from .superspace import (CLS_DEL, CLS_EPS, CLS_THETA, CLS_THETA_SC, CLS_X,
+from .superspace import (CLS_DEL, CLS_EPS, CLS_THETA, CLS_THETA_SC,
                          MetricSignature, SuperspaceAlgebra, SuperspaceConfig,
                          build, check_closure, check_parafermion_relations,
                          check_poincare_realisation, check_psi_bracket,
@@ -133,8 +133,7 @@ def check_engine(seed: int = 0) -> list[CheckReport]:
     # reversal, so star is an anti-automorphism there; the bosonic rule
     # P x = x P + 1 is not reversal-stable with fixed generators (that
     # would need star(P) = -P), hence the fermionic generator restriction
-    fermionic = sorted(gid for key, gid in alg._ids.items()
-                       if key[0] < CLS_X)
+    fermionic = range(alg.n_fermionic)
     with CheckReport("engine.star",
                      "on the parafermionic sector star is an antilinear "
                      "anti-involution: star(star(a)) = a, "

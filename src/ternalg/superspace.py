@@ -2,12 +2,17 @@
 
 Every parafermionic name (the vector coordinates theta^mu, their conjugates
 d_mu, the Lorentz-scalar theta, and the three transformation-parameter
-families eps1..eps3) is realised as the sum of two "Green components".
-Components in the same Green sector anticommute pairwise (with a scalar
-contraction kappa*delta between conjugate theta/d components and zero
-squares); components in distinct sectors commute.  These quadratic rules
-have a classical normal form, and the cubic parafermion and Roby relations
-become theorems checked by reduction.
+families eps1..eps3) is realised as the sum of "Green components", one per
+sector of ``GREEN_SECTORS`` (two sectors: order two).  Components in the
+same Green sector anticommute pairwise (with a scalar contraction
+kappa*delta between conjugate theta/d components and zero squares);
+components in distinct sectors commute.  These quadratic rules have a
+classical normal form, and the cubic parafermion and Roby relations become
+theorems checked by reduction.
+
+``SuperspaceAlgebra.components`` is the one generator layout, (cls, mu) ->
+generator ids, and ``_label`` the one spelling of names; the matrix oracle,
+the suites and the DSL read both instead of re-deriving them.
 
 Sign conventions
 ----------------
@@ -68,105 +73,89 @@ class SuperspaceConfig:
     pairing_kappa: Fraction = Fraction(1, 2)
 
 
+# Green sectors: every parafermionic name is the sum of one component per
+# sector; components commute across sectors and anticommute within one
+GREEN_SECTORS = (0, 1)
+
+
+def _label(cls, mu) -> str:
+    """The one spelling of a name, as the DSL and the reports write it."""
+    return ("theta", "theta^{}", "d_{}", "eps1^{}", "eps2^{}", "eps3^{}",
+            "x^{}", "P_{}")[cls].format(mu)  # indexed by generator class
+
+
 class SuperspaceAlgebra:
     """The generator system plus named accessors for every symbol.
 
-    Immutable after construction; all accessors return cached Elements.
+    ``components`` maps (cls, mu) to generator ids: one per Green sector for
+    a parafermionic name (fermionic names first, each followed by its
+    sectors), then one each for x^mu and P_mu.  ``symbols`` maps labels to
+    elements.  Immutable after construction; accessors return cached Elements.
     """
 
     def __init__(self, config: SuperspaceConfig):
         self.config = config
         self.dimension = config.metric.dimension
         self.eta = config.metric.eta
-        self._ids = {}  # (cls, mu, green) -> generator id, green in (0, 1)
-        names = []
         d = self.dimension
+        self.components = {}
+        names, sectors = [], []  # per generator id
 
-        def add(cls, mu, green, name):
-            self._ids[(cls, mu, green)] = len(names)
-            names.append(name)
-
-        fermionic_keys = []
-        fermionic_keys += [(CLS_THETA_SC, 0, g) for g in (0, 1)]
-        for mu in range(d):
-            fermionic_keys += [(CLS_THETA, mu, g) for g in (0, 1)]
-        for mu in range(d):
-            fermionic_keys += [(CLS_DEL, mu, g) for g in (0, 1)]
-        for cls in CLS_EPS:
-            for mu in range(d):
-                fermionic_keys += [(cls, mu, g) for g in (0, 1)]
-        for cls, mu, g in fermionic_keys:
-            add(cls, mu, g, f"{self._base_name(cls, mu)}({g + 1})")
+        fermionic = [(CLS_THETA_SC, 0)]
+        fermionic += [(cls, mu) for cls in (CLS_THETA, CLS_DEL) + CLS_EPS
+                      for mu in range(d)]
+        for key in fermionic:
+            self.components[key] = tuple(range(len(names),
+                                               len(names) + len(GREEN_SECTORS)))
+            names += [f"{_label(*key)}({g + 1})" for g in GREEN_SECTORS]
+            sectors += GREEN_SECTORS
         self.n_fermionic = len(names)
-        for mu in range(d):
-            add(CLS_X, mu, 0, f"x^{mu}")
-        for mu in range(d):
-            add(CLS_P, mu, 0, f"P_{mu}")
+        for key in [(cls, mu) for cls in (CLS_X, CLS_P) for mu in range(d)]:
+            self.components[key] = (len(names),)
+            names.append(_label(*key))
 
-        swap = {}
+        swap = {(i, j): -1 for i, gi in enumerate(sectors)
+                for j, gj in enumerate(sectors[:i]) if gi == gj}
+        # conjugate pairing, component by component: [d_mu, theta^mu] in
+        # each Green sector, then [P_mu, x^nu] = delta_mu^nu
         contraction = {}
-        kappa = Cyclo(config.pairing_kappa)
-        greens = [g for _, _, g in fermionic_keys]
-        for i, g1 in enumerate(greens):
-            for j in range(i):
-                if greens[j] == g1:
-                    swap[(i, j)] = -1
-        # conjugate pairing: same Green sector, matching index
-        for mu in range(d):
-            for g in (0, 1):
-                u = self._ids[(CLS_DEL, mu, g)]
-                v = self._ids[(CLS_THETA, mu, g)]
-                contraction[(u, v)] = kappa
-        for mu in range(d):
-            u = self._ids[(CLS_P, mu, 0)]
-            v = self._ids[(CLS_X, mu, 0)]
-            contraction[(u, v)] = ONE  # [P_mu, x^nu] = delta_mu^nu
+        for (u_cls, v_cls), c in (((CLS_DEL, CLS_THETA),
+                                   Cyclo(config.pairing_kappa)),
+                                  ((CLS_P, CLS_X), ONE)):
+            for mu in range(d):
+                for u, v in zip(self.components[(u_cls, mu)],
+                                self.components[(v_cls, mu)]):
+                    contraction[(u, v)] = c
         square_zero = range(self.n_fermionic)
         self.system = GeneratorSystem(names, swap, contraction, square_zero)
+        self._named = {key: Element(self.system,
+                                    _normal={(g,): ONE for g in ids})
+                       for key, ids in self.components.items()}
+        self.symbols = {_label(*key): el for key, el in self._named.items()}
         self._cache = {}
-
-    @staticmethod
-    def _base_name(cls, mu):
-        if cls == CLS_THETA_SC:
-            return "theta"
-        if cls == CLS_THETA:
-            return f"theta^{mu}"
-        if cls == CLS_DEL:
-            return f"d_{mu}"
-        if cls in CLS_EPS:
-            return f"eps{cls - CLS_EPS[0] + 1}^{mu}"
-        raise ValueError(cls)
 
     # -- named symbols ---------------------------------------------------
 
-    def _sum_of_components(self, cls, mu) -> Element:
-        key = ("name", cls, mu)
-        if key not in self._cache:
-            g0 = Element.generator(self.system, self._ids[(cls, mu, 0)])
-            g1 = Element.generator(self.system, self._ids[(cls, mu, 1)])
-            self._cache[key] = g0 + g1
-        return self._cache[key]
-
     def theta(self, mu: int) -> Element:
-        return self._sum_of_components(CLS_THETA, mu)
+        return self._named[(CLS_THETA, mu)]
 
     def theta_scalar(self) -> Element:
-        return self._sum_of_components(CLS_THETA_SC, 0)
+        return self._named[(CLS_THETA_SC, 0)]
 
     def d(self, mu: int) -> Element:
         """The conjugate d_mu of theta^mu."""
-        return self._sum_of_components(CLS_DEL, mu)
+        return self._named[(CLS_DEL, mu)]
 
     def eps(self, i: int, mu: int) -> Element:
         if i not in (1, 2, 3):
             raise ValueError("parameter family index must be 1, 2 or 3")
-        return self._sum_of_components(CLS_EPS[i - 1], mu)
+        return self._named[(CLS_EPS[i - 1], mu)]
 
     def x(self, mu: int) -> Element:
-        return Element.generator(self.system, self._ids[(CLS_X, mu, 0)])
+        return self._named[(CLS_X, mu)]
 
     def P(self, mu: int) -> Element:
-        return Element.generator(self.system, self._ids[(CLS_P, mu, 0)])
+        return self._named[(CLS_P, mu)]
 
     def theta_lower(self, mu: int) -> Element:
         return self.theta(mu).scale(self.eta[mu])
@@ -250,16 +239,13 @@ class SuperspaceAlgebra:
     # -- slot inventory for the relation suites --------------------------
 
     def non_derivative_choices(self):
-        """Slot choices "of the same nature as theta": theta^mu, eps_i^mu
-        and the scalar theta.  Returned as (label, Element, theta_index)
+        """Slot choices "of the same nature as theta": the scalar theta,
+        theta^mu and eps_i^mu.  Returned as (label, Element, theta_index)
         where theta_index is mu for genuine theta^mu slots and None
         otherwise (only those contract with d_nu)."""
-        d = self.dimension
-        out = [("theta", self.theta_scalar(), None)]
-        out += [(f"theta^{mu}", self.theta(mu), mu) for mu in range(d)]
-        for i in (1, 2, 3):
-            out += [(f"eps{i}^{mu}", self.eps(i, mu), None) for mu in range(d)]
-        return out
+        return [(_label(cls, mu), el, mu if cls == CLS_THETA else None)
+                for (cls, mu), el in self._named.items()
+                if cls not in (CLS_DEL, CLS_X, CLS_P)]
 
 
 def build(config: SuperspaceConfig) -> SuperspaceAlgebra:
@@ -306,7 +292,8 @@ def _slot_choices(alg: SuperspaceAlgebra, kind: str):
     """(label, element, theta_index_or_None, del_index_or_None) per slot."""
     if kind == "N":
         return [(lbl, el, ti, None) for lbl, el, ti in alg.non_derivative_choices()]
-    return [(f"d_{mu}", alg.d(mu), None, mu) for mu in range(alg.dimension)]
+    return [(_label(CLS_DEL, mu), alg.d(mu), None, mu)
+            for mu in range(alg.dimension)]
 
 
 def _pair_delta(s1, s2) -> int:

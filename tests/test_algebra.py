@@ -68,7 +68,8 @@ def test_product_is_associative(alg2):
 
 def test_degree_parity(alg2):
     """Rewrites remove generators in pairs, so Z2 parity is graded."""
-    ids = [gid for key, gid in alg2._ids.items() if key[0] < CLS_X]
+    ids = [gid for (cls, _), comp in alg2.components.items()
+           if cls < CLS_X for gid in comp]
     rng = random.Random(5)
     for _ in range(30):
         wa = tuple(rng.choice(ids) for _ in range(rng.randint(1, 3)))
@@ -80,7 +81,8 @@ def test_degree_parity(alg2):
 
 
 def test_star_laws_on_fermionic_sector(alg2):
-    ids = sorted(gid for key, gid in alg2._ids.items() if key[0] < CLS_X)
+    ids = sorted(gid for (cls, _), comp in alg2.components.items()
+                 if cls < CLS_X for gid in comp)
     rng = random.Random(13)
     for _ in range(40):
         a = random_element(alg2.system, rng, ids, max_degree=3)
@@ -220,13 +222,13 @@ def test_product_matches_reducer_superspace():
     rewriter at d = 3, on words mixing both Green sectors, conjugate
     theta/d pairs and repeated bosons."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
-    ids = alg._ids
-    x0, p0 = ids[(CLS_X, 0, 0)], ids[(CLS_P, 0, 0)]
-    pool = [ids[(CLS_THETA, 0, g)] for g in (0, 1)]
-    pool += [ids[(CLS_DEL, 0, g)] for g in (0, 1)]
-    pool += [ids[(CLS_THETA, 1, 0)], ids[(CLS_DEL, 1, 1)],
-             ids[(CLS_THETA_SC, 0, 1)], ids[(CLS_EPS[1], 2, 0)],
-             x0, p0, ids[(CLS_X, 1, 0)], ids[(CLS_P, 1, 0)]]
+    ids = alg.components
+    x0, p0 = ids[(CLS_X, 0)][0], ids[(CLS_P, 0)][0]
+    pool = [ids[(CLS_THETA, 0)][g] for g in (0, 1)]
+    pool += [ids[(CLS_DEL, 0)][g] for g in (0, 1)]
+    pool += [ids[(CLS_THETA, 1)][0], ids[(CLS_DEL, 1)][1],
+             ids[(CLS_THETA_SC, 0)][1], ids[(CLS_EPS[1], 2)][0],
+             x0, p0, ids[(CLS_X, 1)][0], ids[(CLS_P, 1)][0]]
     rng = random.Random(31)
     pairs = [({(p0, p0): ONE}, {(x0, x0): ONE}),
              ({(x0, p0, x0): Q}, {(p0, p0, x0): ONE})]
@@ -263,13 +265,13 @@ def _bracket_operands(alg, rng, count):
     """Seeded elements of degree <= 3 at d = 2 over theta/d pairs of both
     Green sectors, eps, the scalar theta, x and P, half of them plus a Green
     sum, so that both the fermionic and the bosonic contractions fire."""
-    ids = alg._ids
-    pool = [ids[(CLS_THETA, 0, g)] for g in (0, 1)]
-    pool += [ids[(CLS_DEL, 0, g)] for g in (0, 1)]
-    pool += [ids[(CLS_THETA, 1, 0)], ids[(CLS_DEL, 1, 0)],
-             ids[(CLS_THETA_SC, 0, 1)], ids[(CLS_EPS[0], 0, 1)],
-             ids[(CLS_EPS[2], 1, 0)]]
-    pool += [ids[(cls, mu, 0)] for cls in (CLS_X, CLS_P) for mu in (0, 1)]
+    ids = alg.components
+    pool = [ids[(CLS_THETA, 0)][g] for g in (0, 1)]
+    pool += [ids[(CLS_DEL, 0)][g] for g in (0, 1)]
+    pool += [ids[(CLS_THETA, 1)][0], ids[(CLS_DEL, 1)][0],
+             ids[(CLS_THETA_SC, 0)][1], ids[(CLS_EPS[0], 0)][1],
+             ids[(CLS_EPS[2], 1)][0]]
+    pool += [ids[(cls, mu)][0] for cls in (CLS_X, CLS_P) for mu in (0, 1)]
     named = [alg.theta(0), alg.d(0), alg.theta_scalar(), alg.eps(2, 1),
              alg.x(1), alg.P(1), alg.theta(1) + alg.d(1)]
     out = []
@@ -283,7 +285,7 @@ def _bracket_operands(alg, rng, count):
 
 def _has_bosonic_contraction(alg, raw) -> bool:
     """Whether some raw word puts P_mu before x_mu."""
-    pairs = [(alg._ids[(CLS_P, mu, 0)], alg._ids[(CLS_X, mu, 0)])
+    pairs = [(alg.components[(CLS_P, mu)][0], alg.components[(CLS_X, mu)][0])
              for mu in range(alg.dimension)]
     return any(p in w and x in w[w.index(p):] for w in raw for p, x in pairs)
 

@@ -87,6 +87,8 @@ def test_eval_error_exit_code(capsys):
 @pytest.mark.parametrize("expr, dim", [
     ("theta^0 + foo", "4"),
     ("theta^0 * theta^7", "2"),
+    # a lowered index is not another spelling: theta_1 = -theta^1
+    ("theta^1 + theta_1", "2"),
 ])
 def test_eval_unknown_generator_position(expr, dim, capsys):
     assert main(["eval", expr, "--dim", dim]) == 2

@@ -86,6 +86,10 @@ def test_star_node(alg2):
 @pytest.mark.parametrize("bad", [
     "theta^9", "frob_0", "[x^0", "1 +", "cbr((1,0); a, b, c)",
     "{a, b}", "act(; x^0)", "theta^0 )",
+    # the index position is part of the name: theta_1 = -theta^1 at
+    # eta = (+, -), so reading it as theta^1 would flip a sign
+    "theta_1", "x_1", "eps2_1", "d^1", "P^1", "psi+^0", "theta^01",
+    "psi-_01", "psi+_2", "J_{02}", "L_{20}", "J_{11}",
 ])
 def test_errors_are_positioned(bad, alg2):
     with pytest.raises(dsl.DslError) as exc:

@@ -13,8 +13,8 @@ from ternalg.matrixrep import (SparseMatrix, build_rep,
                                check_random_equivalence, check_representation,
                                cross_check_element)
 from ternalg.suites import _oracle_subsystems, _raw_products
-from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_THETA, MetricSignature,
-                                SuperspaceConfig, build)
+from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA, CLS_X,
+                                MetricSignature, SuperspaceConfig, build)
 
 
 def _matrices(rep):
@@ -47,8 +47,8 @@ def test_construction_targets(alg2):
 def test_pairing_scaled_to_kappa(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0), (CLS_DEL, 0)])
     mats = _matrices(rep)
-    th = mats[alg2._ids[(CLS_THETA, 0, 0)]]
-    d = mats[alg2._ids[(CLS_DEL, 0, 0)]]
+    th = mats[alg2.components[(CLS_THETA, 0)][0]]
+    d = mats[alg2.components[(CLS_DEL, 0)][0]]
     kappa = Cyclo(alg2.config.pairing_kappa)
     # {th, d} = kappa: th d and d th are kappa times the complementary
     # projectors on "mode occupied" and "mode empty"
@@ -114,8 +114,8 @@ def test_symbolic_zero_maps_to_zero_matrix(alg2):
 
 def test_raw_vs_normal_agreement_example(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0), (CLS_DEL, 0)])
-    th = alg2._ids[(CLS_THETA, 0, 0)]
-    d = alg2._ids[(CLS_DEL, 0, 0)]
+    th = alg2.components[(CLS_THETA, 0)][0]
+    d = alg2.components[(CLS_DEL, 0)][0]
     raw = {(d, th): ONE, (th, d): ONE}   # {theta(1), d(1)} before rewriting
     assert cross_check_element(rep, raw)
     assert rep.evaluate_raw(raw) == _identity(
@@ -124,7 +124,7 @@ def test_raw_vs_normal_agreement_example(alg2):
 
 def test_single_component_square_is_zero(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0)])
-    th = alg2._ids[(CLS_THETA, 0, 0)]
+    th = alg2.components[(CLS_THETA, 0)][0]
     assert rep.evaluate_raw({(th, th): ONE}).is_zero()
 
 
@@ -132,6 +132,9 @@ def test_bosonic_generators_rejected(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0)])
     with pytest.raises(KeyError):
         rep.evaluate(alg2.x(0))
+    for names in ([(CLS_X, 0)], [(CLS_THETA, 0), (CLS_P, 1)]):
+        with pytest.raises(ValueError):
+            build_rep(alg2, names)
 
 
 def test_random_equivalence_catches_a_wrong_contraction(alg2, monkeypatch):

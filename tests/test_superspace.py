@@ -4,12 +4,15 @@ transformation checks, at the small dimension where everything is fast."""
 import random
 from fractions import Fraction
 
+from ternalg import dsl, superspace
 from ternalg.algebra import Element, commutator, random_element, sym3
 from ternalg.colour import col3_weights
 from ternalg.cyclo import Q
+from ternalg.suites import SuiteSpec, run_suite
 from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
-                                CLS_THETA_SC, CLS_X, MetricSignature,
-                                SuperspaceConfig, build,
+                                CLS_THETA_SC, CLS_X, GREEN_SECTORS,
+                                MetricSignature, SuperspaceConfig, _label,
+                                build,
                                 check_closure, check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
                                 check_roby, check_superspace_transformation)
@@ -24,15 +27,33 @@ def test_green_component_counts(alg2):
     # 11 parafermionic names at d=2 (scalar theta, theta^mu, d_mu and the
     # three eps families), two Green components each, plus x and P
     assert alg2.system.size() == 11 * 2 + 2 * 2
+    comps = alg2.components
+    # the layout names every generator id exactly once
+    assert sorted(g for ids in comps.values() for g in ids) == \
+        list(range(alg2.system.size()))
+    for (cls, mu), ids in comps.items():
+        label = _label(cls, mu)
+        if cls in (CLS_X, CLS_P):
+            assert [alg2.system.names[g] for g in ids] == [label]
+        else:
+            assert len(ids) == len(GREEN_SECTORS)
+            assert [alg2.system.names[g] for g in ids] == \
+                [f"{label}({g + 1})" for g in GREEN_SECTORS]
+    # the labels are the DSL base names, and each spells its own element
+    assert set(alg2.symbols) == {
+        "theta", "theta^0", "theta^1", "d_0", "d_1", "eps1^0", "eps1^1",
+        "eps2^0", "eps2^1", "eps3^0", "eps3^1", "x^0", "x^1", "P_0", "P_1"}
+    for label, element in alg2.symbols.items():
+        assert dsl.evaluate(dsl.parse(label), alg2) is element
 
 
 def test_component_level_pairing(alg2):
     from ternalg.algebra import Element
     from ternalg.superspace import CLS_DEL, CLS_THETA
     sys_ = alg2.system
-    th = Element.generator(sys_, alg2._ids[(CLS_THETA, 0, 0)])
-    d_same = Element.generator(sys_, alg2._ids[(CLS_DEL, 0, 0)])
-    d_cross = Element.generator(sys_, alg2._ids[(CLS_DEL, 0, 1)])
+    th = Element.generator(sys_, alg2.components[(CLS_THETA, 0)][0])
+    d_same = Element.generator(sys_, alg2.components[(CLS_DEL, 0)][0])
+    d_cross = Element.generator(sys_, alg2.components[(CLS_DEL, 0)][1])
     # same Green sector: {theta(r), d(r)} = kappa = 1/2
     assert str(th * d_same + d_same * th) == "1/2"
     # distinct sectors commute
@@ -106,12 +127,12 @@ def test_ad_V_matches_commutator():
     """Differential test of the Leibniz expansion in ``ad_V`` against
     V*e - e*V at d = 3, over words from every generator class."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
-    ids = alg._ids
-    pool = [ids[(cls, mu, g)] for cls in (CLS_THETA, CLS_DEL)
+    ids = alg.components
+    pool = [ids[(cls, mu)][g] for cls in (CLS_THETA, CLS_DEL)
             for mu in (0, 1) for g in (0, 1)]
-    pool += [ids[(cls, 0, g)] for cls in (CLS_THETA_SC,) + CLS_EPS
+    pool += [ids[(cls, 0)][g] for cls in (CLS_THETA_SC,) + CLS_EPS
              for g in (0, 1)]
-    pool += [ids[(cls, mu, 0)] for cls in (CLS_X, CLS_P) for mu in (0, 1)]
+    pool += [ids[(cls, mu)][0] for cls in (CLS_X, CLS_P) for mu in (0, 1)]
     rng = random.Random(41)
     elements = [Element.zero(alg.system), Element.scalar(alg.system, Q)]
     elements += [random_element(alg.system, rng, pool, max_degree=5, n_terms=3)
@@ -131,3 +152,19 @@ def test_closure(alg2):
 def test_dimension_three_smoke():
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
     _all_pass(check_poincare_realisation(alg))
+
+
+def test_green_order_three_control(monkeypatch):
+    """Three Green sectors instead of two: the trilinear relations, the
+    Poincare realisation, the transformations and the closure still hold,
+    while the ternary relations that are specific to order two fail with
+    these exact residual counts at d = 2.  The matrix oracle follows the
+    layout (``oracle.rep.*`` and ``oracle.random.*`` pass), and only its
+    order-two probes in ``oracle.zero`` fail."""
+    monkeypatch.setattr(superspace, "GREEN_SECTORS", (0, 1, 2))
+    reports = run_suite(SuiteSpec("all", dimension=2))
+    failed = {r.check_id: len(r.residuals) for r in reports if not r.passed}
+    assert failed == {"para.1": 729, "para.2": 162, "para.3": 36,
+                      "para.4": 8, "roby": 165, "psi.bracket": 16,
+                      "oracle.zero": 3}
+    assert len(reports) == 55
