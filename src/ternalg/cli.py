@@ -33,6 +33,8 @@ below the configured dimension); 'q' is the primitive cube root of unity.
 Brackets: [a,b] commutator, {a,b,c} symmetric ternary,
 cbr((g1),(g2),(g3); a,b,c) colour ternary with grade vectors,
 star(e) the antilinear anti-involution, act(a,b,..; e) nested commutators.
+A leading '-' negates the first term; put an expression that starts with
+'-' after '--', options first: ternalg eval --dim 2 -- '-q'.
 """
 
 
@@ -112,8 +114,7 @@ def _run(args, out) -> int:
     if args.verb == "eval":
         alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(args.dim)))
         try:
-            ast = dsl.parse(args.expr)
-            value = dsl.evaluate(ast, alg)
+            value = dsl.evaluate(args.expr, alg)
         except dsl.DslError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

@@ -11,11 +11,10 @@ never go through floats.
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["Rational", "Cyclo", "Q", "ONE", "ZERO", "parse_cyclo"]
+__all__ = ["Rational", "Cyclo", "Q", "ONE", "ZERO"]
 
 # Arbitrary-precision exact rationals; stored reduced with positive
 # denominator (Fraction guarantees both).
@@ -232,36 +231,3 @@ def _coerce(x) -> Cyclo:
 ZERO = Cyclo(0)
 ONE = Cyclo(1)
 Q = Cyclo(0, 1)  # the primitive cube root of unity
-
-_TERM_RE = _re.compile(
-    r"""\s*(?P<sign>[+-]?)\s*
-        (?:
-            (?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?P<q1>q))?
-          | (?P<q2>q)
-        )\s*""",
-    _re.VERBOSE,
-)
-
-
-def parse_cyclo(text: str) -> Cyclo:
-    """Parse the textual rendering "a + b*q" (either part optional)."""
-    pos = 0
-    out = ZERO
-    seen = False
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad Q(q) literal {text!r} at offset {pos}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("sign") == "" and seen:
-            raise ValueError(f"missing sign between terms in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if m.group("q1") or m.group("q2"):
-            out = out + Cyclo(0, sign * coef)
-        else:
-            out = out + Cyclo(sign * coef)
-        pos = m.end()
-        seen = True
-    if not seen:
-        raise ValueError(f"empty Q(q) literal {text!r}")
-    return out

@@ -2,7 +2,7 @@
 
 Grammar (whitespace insensitive)::
 
-    expr   := term (('+' | '-') term)*
+    expr   := ['-'] term (('+' | '-') term)*
     term   := scalar ('*' factor+)? | factor+
     factor := gen
             | '(' expr ')'
@@ -11,8 +11,13 @@ Grammar (whitespace insensitive)::
             | 'cbr' '(' grades ';' expr ',' expr ',' expr ')'
             | 'star' '(' expr ')'
             | 'act' '(' exprlist ';' expr ')'
-    gen    := IDENT ('^' INT | '_' (INT | '{' INT INT '}'))?
+    gen    := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))?
     scalar := rational ('+' rational '* q')?
+    rational := ['-'] INT ('/' INT)?
+
+A '-' followed by a number is the sign of a scalar; a leading '-' before
+anything else negates the first term, so ``-q`` and ``-[theta^0, d_0]``
+read, and every rendering ``str(Cyclo)`` reads back as its own value.
 
 Generator names are the algebra's labels, ``SuperspaceAlgebra.symbols``:
 ``theta^0``, ``theta``, ``d_1``, ``eps2^3``, ``x^0``, ``P_2``; the derived
@@ -21,14 +26,14 @@ symbols are ``J_{01}``, ``L_{01}``, ``V_1``..``V_3``, and ``psi+_0`` /
 and ``theta^00`` are unknown generators, not other spellings of
 ``theta^0``.  A bare ``q`` is the primitive cube root of unity.
 
-Syntax errors carry the offending position.  ``parse(render(ast))`` is the
-identity on ASTs.
+The parser evaluates as it reads: every rule returns the normal-formed
+element it denotes, so there is no syntax tree, and the first error in
+reading order is raised with the offending position.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Element, colour3, commutator, nested_action
@@ -55,14 +60,9 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # 'num', 'ident', or the punctuation character itself
-    text: str
-    pos: int
-
-
 def _tokenize(src: str):
+    """(kind, text, pos) triples; kind is 'num', 'ident', 'eof' or the
+    punctuation character itself."""
     out = []
     i = 0
     while i < len(src):
@@ -74,322 +74,12 @@ def _tokenize(src: str):
             continue
         text = m.group()
         kind = m.lastgroup if m.lastgroup != "punct" else text
-        out.append(Token(kind, text, m.start()))
-    out.append(Token("eof", "", len(src)))
+        out.append((kind, text, m.start()))
+    out.append(("eof", "", len(src)))
     return out
 
 
-# -- AST ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Gen:
-    name: str
-    pos: int = field(default=0, compare=False)  # source offset, for errors
-
-    def render(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class ScalarLit:
-    value: Cyclo
-
-    def render(self) -> str:
-        re_, im = self.value.re, self.value.im_q
-        if not im:
-            return str(re_)
-        return f"{re_} + {im}*q"
-
-
-@dataclass(frozen=True)
-class Sum:
-    # (sign, node) pairs with sign in {+1, -1}; at least two entries
-    parts: tuple
-
-    def render(self) -> str:
-        bits = [self.parts[0][1].render()]
-        for sign, node in self.parts[1:]:
-            bits.append("+" if sign > 0 else "-")
-            bits.append(node.render())
-        return " ".join(bits)
-
-
-@dataclass(frozen=True)
-class Term:
-    scalar: "ScalarLit | None"
-    factors: tuple  # possibly empty only when scalar is present
-
-    def render(self) -> str:
-        fac = " ".join(_paren(f) for f in self.factors)
-        if self.scalar is None:
-            return fac
-        s = self.scalar.render()
-        return f"{s} * {fac}" if fac else s
-
-
-@dataclass(frozen=True)
-class Comm:
-    a: object
-    b: object
-
-    def render(self) -> str:
-        return f"[{self.a.render()}, {self.b.render()}]"
-
-
-@dataclass(frozen=True)
-class SymBracket:
-    a: object
-    b: object
-    c: object
-
-    def render(self) -> str:
-        return f"{{{self.a.render()}, {self.b.render()}, {self.c.render()}}}"
-
-
-@dataclass(frozen=True)
-class ColourBracket:
-    grades: tuple  # three integer triples
-    a: object
-    b: object
-    c: object
-
-    def render(self) -> str:
-        gs = ",".join("(" + ",".join(map(str, g)) + ")" for g in self.grades)
-        return (f"cbr({gs}; {self.a.render()}, {self.b.render()}, "
-                f"{self.c.render()})")
-
-
-@dataclass(frozen=True)
-class Star:
-    a: object
-
-    def render(self) -> str:
-        return f"star({self.a.render()})"
-
-
-@dataclass(frozen=True)
-class Act:
-    ops: tuple
-    target: object
-
-    def render(self) -> str:
-        return ("act(" + ", ".join(o.render() for o in self.ops)
-                + f"; {self.target.render()})")
-
-
-def _paren(node) -> str:
-    if isinstance(node, (Sum, Term)):
-        return f"({node.render()})"
-    return node.render()
-
-
-# -- parser ---------------------------------------------------------------
-
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        t = self.next()
-        if t.kind != kind:
-            raise DslError(f"expected {kind!r}, found {t.text or 'end'!r}", t.pos)
-        return t
-
-    # expr := term (('+'|'-') term)*
-    def expr(self):
-        parts = [(1, self.term())]
-        while self.peek().kind in "+-":
-            sign = 1 if self.next().kind == "+" else -1
-            parts.append((sign, self.term()))
-        if len(parts) == 1:
-            return parts[0][1]
-        return Sum(tuple(parts))
-
-    # term := scalar ('*' factor+)? | factor+
-    def term(self):
-        scalar = None
-        if self.peek().kind == "num" or (
-                self.peek().kind == "-" and self.toks[self.i + 1].kind == "num"):
-            scalar = self.scalar()
-            if self.peek().kind == "*":
-                self.next()
-            else:
-                return Term(scalar, ())
-        factors = [self.factor()]
-        while True:
-            # '*' between factors is tolerated, juxtaposition is canonical
-            if (self.peek().kind == "*"
-                    and self.toks[self.i + 1].kind in ("ident", "(", "[", "{")):
-                self.next()
-                factors.append(self.factor())
-            elif self._starts_factor():
-                factors.append(self.factor())
-            else:
-                break
-        if scalar is None and len(factors) == 1:
-            return factors[0]
-        return Term(scalar, tuple(factors))
-
-    def _starts_factor(self) -> bool:
-        return self.peek().kind in ("ident", "(", "[", "{")
-
-    # scalar := rational ('+' rational '* q')?
-    def scalar(self) -> ScalarLit:
-        re_ = self.rational()
-        mark = self.i
-        if self.peek().kind == "+":
-            self.next()
-            try:
-                im = self.rational()
-                self.expect("*")
-                t = self.expect("ident")
-                if t.text != "q":
-                    raise DslError("expected 'q'", t.pos)
-                return ScalarLit(Cyclo(re_, im))
-            except DslError:
-                self.i = mark  # the '+' belonged to the enclosing expr
-        return ScalarLit(Cyclo(re_))
-
-    def rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "-":
-            self.next()
-            sign = -1
-        num = int(self.expect("num").text)
-        if self.peek().kind == "/":
-            self.next()
-            t = self.expect("num")
-            den = int(t.text)
-            if not den:
-                raise DslError("zero denominator", t.pos)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
-
-    def factor(self):
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        if t.kind == "[":
-            self.next()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect("]")
-            return Comm(a, b)
-        if t.kind == "{":
-            self.next()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(",")
-            c = self.expr()
-            self.expect("}")
-            return SymBracket(a, b, c)
-        if t.kind == "ident" and t.text == "cbr":
-            return self.cbr()
-        if t.kind == "ident" and t.text == "star":
-            self.next()
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
-            return Star(e)
-        if t.kind == "ident" and t.text == "act":
-            return self.act()
-        if t.kind == "ident":
-            return self.gen()
-        raise DslError(f"unexpected {t.text or 'end'!r}", t.pos)
-
-    def cbr(self):
-        start = self.next()
-        self.expect("(")
-        grades = [self.grade()]
-        while self.peek().kind == ",":
-            self.next()
-            grades.append(self.grade())
-        if len(grades) != 3:
-            raise DslError("cbr needs exactly three grade vectors",
-                           start.pos)
-        self.expect(";")
-        a = self.expr()
-        self.expect(",")
-        b = self.expr()
-        self.expect(",")
-        c = self.expr()
-        self.expect(")")
-        return ColourBracket(tuple(grades), a, b, c)
-
-    def grade(self):
-        start = self.expect("(")
-        comps = [int(self.expect("num").text)]
-        while self.peek().kind == ",":
-            self.next()
-            comps.append(int(self.expect("num").text))
-        self.expect(")")
-        if len(comps) != 3:
-            raise DslError("a grade vector needs exactly three components",
-                           start.pos)
-        return tuple(comps)
-
-    def act(self):
-        self.next()
-        self.expect("(")
-        ops = [self.expr()]
-        while self.peek().kind == ",":
-            self.next()
-            ops.append(self.expr())
-        self.expect(";")
-        target = self.expr()
-        self.expect(")")
-        return Act(tuple(ops), target)
-
-    # gen := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))?
-    def gen(self) -> Gen:
-        start = self.next()
-        name = start.text
-        t = self.peek()
-        if t.kind == "^":
-            self.next()
-            name += "^" + self.expect("num").text
-        elif t.kind == "_":
-            self.next()
-            if self.peek().kind == "{":
-                self.next()
-                digits = self.expect("num").text
-                if self.peek().kind == "num":
-                    digits += self.next().text
-                self.expect("}")
-                name += "_{" + digits + "}"
-            else:
-                name += "_" + self.expect("num").text
-        return Gen(name, start.pos)
-
-
-def parse(src: str):
-    p = _Parser(_tokenize(src))
-    ast = p.expr()
-    t = p.peek()
-    if t.kind != "eof":
-        raise DslError(f"trailing input {t.text!r}", t.pos)
-    return ast
-
-
-def render(ast) -> str:
-    return ast.render()
-
-
-# -- evaluation -----------------------------------------------------------
+# -- names ----------------------------------------------------------------
 
 # the derived symbols; every base name is looked up in ``alg.symbols``
 _DERIVED_RE = re.compile(
@@ -416,42 +106,180 @@ def _resolve(name: str, alg: SuperspaceAlgebra) -> Element:
     return Element.scalar(alg.system, Q)   # bare q
 
 
-def evaluate(ast, alg: SuperspaceAlgebra) -> Element:
-    """Evaluate an AST against an algebra; results are always normal-formed."""
-    if isinstance(ast, Gen):
+# -- parser ---------------------------------------------------------------
+
+_FACTOR_START = ("ident", "(", "[", "{")
+
+
+class _Parser:
+    def __init__(self, src: str, alg: SuperspaceAlgebra):
+        self.toks = _tokenize(src)
+        self.i = 0
+        self.alg = alg
+
+    def kind(self, ahead: int = 0) -> str:
+        return self.toks[self.i + ahead][0]
+
+    def next(self):
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is a ``kind``."""
+        if self.kind() != kind:
+            return False
+        self.i += 1
+        return True
+
+    def expect(self, kind: str):
+        t = self.next()
+        if t[0] != kind:
+            raise DslError(f"expected {kind!r}, found {t[1] or 'end'!r}", t[2])
+        return t
+
+    # expr := ['-'] term (('+'|'-') term)*
+    def expr(self, close: str | None = None) -> Element:
+        """The value of one expression; ``close`` is the token that must
+        follow it, if any."""
+        negate = self.kind() == "-" and self.kind(1) != "num"
+        if negate:
+            self.i += 1
+        out = self.term()
+        if negate:
+            out = -out
+        while self.kind() in ("+", "-"):
+            sign = self.next()[0]
+            e = self.term()
+            out = out + e if sign == "+" else out - e
+        if close is not None:
+            self.expect(close)
+        return out
+
+    # term := scalar ('*' factor+)? | factor+
+    def term(self) -> Element:
+        if self.kind() == "num" or (self.kind() == "-"
+                                    and self.kind(1) == "num"):
+            out = Element.scalar(self.alg.system, self.scalar())
+            if not self.accept("*"):
+                return out
+            out = out * self.factor()
+        else:
+            out = self.factor()
+        while True:
+            # '*' between factors is tolerated, juxtaposition is canonical
+            if self.kind() == "*" and self.kind(1) in _FACTOR_START:
+                self.i += 1
+            elif self.kind() not in _FACTOR_START:
+                return out
+            out = out * self.factor()
+
+    # scalar := rational ('+' rational '* q')?
+    def scalar(self) -> Cyclo:
+        re_ = self.rational()
+        mark = self.i
+        if self.accept("+"):
+            try:
+                im = self.rational()
+                self.expect("*")
+                t = self.expect("ident")
+                if t[1] != "q":
+                    raise DslError("expected 'q'", t[2])
+                return Cyclo(re_, im)
+            except DslError:
+                self.i = mark  # the '+' belonged to the enclosing expr
+        return Cyclo(re_)
+
+    def rational(self) -> Fraction:
+        sign = -1 if self.accept("-") else 1
+        num = int(self.expect("num")[1])
+        if self.accept("/"):
+            t = self.expect("num")
+            den = int(t[1])
+            if not den:
+                raise DslError("zero denominator", t[2])
+            return Fraction(sign * num, den)
+        return Fraction(sign * num)
+
+    def factor(self) -> Element:
+        if self.accept("("):
+            return self.expr(")")
+        if self.accept("["):
+            return commutator(self.expr(","), self.expr("]"))
+        if self.accept("{"):
+            return colour3(self.expr(","), self.expr(","), self.expr("}"),
+                           (ONE,) * 6)
+        kind, text, pos = self.toks[self.i]
+        if kind != "ident":
+            raise DslError(f"unexpected {text or 'end'!r}", pos)
+        if text == "cbr":
+            return self.cbr()
+        if text == "star":
+            self.i += 1
+            self.expect("(")
+            return self.expr(")").star()
+        if text == "act":
+            return self.act()
+        return self.gen()
+
+    def cbr(self) -> Element:
+        start = self.next()
+        self.expect("(")
+        grades = [self.grade()]
+        while self.accept(","):
+            grades.append(self.grade())
+        if len(grades) != 3:
+            raise DslError("cbr needs exactly three grade vectors", start[2])
+        self.expect(";")
+        weights = colour_weights(paper_factor(), *grades)
+        return colour3(self.expr(","), self.expr(","), self.expr(")"),
+                       weights)
+
+    def grade(self) -> GradeVector:
+        start = self.expect("(")
+        comps = [int(self.expect("num")[1])]
+        while self.accept(","):
+            comps.append(int(self.expect("num")[1]))
+        self.expect(")")
+        if len(comps) != 3:
+            raise DslError("a grade vector needs exactly three components",
+                           start[2])
+        return GradeVector(comps)
+
+    def act(self) -> Element:
+        self.i += 1
+        self.expect("(")
+        ops = [self.expr()]
+        while self.accept(","):
+            ops.append(self.expr())
+        self.expect(";")
+        return nested_action(ops, self.expr(")"))
+
+    # gen := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))?
+    def gen(self) -> Element:
+        _, name, pos = self.next()
+        if self.accept("^"):
+            name += "^" + self.expect("num")[1]
+        elif self.accept("_"):
+            if self.accept("{"):
+                digits = self.expect("num")[1]
+                if self.kind() == "num":
+                    digits += self.next()[1]
+                self.expect("}")
+                name += "_{" + digits + "}"
+            else:
+                name += "_" + self.expect("num")[1]
         try:
-            return _resolve(ast.name, alg)
+            return _resolve(name, self.alg)
         except KeyError:
-            raise DslError(f"unknown generator {ast.name!r}",
-                           ast.pos) from None
-    if isinstance(ast, ScalarLit):
-        return Element.scalar(alg.system, ast.value)
-    if isinstance(ast, Sum):
-        out = Element.zero(alg.system)
-        for sign, node in ast.parts:
-            e = evaluate(node, alg)
-            out = out + (e if sign > 0 else -e)
-        return out
-    if isinstance(ast, Term):
-        out = Element.scalar(alg.system,
-                             ast.scalar.value if ast.scalar else ONE)
-        for f in ast.factors:
-            out = out * evaluate(f, alg)
-        return out
-    if isinstance(ast, Comm):
-        return commutator(evaluate(ast.a, alg), evaluate(ast.b, alg))
-    if isinstance(ast, SymBracket):
-        args = [evaluate(n, alg) for n in (ast.a, ast.b, ast.c)]
-        return colour3(*args, (ONE,) * 6)
-    if isinstance(ast, ColourBracket):
-        factor = paper_factor()
-        grades = [GradeVector(g) for g in ast.grades]
-        weights = colour_weights(factor, *grades)
-        args = [evaluate(n, alg) for n in (ast.a, ast.b, ast.c)]
-        return colour3(*args, weights)
-    if isinstance(ast, Star):
-        return evaluate(ast.a, alg).star()
-    if isinstance(ast, Act):
-        ops = [evaluate(n, alg) for n in ast.ops]
-        return nested_action(ops, evaluate(ast.target, alg))
-    raise TypeError(f"not an AST node: {ast!r}")
+            raise DslError(f"unknown generator {name!r}", pos) from None
+
+
+def evaluate(src: str, alg: SuperspaceAlgebra) -> Element:
+    """The normal-formed element that ``src`` denotes in ``alg``."""
+    p = _Parser(src, alg)
+    value = p.expr()
+    kind, text, pos = p.toks[p.i]
+    if kind != "eof":
+        raise DslError(f"trailing input {text!r}", pos)
+    return value

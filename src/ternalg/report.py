@@ -64,16 +64,6 @@ def reports_to_document(reports, config: dict) -> dict:
     return {"version": SCHEMA_VERSION, "config": config, "checks": checks}
 
 
-def document_to_reports(doc: dict):
-    out = []
-    for c in doc["checks"]:
-        out.append(CheckReport(
-            check_id=c["check_id"], paper_ref=c["paper_ref"], status=c["status"],
-            residuals=c["residuals"], elapsed_ms=c["elapsed_ms"],
-            notes=c.get("notes", "")))
-    return out
-
-
 def emit_json(reports, config: dict) -> str:
     return json.dumps(reports_to_document(reports, config), indent=2)
 

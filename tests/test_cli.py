@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 from ternalg.cli import main
 from ternalg.order3 import StructureConstants3
-from ternalg.report import document_to_reports, emit_json
+from ternalg.report import emit_json
 from ternalg.suites import SUITE_IDS, SuiteSpec, run_suite
 
 
@@ -41,14 +42,6 @@ def test_verify_json_document(capsys):
     # ids come out sorted
     ids = [c["check_id"] for c in doc["checks"]]
     assert ids == sorted(ids)
-
-
-def test_json_round_trip(capsys):
-    main(["verify", "--suite", "order3", "--dim", "2", "--report", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    reports = document_to_reports(doc)
-    assert [r.check_id for r in reports] == [c["check_id"] for c in doc["checks"]]
-    assert all(r.passed for r in reports)
 
 
 def test_verify_deterministic(capsys):
@@ -82,6 +75,37 @@ def test_eval_star(capsys):
 def test_eval_error_exit_code(capsys):
     assert main(["eval", "[x^0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _readme_eval_examples():
+    """(argv, printed) for each ``ternalg eval`` line of the README's CLI
+    block; printed is the X of a trailing ``# -> X``, else None."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```")[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("ternalg eval "):
+            argv = shlex.split(line, comments=True)[1:]
+            printed = line.partition("# -> ")[2].strip() or None
+            examples.append(pytest.param(argv, printed, id=" ".join(argv)))
+    assert examples, "the README's CLI block has no 'ternalg eval' line"
+    return examples
+
+
+@pytest.mark.parametrize("argv, printed", _readme_eval_examples())
+def test_readme_eval_examples(argv, printed, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if printed is not None:
+        assert out.strip() == printed
+
+
+@pytest.mark.parametrize("argv", [["(-1)*q"], ["--star", "q"], ["1 - q*q"]])
+def test_eval_reads_back_its_scalar_output(argv, capsys):
+    assert main(["eval", "--dim", "2"] + argv) == 0
+    printed = capsys.readouterr().out.strip()
+    assert main(["eval", "--dim", "2", "--", printed]) == 0
+    assert capsys.readouterr().out.strip() == printed
 
 
 @pytest.mark.parametrize("expr, dim", [

@@ -1,4 +1,5 @@
-"""Ring axioms and parsing for the exact coefficient field."""
+"""Ring axioms and rendering for the exact coefficient field; every
+rendering reads back through the expression language."""
 
 from fractions import Fraction
 from math import gcd
@@ -6,7 +7,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from ternalg.cyclo import Cyclo, ONE, Q, ZERO, parse_cyclo
+from ternalg import dsl
+from ternalg.algebra import Element
+from ternalg.cyclo import Cyclo, ONE, Q, ZERO
 
 rationals = st.builds(Fraction,
                       st.integers(min_value=-50, max_value=50),
@@ -67,15 +70,23 @@ def test_pow_matches_repeated_product(a, k):
     assert a ** k == expected
 
 
+def _read_back(text, alg):
+    """The Q(q) value of a scalar DSL expression."""
+    return dsl.evaluate(text, alg).terms.get((), ZERO)
+
+
 @given(cyclos)
-def test_str_parse_round_trip(a):
-    assert parse_cyclo(str(a)) == a
+def test_str_parse_round_trip(alg2, a):
+    assert dsl.evaluate(str(a), alg2) == Element.scalar(alg2.system, a)
 
 
-def test_parse_literals():
-    assert parse_cyclo("1/2") == Cyclo(Fraction(1, 2))
-    assert parse_cyclo("-2 + 3*q") == Cyclo(-2, 3)
-    assert parse_cyclo("q") == Q
+def test_parse_literals(alg2):
+    assert _read_back("1/2", alg2) == Cyclo(Fraction(1, 2))
+    assert _read_back("-2 + 3*q", alg2) == Cyclo(-2, 3)
+    assert _read_back("q", alg2) == Q
+    # the renderings of 0, +-1, +-q and +-q^2 read back as themselves
+    for x in (ZERO, ONE, -ONE, Q, -Q, Q * Q, -(Q * Q)):
+        assert _read_back(str(x), alg2) == x
 
 
 def test_mixed_arithmetic_with_ints():
@@ -248,11 +259,11 @@ def test_pow_matches_reference(p, k):
 
 
 @given(pairs)
-def test_rendering_matches_reference(p):
+def test_rendering_matches_reference(alg2, p):
     x, rx = Cyclo(*p), RefCyclo(*p)
     assert str(x) == str(rx)
     assert repr(x) == repr(rx)
-    _same(parse_cyclo(str(x)), rx)
+    _same(_read_back(str(x), alg2), rx)
 
 
 @given(st.one_of(st.integers(min_value=-10**6, max_value=10**6),

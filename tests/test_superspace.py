@@ -44,7 +44,7 @@ def test_green_component_counts(alg2):
         "theta", "theta^0", "theta^1", "d_0", "d_1", "eps1^0", "eps1^1",
         "eps2^0", "eps2^1", "eps3^0", "eps3^1", "x^0", "x^1", "P_0", "P_1"}
     for label, element in alg2.symbols.items():
-        assert dsl.evaluate(dsl.parse(label), alg2) is element
+        assert dsl.evaluate(label, alg2) is element
 
 
 def test_component_level_pairing(alg2):
