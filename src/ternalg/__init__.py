@@ -7,8 +7,8 @@ from .algebra import (Element, GeneratorSystem, commutator, anticommutator,
 from .superspace import (MetricSignature, SuperspaceConfig, SuperspaceAlgebra,
                          build)
 from .order3 import StructureConstants3, cubic_poincare, check_lie_order3
-from .colour import (CommutationFactor, GradingGroup, GradeVector,
-                     paper_factor, colour_weights, col3_weights)
+from .colour import (CommutationFactor, GradeVector, paper_factor,
+                     colour_weights, col3_weights)
 from .report import CheckReport, emit_json, emit_text
 from .suites import SuiteSpec, run_suite
 
@@ -19,8 +19,8 @@ __all__ = [
     "sym3", "colour3", "nested_action",
     "MetricSignature", "SuperspaceConfig", "SuperspaceAlgebra", "build",
     "StructureConstants3", "cubic_poincare", "check_lie_order3",
-    "CommutationFactor", "GradingGroup", "GradeVector",
-    "paper_factor", "colour_weights", "col3_weights",
+    "CommutationFactor", "GradeVector", "paper_factor", "colour_weights",
+    "col3_weights",
 ]
 
 __version__ = "0.1.0"

@@ -443,8 +443,6 @@ def colour3(a: Element, b: Element, c: Element, weights: Sequence) -> Element:
         inner: dict = {}
         for w, (p, r) in ((weights[i], (y, z)), (weights[i + 3], (z, y))):
             w = w if isinstance(w, Cyclo) else Cyclo(w)
-            if not w:
-                continue
             for wp, cp in p.terms.items():
                 cpw = cp * w
                 for wr, cr in r.terms.items():

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import dsl
-from .colour import GradingGroup, factor_table_csv, paper_factor
+from .colour import factor_table_csv, paper_factor
 from .order3 import cubic_poincare
 from .report import emit_json, emit_text
 from .suites import SUITE_IDS, SuiteSpec, run_suite
@@ -127,7 +127,7 @@ def _run(args, out) -> int:
         return 0
 
     if args.verb == "dump-factor":
-        _write(factor_table_csv(paper_factor(), GradingGroup()))
+        _write(factor_table_csv(paper_factor()))
         return 0
 
     if args.verb == "export-sc":

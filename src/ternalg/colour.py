@@ -1,59 +1,47 @@
-"""Abelian grading groups, commutation factors, and colour-bracket weights.
+"""Commutation factors on Z_3^k and colour-bracket weights.
 
 A commutation factor N on a finite abelian group satisfies
-N(a,b) N(b,a) = 1 and is biadditive in each slot.  Here the group of
-interest is Z_3 x Z_3 x Z_3 and the factor takes values in the cube roots
-of unity, represented exactly in Q(q).  The factor converts the fully
-symmetric ternary bracket into the q-weighted colour bracket.
+N(a,b) N(b,a) = 1 and is biadditive in each slot.  Here the group is
+Z_3^k, k = 3 for the paper's parameter families, and the factor takes
+values in the cube roots of unity, represented exactly in Q(q).  The
+factor converts the fully symmetric ternary bracket into the q-weighted
+colour bracket.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cyclo import Cyclo, ONE, Q
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class GradingGroup:
-    """The group Z_n^k."""
-
-    modulus: int = 3
-    rank: int = 3
-
-    def __post_init__(self):
-        if self.modulus < 2 or self.rank < 1:
-            raise ValueError("need modulus >= 2 and rank >= 1")
-
-    def elements(self):
-        return itertools.product(range(self.modulus), repeat=self.rank)
-
-
 class GradeVector(tuple):
-    """An element of Z_n^k, componentwise reduced."""
+    """An element of Z_3^k, componentwise reduced."""
 
-    def __new__(cls, components, modulus: int = 3):
-        return super().__new__(cls, (c % modulus for c in components))
+    def __new__(cls, components):
+        return super().__new__(cls, (c % 3 for c in components))
 
 
 class CommutationFactor:
-    """A map (grade, grade) -> Q(q)* given by a bilinear exponent form B of
-    Python ints, N(a, b) = q^(a . B . b mod 3)."""
+    """A map (grade, grade) -> Q(q)* on Z_3^k given by a k x k bilinear
+    exponent form B of Python ints, N(a, b) = q^(a . B . b mod 3)."""
 
-    def __init__(self, exponent_form=None, modulus: int = 3):
-        if exponent_form is None:
-            raise ValueError("a commutation factor needs an exponent form")
-        if modulus != 3:
-            raise ValueError("exponent forms are supported for modulus 3")
-        self.modulus = modulus
+    def __init__(self, exponent_form):
         self.exponent_form = [[int(x) for x in row] for row in exponent_form]
+        k = len(self.exponent_form)
+        if not k or any(len(row) != k for row in self.exponent_form):
+            raise ValueError("an exponent form must be a nonempty square "
+                             "matrix")
+
+    def elements(self):
+        """The group Z_3^k of the k x k form, in lexicographic order."""
+        return itertools.product(range(3), repeat=len(self.exponent_form))
 
     def exponent(self, a, b) -> int:
         """a . B . b mod 3, the exponent of q in N(a, b)."""
         return sum(x * r * y for x, row in zip(a, self.exponent_form)
-                   for r, y in zip(row, b)) % self.modulus
+                   for r, y in zip(row, b)) % 3
 
     def __call__(self, a, b) -> Cyclo:
         return Q ** self.exponent(a, b)
@@ -67,16 +55,12 @@ def paper_factor() -> CommutationFactor:
     return CommutationFactor(exponent_form=form)
 
 
-def check_axioms(factor: CommutationFactor, group: GradingGroup) -> CheckReport:
-    """Exhaustive verification of the three commutation-factor axioms: axiom 1
-    over all pairs, axioms 2 and 3 over all triples, row by row over a and
-    column by column over c (never materialising the cube)."""
-    rank = len(factor.exponent_form)
-    if (group.modulus, group.rank) != (factor.modulus, rank):
-        raise ValueError(f"group Z_{group.modulus}^{group.rank} does not match "
-                         f"the factor's modulus {factor.modulus} and rank {rank}")
-    n = group.modulus
-    elems = list(group.elements())
+def check_axioms(factor: CommutationFactor) -> CheckReport:
+    """Exhaustive verification of the three commutation-factor axioms over
+    the factor's group: axiom 1 over all pairs, axioms 2 and 3 over all
+    triples, row by row over a and column by column over c (never
+    materialising the cube)."""
+    elems = list(factor.elements())
     order = range(len(elems))
     with CheckReport("colour.axioms",
                      "N(a,b) N(b,a) = 1; N(a,b+c) = N(a,b) N(a,c); "
@@ -84,19 +68,19 @@ def check_axioms(factor: CommutationFactor, group: GradingGroup) -> CheckReport:
         # E[i][j]: exponent of N(elems[i], elems[j]); S[i][j]: index of the sum
         E = [[factor.exponent(a, b) for b in elems] for a in elems]
         index = {e: i for i, e in enumerate(elems)}
-        S = [[index[tuple((x + y) % n for x, y in zip(b, c))] for c in elems]
+        S = [[index[GradeVector(x + y for x, y in zip(b, c))] for c in elems]
              for b in elems]
-        bad = [(i, j) for i in order for j in order if (E[i][j] + E[j][i]) % n]
+        bad = [(i, j) for i in order for j in order if (E[i][j] + E[j][i]) % 3]
         for i, j in bad[:20]:
             rep.add_residual((elems[i], elems[j]),
-                             f"N(a,b)N(b,a) = q^{(E[i][j] + E[j][i]) % n}")
+                             f"N(a,b)N(b,a) = q^{(E[i][j] + E[j][i]) % 3}")
         if len(bad) > 20:
             rep.add_residual(("...",), f"{len(bad)} axiom-1 violations total")
         # axiom 3 follows by transposition symmetry, but is verified anyway
         for axiom, lines in ((2, E), (3, list(zip(*E)))):
             for x, Ex in enumerate(lines):
                 bad = [(j, k) for j in order for k in order
-                       if (Ex[S[j][k]] - Ex[j] - Ex[k]) % n]
+                       if (Ex[S[j][k]] - Ex[j] - Ex[k]) % 3]
                 for j, k in bad[:5]:
                     abc = (x, j, k) if axiom == 2 else (j, k, x)
                     rep.add_residual([elems[t] for t in abc],
@@ -109,7 +93,7 @@ def check_axioms(factor: CommutationFactor, group: GradingGroup) -> CheckReport:
 def colour_weights(factor: CommutationFactor, g1, g2, g3):
     """The six colour-bracket weights for orderings (123,231,312,132,213,321)."""
     def plus(a, b):
-        return GradeVector((x + y for x, y in zip(a, b)), factor.modulus)
+        return GradeVector(x + y for x, y in zip(a, b))
 
     return (ONE,
             factor(g1, plus(g2, g3)),
@@ -119,11 +103,10 @@ def colour_weights(factor: CommutationFactor, g1, g2, g3):
             factor(g1, g2) * factor(g1, g3) * factor(g2, g3))
 
 
-def standard_grades(modulus: int = 3):
+def standard_grades():
     """The parameter-family grades (1,0,0), (0,1,0), (0,0,1) on Z_3^3."""
-    return (GradeVector((1, 0, 0), modulus),
-            GradeVector((0, 1, 0), modulus),
-            GradeVector((0, 0, 1), modulus))
+    return (GradeVector((1, 0, 0)), GradeVector((0, 1, 0)),
+            GradeVector((0, 0, 1)))
 
 
 def col3_weights():
@@ -131,9 +114,9 @@ def col3_weights():
     return colour_weights(paper_factor(), *standard_grades())
 
 
-def factor_table_csv(factor: CommutationFactor, group: GradingGroup) -> str:
-    """CSV dump of the factor over the whole group, as exponents of q."""
-    elems = list(group.elements())
+def factor_table_csv(factor: CommutationFactor) -> str:
+    """CSV dump of the factor over its whole group, as exponents of q."""
+    elems = list(factor.elements())
     header = "a\\b," + ",".join("".join(map(str, e)) for e in elems)
     lines = [header]
     for a in elems:

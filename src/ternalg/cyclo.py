@@ -72,8 +72,6 @@ class Cyclo:
                 return _reduced(self.a + other.a, self.b + other.b, d)
             return _reduced(self.a * f + other.a * d,
                             self.b * f + other.b * d, d * f)
-        if type(other) is int:
-            return _new(self.a + other * self.den, self.b, self.den)
         return self + _coerce(other)
 
     __radd__ = __add__
@@ -87,13 +85,9 @@ class Cyclo:
                 return _reduced(self.a - other.a, self.b - other.b, d)
             return _reduced(self.a * f - other.a * d,
                             self.b * f - other.b * d, d * f)
-        if type(other) is int:
-            return _new(self.a - other * self.den, self.b, self.den)
         return self - _coerce(other)
 
     def __rsub__(self, other) -> "Cyclo":
-        if type(other) is int:
-            return _new(other * self.den - self.a, -self.b, self.den)
         return _coerce(other) - self
 
     def __neg__(self) -> "Cyclo":
@@ -108,15 +102,6 @@ class Cyclo:
             if d == 1 and f == 1:
                 return _new(a * c - be, a * e + b * c - be, 1)
             return _reduced(a * c - be, a * e + b * c - be, d * f)
-        if type(other) is int:
-            d = self.den
-            if d == 1:
-                return _new(self.a * other, self.b * other, 1)
-            # gcd(a, b, den) == 1, so only the factor shared by other and
-            # den cancels
-            g = gcd(other, d)
-            m = other // g
-            return _new(self.a * m, self.b * m, d // g)
         return self * _coerce(other)
 
     __rmul__ = __mul__

@@ -3,7 +3,7 @@
 Grammar (whitespace insensitive)::
 
     expr   := ['-'] term (('+' | '-') term)*
-    term   := scalar ('*' factor+)? | factor+
+    term   := rational ('*' factor+)? | factor+
     factor := gen
             | '(' expr ')'
             | '[' expr ',' expr ']'
@@ -12,12 +12,13 @@ Grammar (whitespace insensitive)::
             | 'star' '(' expr ')'
             | 'act' '(' exprlist ';' expr ')'
     gen    := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))?
-    scalar := rational ('+' rational '* q')?
     rational := ['-'] INT ('/' INT)?
 
-A '-' followed by a number is the sign of a scalar; a leading '-' before
+A '-' followed by a number is the sign of a rational; a leading '-' before
 anything else negates the first term, so ``-q`` and ``-[theta^0, d_0]``
-read, and every rendering ``str(Cyclo)`` reads back as its own value.
+read.  A Q(q) scalar is an expression like any other: ``1 + 2*q`` is the
+sum of two terms, ``(1 + 2*q)*x^0`` scales x^0 by it, and every rendering
+``str(Cyclo)`` reads back as its own value.
 
 Generator names are the algebra's labels, ``SuperspaceAlgebra.symbols``:
 ``theta^0``, ``theta``, ``d_1``, ``eps2^3``, ``x^0``, ``P_2``; the derived
@@ -38,7 +39,7 @@ from fractions import Fraction
 
 from .algebra import Element, colour3, commutator, nested_action
 from .colour import GradeVector, colour_weights, paper_factor
-from .cyclo import Cyclo, ONE, Q
+from .cyclo import ONE, Q
 from .superspace import SuperspaceAlgebra
 
 
@@ -156,11 +157,11 @@ class _Parser:
             self.expect(close)
         return out
 
-    # term := scalar ('*' factor+)? | factor+
+    # term := rational ('*' factor+)? | factor+
     def term(self) -> Element:
         if self.kind() == "num" or (self.kind() == "-"
                                     and self.kind(1) == "num"):
-            out = Element.scalar(self.alg.system, self.scalar())
+            out = Element.scalar(self.alg.system, self.rational())
             if not self.accept("*"):
                 return out
             out = out * self.factor()
@@ -173,22 +174,6 @@ class _Parser:
             elif self.kind() not in _FACTOR_START:
                 return out
             out = out * self.factor()
-
-    # scalar := rational ('+' rational '* q')?
-    def scalar(self) -> Cyclo:
-        re_ = self.rational()
-        mark = self.i
-        if self.accept("+"):
-            try:
-                im = self.rational()
-                self.expect("*")
-                t = self.expect("ident")
-                if t[1] != "q":
-                    raise DslError("expected 'q'", t[2])
-                return Cyclo(re_, im)
-            except DslError:
-                self.i = mark  # the '+' belonged to the enclosing expr
-        return Cyclo(re_)
 
     def rational(self) -> Fraction:
         sign = -1 if self.accept("-") else 1

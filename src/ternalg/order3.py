@@ -100,6 +100,11 @@ class StructureConstants3:
             self.labels0 = tuple(f"X{i}" for i in range(self.dim0))
         if not self.labels1:
             self.labels1 = tuple(f"Y{a}" for a in range(self.dim1))
+        for name, labels, n in (("labels0", self.labels0, self.dim0),
+                                ("labels1", self.labels1, self.dim1)):
+            if len(labels) != n:
+                raise ValueError(f"{name} has {len(labels)} labels, "
+                                 f"expected {n}")
 
     # -- storage invariants (re-validated defensively on load) ----------
 
@@ -137,13 +142,24 @@ class StructureConstants3:
     @classmethod
     def from_json(cls, text: str) -> "StructureConstants3":
         doc = json.loads(text)
+        missing = [k for k in ("dim0", "dim1", "f", "R", "Q") if k not in doc]
+        if missing:
+            raise ValueError(f"structure constants lack {', '.join(missing)}")
         n0, n1 = doc["dim0"], doc["dim1"]
         f, R, Q = Table(n0, n0, n0), Table(n0, n1, n1), Table(n1, n1, n1, n0)
         for name, table in (("f", f), ("R", R), ("Q", Q)):
             for entry in doc[name]:
+                # exact values only: a JSON float or bool is not a rational
                 try:
-                    table[tuple(entry[:-1])] = entry[-1]
-                except IndexError as err:
+                    value = entry[-1]
+                    if type(value) not in (str, int):
+                        raise ValueError(f"value {value!r} is not a string "
+                                         "or an integer")
+                    table[tuple(entry[:-1])] = value
+                except ZeroDivisionError:
+                    raise ValueError(f"{name} entry {entry}: "
+                                     "zero denominator") from None
+                except (IndexError, TypeError, ValueError) as err:
                     raise ValueError(f"{name} entry {entry}: {err}") from None
         sc = cls(n0, n1, f, R, Q,
                  tuple(doc.get("labels0", ())), tuple(doc.get("labels1", ())))

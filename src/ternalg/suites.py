@@ -161,9 +161,7 @@ def check_engine(seed: int = 0) -> list[CheckReport]:
 # -- colour suite ---------------------------------------------------------
 
 def check_colour(seed: int = 0) -> list[CheckReport]:
-    factor = colour.paper_factor()
-    group = colour.GradingGroup()
-    reports = [colour.check_axioms(factor, group)]
+    reports = [colour.check_axioms(colour.paper_factor())]
 
     with CheckReport("colour.weights",
                      "the standard grades (1,0,0),(0,1,0),(0,0,1) induce "

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
+from ternalg import superspace
+from ternalg.suites import SuiteSpec, run_suite
 from ternalg.superspace import MetricSignature, SuperspaceConfig, build
 
 # one line per acceptance criterion, shown after the test run
@@ -29,3 +33,18 @@ def alg2():
 @pytest.fixture(scope="session")
 def alg4():
     return build(SuperspaceConfig(metric=MetricSignature.minkowski(4)))
+
+
+@pytest.fixture(scope="session")
+def corrupted_d2_runs():
+    """``--suite all`` at d = 2 under each corruption, run once per session:
+    {name: (spec, reports)}.  "kappa=1/3" corrupts the pairing, "p=3" gives
+    every parafermion three Green components instead of two."""
+    runs = {}
+    spec = SuiteSpec("all", dimension=2, seed=0, kappa=Fraction(1, 3))
+    runs["kappa=1/3"] = spec, run_suite(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(superspace, "GREEN_SECTORS", (0, 1, 2))
+        spec = SuiteSpec("all", dimension=2)
+        runs["p=3"] = spec, run_suite(spec)
+    return runs

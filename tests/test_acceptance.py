@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import record_criterion
-from ternalg.colour import GradingGroup, check_axioms, col3_weights, paper_factor
+from ternalg.colour import check_axioms, col3_weights, paper_factor
 from ternalg.cyclo import ONE, Q
 from ternalg.order3 import (StructureConstants3, check_against_superspace,
                             check_lie_order3, cubic_poincare)
@@ -124,7 +124,7 @@ def test_criterion_6_closure(closure_reports):
 
 
 def test_criterion_7_commutation_factor():
-    rep = check_axioms(paper_factor(), GradingGroup())
+    rep = check_axioms(paper_factor())
     weights_ok = tuple(col3_weights()) == (ONE, Q * Q, Q * Q, Q, Q, ONE)
     record_criterion(
         7, "commutation-factor axioms hold over all of Z_3^3 and the "

@@ -5,7 +5,6 @@ import os
 import shlex
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -181,13 +180,13 @@ def test_verify_roby_passes_at_dim_5(capsys):
     assert all(c["status"] == "pass" for c in checks)
 
 
-def test_failing_report_matches_golden():
+def test_failing_report_matches_golden(corrupted_d2_runs):
     """With the pairing corrupted to kappa = 1/3, ``--suite all`` at d = 2
     fails 13 checks; their residual indices and renderings equal the stored
     report apart from the timings."""
     golden = Path(__file__).parent / "data" / "verify_all_d2_kappa13.json"
-    spec = SuiteSpec("all", dimension=2, seed=0, kappa=Fraction(1, 3))
-    doc = json.loads(emit_json(run_suite(spec), spec.config_dict()))
+    spec, reports = corrupted_d2_runs["kappa=1/3"]
+    doc = json.loads(emit_json(reports, spec.config_dict()))
     for c in doc["checks"]:
         del c["elapsed_ms"]
     assert doc == json.loads(golden.read_text())

@@ -5,32 +5,37 @@ import json
 import pytest
 
 from ternalg.algebra import colour3, sym3
-from ternalg.colour import (CommutationFactor, GradeVector, GradingGroup,
-                            check_axioms, col3_weights, colour_weights,
-                            factor_table_csv, paper_factor, standard_grades)
+from ternalg.colour import (CommutationFactor, GradeVector, check_axioms,
+                            col3_weights, colour_weights, factor_table_csv,
+                            paper_factor, standard_grades)
 from ternalg.cyclo import ONE, Q, ZERO
 from ternalg.report import emit_json
 
 
 def test_axioms_exhaustive():
-    rep = check_axioms(paper_factor(), GradingGroup())
+    rep = check_axioms(paper_factor())
     assert rep.passed, rep.residuals[:3]
 
 
-def test_axioms_reject_group_of_other_modulus():
-    with pytest.raises(ValueError, match="modulus"):
-        check_axioms(paper_factor(), GradingGroup(modulus=2))
+def test_factor_group_follows_form_size():
+    """The factor's group is Z_3^k for its k x k form."""
+    assert len(list(paper_factor().elements())) == 27
+    one = CommutationFactor(exponent_form=[[0]])
+    assert list(one.elements()) == [(0,), (1,), (2,)]
+    assert check_axioms(one).passed
 
 
-def test_axioms_reject_group_of_other_rank():
-    with pytest.raises(ValueError, match="rank 3"):
-        check_axioms(paper_factor(), GradingGroup(rank=2))
+@pytest.mark.parametrize("form", [[], [[0, 1]], [[0, 1], [1]],
+                                  [[0, 1, 1], [-1, 0, 1]]])
+def test_exponent_form_must_be_square(form):
+    with pytest.raises(ValueError, match="square"):
+        CommutationFactor(exponent_form=form)
 
 
 def test_non_factor_counterexample():
     # q^(a1*b1) is symmetric, so N(a,b)N(b,a) = q^(2 a1 b1) != 1
     bad = CommutationFactor(exponent_form=[[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    rep = check_axioms(bad, GradingGroup())
+    rep = check_axioms(bad)
     assert not rep.passed
     assert any("q^" in res["element"] for res in rep.residuals)
 
@@ -39,7 +44,7 @@ def test_failing_axioms_report_as_json():
     """Residual indices of a failing sweep are plain ints, so the report
     serialises: 20 axiom-1 pairs, then the total."""
     bad = CommutationFactor(exponent_form=[[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    doc = json.loads(emit_json([check_axioms(bad, GradingGroup())], {}))
+    doc = json.loads(emit_json([check_axioms(bad)], {}))
     residuals = doc["checks"][0]["residuals"]
     assert len(residuals) == 21
     assert residuals[0] == {"indices": [[1, 0, 0], [1, 0, 0]],
@@ -57,7 +62,7 @@ def test_non_biadditive_exponent_fails_axiom_3():
         def exponent(self, a, b):
             return a[0] * a[0] * b[0] % 3
 
-    rep = check_axioms(Skewed(exponent_form=[[0] * 3] * 3), GradingGroup())
+    rep = check_axioms(Skewed(exponent_form=[[0] * 3] * 3))
     messages = [res["element"] for res in rep.residuals]
     assert "axiom 2 fails" not in messages
     axiom3 = [res["indices"] for res in rep.residuals
@@ -103,15 +108,8 @@ def test_factor_symmetry_pairing():
 
 
 def test_csv_dump_shape():
-    text = factor_table_csv(paper_factor(), GradingGroup())
+    text = factor_table_csv(paper_factor())
     lines = text.strip().split("\n")
     assert len(lines) == 1 + 27
     assert lines[0].startswith("a\\b,000,001")
     assert set(lines[1].split(",")[1:]) <= {"0", "1", "2"}
-
-
-def test_exponent_form_requires_modulus_three():
-    with pytest.raises(ValueError):
-        CommutationFactor(exponent_form=[[1]], modulus=5)
-    with pytest.raises(ValueError):
-        CommutationFactor()

@@ -84,6 +84,32 @@ def test_scalar_literals(alg2):
     assert got.terms == {(): Cyclo(-2)}
 
 
+@pytest.mark.parametrize("src, same, misread", [
+    ("1 + 1*q*x^0", "1 + q*x^0", "(1 + q)*x^0"),
+    ("1 + 2*q*x^0", "1 + (2*q*x^0)", "(1 + 2*q)*x^0"),
+    ("1 + 2*q * x^0 P_0", "1 + (2*q*x^0 P_0)", "(1 + 2*q)*x^0 P_0"),
+    ("1/2 + 3*q*theta^0", "1/2 + (3*q*theta^0)", "(1/2 + 3*q)*theta^0"),
+])
+def test_products_bind_tighter_than_sums(src, same, misread, alg2):
+    """'*' binds tighter than '+' whether or not the next term starts with
+    a number: a scalar like ``1 + 2*q`` is a sum of terms, not a literal
+    that swallows the factor after it."""
+    value = dsl.evaluate(src, alg2)
+    assert value == dsl.evaluate(same, alg2)
+    assert value != dsl.evaluate(misread, alg2)
+
+
+@pytest.mark.parametrize("rest", ["2*q*x^0", "q*x^0", "1/2*theta^0 d_0",
+                                  "3*[P_0, x^0]"])
+def test_plus_and_minus_bind_alike(rest, alg2):
+    """``a + t`` and ``a - t`` differ only in the sign of the term t."""
+    plus = dsl.evaluate(f"1 + {rest}", alg2)
+    minus = dsl.evaluate(f"1 - {rest}", alg2)
+    one = dsl.evaluate("1", alg2)
+    assert plus - one == -(minus - one)
+    assert plus - one == dsl.evaluate(rest, alg2)
+
+
 def test_derived_symbols(alg2):
     assert dsl.evaluate("J_{01}", alg2) == alg2.J(0, 1)
     assert dsl.evaluate("L_{01}", alg2) == alg2.lorentz(0, 1)

@@ -317,3 +317,29 @@ def test_json_rejects_bad_index(table, entry):
     with pytest.raises(ValueError) as err:
         StructureConstants3.from_json(json.dumps(doc))
     assert f"{table} entry {entry}" in str(err.value)
+
+
+def _append(table, entry):
+    def corrupt(doc):
+        doc[table].append(entry)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_append("f", [0, 1, 2, 0.1]), "f entry [0, 1, 2, 0.1]"),   # no floats
+    (_append("R", [0, 0, 0, True]), "R entry [0, 0, 0, True]"),  # not 1
+    (_append("R", [0, 0, 0, "1/0"]), "R entry [0, 0, 0, '1/0']"),
+    (_append("Q", [0, 0, 0, 0, "abc"]), "Q entry [0, 0, 0, 0, 'abc']"),
+    (lambda doc: doc.update(labels0=doc["labels0"][:1]), "labels0"),
+    (lambda doc: doc.pop("R"), "lack R"),
+], ids=["float", "bool", "zero-denominator", "not-a-number", "short-labels",
+        "missing-table"])
+def test_json_rejects_bad_value(corrupt, message):
+    """Every bad document raises one ValueError that names the table and
+    the entry, at load time rather than in a later check."""
+    doc = json.loads(cubic_poincare(MetricSignature.minkowski(2)).to_json())
+    corrupt(doc)
+    with pytest.raises(ValueError) as err:
+        StructureConstants3.from_json(json.dumps(doc))
+    assert type(err.value) is ValueError
+    assert message in str(err.value)

@@ -4,11 +4,10 @@ transformation checks, at the small dimension where everything is fast."""
 import random
 from fractions import Fraction
 
-from ternalg import dsl, superspace
+from ternalg import dsl
 from ternalg.algebra import Element, commutator, random_element, sym3
 from ternalg.colour import col3_weights
 from ternalg.cyclo import Q
-from ternalg.suites import SuiteSpec, run_suite
 from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 CLS_THETA_SC, CLS_X, GREEN_SECTORS,
                                 MetricSignature, SuperspaceConfig, _label,
@@ -154,17 +153,60 @@ def test_dimension_three_smoke():
     _all_pass(check_poincare_realisation(alg))
 
 
-def test_green_order_three_control(monkeypatch):
+def test_green_order_three_control(corrupted_d2_runs):
     """Three Green sectors instead of two: the trilinear relations, the
     Poincare realisation, the transformations and the closure still hold,
     while the ternary relations that are specific to order two fail with
     these exact residual counts at d = 2.  The matrix oracle follows the
     layout (``oracle.rep.*`` and ``oracle.random.*`` pass), and only its
     order-two probes in ``oracle.zero`` fail."""
-    monkeypatch.setattr(superspace, "GREEN_SECTORS", (0, 1, 2))
-    reports = run_suite(SuiteSpec("all", dimension=2))
+    _, reports = corrupted_d2_runs["p=3"]
     failed = {r.check_id: len(r.residuals) for r in reports if not r.passed}
     assert failed == {"para.1": 729, "para.2": 162, "para.3": 36,
                       "para.4": 8, "roby": 165, "psi.bracket": 16,
                       "oracle.zero": 3}
     assert len(reports) == 55
+
+
+# check ID -> the corruptions of ``corrupted_d2_runs`` that fail it at d = 2
+CONTROLS = {
+    "para1.2": {"kappa=1/3"}, "para1.3": {"kappa=1/3"},
+    "para1.4": {"kappa=1/3"}, "para1.5": {"kappa=1/3"},
+    "para.1": {"p=3"}, "para.2": {"kappa=1/3", "p=3"},
+    "para.3": {"kappa=1/3", "p=3"}, "para.4": {"p=3"}, "roby": {"p=3"},
+    "poincare.Jtheta": {"kappa=1/3"}, "order3.superspace": {"kappa=1/3"},
+    "trans.theta": {"kappa=1/3"}, "psi.bracket": {"kappa=1/3", "p=3"},
+    "closure.leib": {"kappa=1/3"}, "closure.deltax": {"kappa=1/3"},
+    "oracle.zero": {"kappa=1/3", "p=3"},
+}
+
+# check IDs that neither corruption fails: no suite-wide control shows yet
+# that they can fail.  A new corruption shrinks this list; loosening a
+# check never may.  (order3.* and colour.axioms have table-level
+# corruption tests of their own in test_order3.py and test_colour.py.)
+NO_CONTROL_YET = {
+    "arith.root", "arith.ring", "arith.conj", "arith.division",
+    "engine.idempotent", "engine.confluence", "engine.star", "engine.sym3",
+    "para1.1", "para1.6",
+    "poincare.LL", "poincare.LP", "poincare.PP", "poincare.Ptheta",
+    "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
+    "colour.axioms", "colour.weights",
+    "trans.x", "trans.eps", "trans.deltax",
+    "closure.annihilate", "closure.symmetric",
+} | {f"oracle.{kind}.{sub}" for kind in ("rep", "random")
+     for sub in ("th0", "th0-d0", "sc-th0-d0", "e1-e2-e3", "th0-th1",
+                 "th0-e1", "th0-th1-d1")}
+
+
+def test_control_matrix(corrupted_d2_runs):
+    """Pin, for every check ID of ``--suite all`` at d = 2, the set of
+    corruptions that fail it."""
+    failing = {}
+    for name, (_, reports) in corrupted_d2_runs.items():
+        for r in reports:
+            failing.setdefault(r.check_id, set())
+            if not r.passed:
+                failing[r.check_id].add(name)
+    assert {cid: s for cid, s in failing.items() if s} == CONTROLS
+    assert {cid for cid, s in failing.items() if not s} == NO_CONTROL_YET
+    assert len(failing) == 55
