@@ -3,7 +3,8 @@
 Grammar (whitespace insensitive)::
 
     expr   := ['-'] term (('+' | '-') term)*
-    term   := rational ('*' factor+)? | factor+
+    term   := operand ('*' operand | factor)*
+    operand := rational | factor
     factor := gen
             | '(' expr ')'
             | '[' expr ',' expr ']'
@@ -14,7 +15,10 @@ Grammar (whitespace insensitive)::
     gen    := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))?
     rational := ['-'] INT ('/' INT)?
 
-A '-' followed by a number is the sign of a rational; a leading '-' before
+A factor may follow a factor without '*', a number only after '*' (or
+at the start of a term): ``x^0*2``, ``q*1/2`` and ``2*3`` read as
+``2*x^0``, ``1/2*q`` and ``6``, while ``2 x^0`` is rejected.  A '-'
+followed by a number is the sign of a rational; a leading '-' before
 anything else negates the first term, so ``-q`` and ``-[theta^0, d_0]``
 read.  A Q(q) scalar is an expression like any other: ``1 + 2*q`` is the
 sum of two terms, ``(1 + 2*q)*x^0`` scales x^0 by it, and every rendering
@@ -143,7 +147,7 @@ class _Parser:
     def expr(self, close: str | None = None) -> Element:
         """The value of one expression; ``close`` is the token that must
         follow it, if any."""
-        negate = self.kind() == "-" and self.kind(1) != "num"
+        negate = self.kind() == "-" and not self.at_rational()
         if negate:
             self.i += 1
         out = self.term()
@@ -157,23 +161,27 @@ class _Parser:
             self.expect(close)
         return out
 
-    # term := rational ('*' factor+)? | factor+
+    # term := operand ('*' operand | factor)*
     def term(self) -> Element:
-        if self.kind() == "num" or (self.kind() == "-"
-                                    and self.kind(1) == "num"):
-            out = Element.scalar(self.alg.system, self.rational())
-            if not self.accept("*"):
-                return out
-            out = out * self.factor()
-        else:
-            out = self.factor()
-        while True:
-            # '*' between factors is tolerated, juxtaposition is canonical
-            if self.kind() == "*" and self.kind(1) in _FACTOR_START:
-                self.i += 1
-            elif self.kind() not in _FACTOR_START:
-                return out
-            out = out * self.factor()
+        """Operands joined by '*'; a factor may also follow a factor
+        directly (juxtaposition is canonical), a number only after '*'."""
+        number = self.at_rational()
+        out = self.operand()
+        while self.accept("*") or (self.kind() in _FACTOR_START
+                                   and not number):
+            number = self.at_rational()
+            out = out * self.operand()
+        return out
+
+    def at_rational(self) -> bool:
+        return self.kind() == "num" or (self.kind() == "-"
+                                        and self.kind(1) == "num")
+
+    # operand := rational | factor
+    def operand(self) -> Element:
+        if self.at_rational():
+            return Element.scalar(self.alg.system, self.rational())
+        return self.factor()
 
     def rational(self) -> Fraction:
         sign = -1 if self.accept("-") else 1

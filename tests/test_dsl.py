@@ -110,6 +110,20 @@ def test_plus_and_minus_bind_alike(rest, alg2):
     assert plus - one == dsl.evaluate(rest, alg2)
 
 
+@pytest.mark.parametrize("src, rendered", [
+    ("x^0*2", "2*x^0"),
+    ("q*1/2", "1/2*q"),
+    ("2*3", "6"),
+    ("(2)*(3)", "6"),
+    ("x^0*-2*P_0", "-2*x^0 P_0"),
+])
+def test_number_after_star(src, rendered, alg2):
+    """A number may follow '*' as well as start a term."""
+    value = dsl.evaluate(src, alg2)
+    assert str(value) == rendered
+    assert dsl.evaluate(rendered, alg2) == value
+
+
 def test_derived_symbols(alg2):
     assert dsl.evaluate("J_{01}", alg2) == alg2.J(0, 1)
     assert dsl.evaluate("L_{01}", alg2) == alg2.lorentz(0, 1)
@@ -131,6 +145,8 @@ def test_star_node(alg2):
 @pytest.mark.parametrize("bad", [
     "theta^9", "frob_0", "[x^0", "1 +", "cbr((1,0); a, b, c)",
     "{a, b}", "act(; x^0)", "theta^0 )",
+    # a number joins a term at its start or after '*', never juxtaposed
+    "2 x^0", "x^0 2", "x^0*",
     # the index position is part of the name: theta_1 = -theta^1 at
     # eta = (+, -), so reading it as theta^1 would flip a sign
     "theta_1", "x_1", "eps2_1", "d^1", "P^1", "psi+^0", "theta^01",
