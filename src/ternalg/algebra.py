@@ -13,7 +13,9 @@ mismatch.
 
 Products are normal-ordered by one kernel, ``GeneratorSystem.times_word``:
 each generator of the right factor is inserted into the normal word by a
-single right-to-left scan of the rule table, with no cache.  The one-step
+single right-to-left scan of the rule table, with no cache.  The last
+insertion merges straight into the caller's term map, adding or
+subtracting each term by its accumulated swap sign.  The one-step
 rewriter ``reduce_terms`` is kept apart from it as the independent oracle.
 
 Elements are finite maps from normal-ordered words to exact Q(q)
@@ -31,17 +33,23 @@ normal-forming the inner sum before multiplying a_i into it.  This is
 exact because the normal-form product is associative: the rules are
 confluent, and confluence is verified at construction.  For Green-sum
 parafermions the inner sum already contracts same-sector terms to
-scalars, so the outer product sees fewer terms.
+scalars, so the outer product sees fewer terms.  ``sum_of_products`` is
+the outer step on its own, for callers that already hold the inner
+brackets: {u, v, w} = u {v, w} + v {w, u} + w {u, v}.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .cyclo import Cyclo, ONE, ZERO
 
 Word = tuple  # tuple of generator ids, () is the identity monomial
+
+# the scalars an Element multiplies by, on either side
+_SCALARS = (int, Fraction, Cyclo)
 
 
 class IncompatibleSystems(ValueError):
@@ -126,17 +134,27 @@ class GeneratorSystem:
 
         ``word`` must be normal; ``right`` is any word.  Generators of
         ``right`` are inserted left to right, and equal words are merged
-        after each insertion.
+        after each insertion; the last insertion merges straight into
+        ``out``.  Each term is added or subtracted by its accumulated swap
+        sign, so no negated coefficient is allocated for a word already
+        present.  A zero ``coeff`` adds nothing; coefficients live in the
+        field Q(q), so every other branch coefficient is nonzero.
         """
+        if not coeff:
+            return
+        if not right:
+            _accumulate(out, word, coeff)
+            return
         cur = {word: coeff}
         sign_rows = self._sign
         con_rows = self._contraction
         square_zero = self._square_zero
-        for g in right:
+        last = len(right) - 1
+        for n, g in enumerate(right):
             sign = sign_rows[g]
             con = con_rows[g]
             dies = square_zero[g]
-            nxt: dict = {}
+            nxt = out if n == last else {}
             for t, ct in cur.items():
                 i = len(t)
                 neg = False
@@ -148,16 +166,13 @@ class GeneratorSystem:
                         break
                     c = con.get(u)
                     if c is not None:
-                        b = ct * c
-                        _accumulate(nxt, t[:i - 1] + t[i:], -b if neg else b)
+                        _accumulate(nxt, t[:i - 1] + t[i:], ct * c, neg)
                     if sign[u] < 0:
                         neg = not neg
                     i -= 1
                 if ct is not None:
-                    _accumulate(nxt, t[:i] + (g,) + t[i:], -ct if neg else ct)
+                    _accumulate(nxt, t[:i] + (g,) + t[i:], ct, neg)
             cur = nxt
-        for t, ct in cur.items():
-            _accumulate(out, t, ct)
 
     def normalize_terms(self, terms: Mapping[Word, Cyclo]) -> dict:
         """Normal form of an arbitrary word->coefficient map."""
@@ -252,13 +267,14 @@ class GeneratorSystem:
         return " ".join(self.names[g] for g in word)
 
 
-def _accumulate(d: dict, key, val):
+def _accumulate(d: dict, key, val, neg: bool = False):
+    """``d[key] -= val`` if ``neg`` else ``d[key] += val``, for a nonzero
+    ``val``; a sum of zero drops the key, so no zero is ever stored."""
     cur = d.get(key)
     if cur is None:
-        if val:
-            d[key] = val
+        d[key] = -val if neg else val
     else:
-        cur = cur + val
+        cur = cur - val if neg else cur + val
         if cur:
             d[key] = cur
         else:
@@ -316,7 +332,7 @@ class Element:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            _accumulate(out, w, -c)
+            _accumulate(out, w, c, True)
         return Element(self.system, _normal=out)
 
     def __neg__(self) -> "Element":
@@ -329,8 +345,10 @@ class Element:
         return Element(self.system, _normal={w: c * cw for w, cw in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Cyclo)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
+        if not isinstance(other, Element):
+            return NotImplemented
         self._check(other)
         times_word = self.system.times_word
         out: dict = {}
@@ -340,7 +358,7 @@ class Element:
         return Element(self.system, _normal=out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Cyclo)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 
@@ -437,7 +455,7 @@ def colour3(a: Element, b: Element, c: Element, weights: Sequence) -> Element:
     a._check(c)
     args = (a, b, c)
     times_word = a.system.times_word
-    out: dict = {}
+    pairs = []
     for i in range(3):
         y, z = args[(i + 1) % 3], args[(i + 2) % 3]
         inner: dict = {}
@@ -447,10 +465,25 @@ def colour3(a: Element, b: Element, c: Element, weights: Sequence) -> Element:
                 cpw = cp * w
                 for wr, cr in r.terms.items():
                     times_word(wp, cpw * cr, wr, inner)
-        for wx, cx in args[i].terms.items():
-            for wr, cr in inner.items():
-                times_word(wx, cx * cr, wr, out)
-    return Element(a.system, _normal=out)
+        pairs.append((args[i], Element(a.system, _normal=inner)))
+    return sum_of_products(pairs)
+
+
+def sum_of_products(pairs: Sequence) -> Element:
+    """The sum of x * y over the (x, y) pairs, accumulated into one term map.
+
+    A ternary bracket whose inner brackets are already formed is one such
+    sum: {u, v, w} = u {v, w} + v {w, u} + w {u, v}.
+    """
+    system = pairs[0][0].system
+    times_word = system.times_word
+    out: dict = {}
+    for x, y in pairs:
+        x._check(y)
+        for wx, cx in x.terms.items():
+            for wy, cy in y.terms.items():
+                times_word(wx, cx * cy, wy, out)
+    return Element(system, _normal=out)
 
 
 def nested_action(ops: Sequence[Element], target: Element) -> Element:
@@ -481,5 +514,6 @@ def random_raw_terms(system: GeneratorSystem, rng: random.Random,
         deg = rng.randint(0, max_degree)
         word = tuple(rng.choice(gens) for _ in range(deg))
         coeff = Cyclo(rng.randint(-3, 3), rng.randint(-2, 2))
-        _accumulate(terms, word, coeff)
+        if coeff:
+            _accumulate(terms, word, coeff)
     return terms

@@ -102,7 +102,9 @@ class Cyclo:
             if d == 1 and f == 1:
                 return _new(a * c - be, a * e + b * c - be, 1)
             return _reduced(a * c - be, a * e + b * c - be, d * f)
-        return self * _coerce(other)
+        if isinstance(other, (int, Fraction)):
+            return self * _coerce(other)
+        return NotImplemented  # lets an Element scale itself by a Cyclo
 
     __rmul__ = __mul__
 

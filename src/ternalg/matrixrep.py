@@ -157,7 +157,7 @@ def cross_check_element(rep: MatrixRep, raw_terms) -> bool:
     """
     diff = dict(raw_terms)
     for word, coeff in Element(rep.alg.system, raw_terms).terms.items():
-        _accumulate(diff, word, -coeff)
+        _accumulate(diff, word, coeff, True)
     return rep.evaluate_raw(diff).is_zero()
 
 

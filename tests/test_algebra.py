@@ -261,6 +261,45 @@ def test_scalar_coercion(alg2):
     assert e.scale(Cyclo(0, 1)) == e.scale(Q)
 
 
+def test_fraction_scalar_on_either_side(alg2):
+    theta = alg2.theta(0)
+    assert theta * Fraction(1, 2) == theta.scale(Cyclo(Fraction(1, 2)))
+    assert Fraction(1, 2) * theta == theta * Fraction(1, 2)
+    assert str(Fraction(-2, 3) * theta) == "-2/3*theta^0(1) - 2/3*theta^0(2)"
+    assert Q * theta == theta * Q == theta.scale(Q)
+
+
+def test_non_scalar_operand_is_a_type_error(alg2):
+    theta = alg2.theta(0)
+    for bad in ("x", 0.5, None, [1]):
+        with pytest.raises(TypeError):
+            theta * bad
+        with pytest.raises(TypeError):
+            bad * theta
+
+
+def test_times_word_merges_into_out(alg2):
+    """The kernel adds into what ``out`` already holds: a zero coefficient
+    adds nothing, a product that cancels a held term drops its word, and an
+    empty right factor adds ``coeff * word`` as it stands."""
+    sys_ = alg2.system
+    th, d = alg2.components[(CLS_THETA, 0)][0], alg2.components[(CLS_DEL, 0)][0]
+    held = (alg2.theta(0) * alg2.d(0)).terms
+    for word, coeff in held.items():
+        out = dict(held)
+        sys_.times_word((), ZERO, word, out)
+        assert out == held
+        sys_.times_word((), -coeff, word, out)
+        assert word not in out and len(out) == len(held) - 1
+    out = {}
+    sys_.times_word((d,), ZERO, (th,), out)
+    assert out == {}
+    sys_.times_word((d,), Q, (th,), out)     # d theta = -theta d + 1/2
+    assert out == {(th, d): -Q, (): Q * Fraction(1, 2)}
+    sys_.times_word((th, d), Q, (), out)
+    assert out == {(): Q * Fraction(1, 2)}
+
+
 def _bracket_operands(alg, rng, count):
     """Seeded elements of degree <= 3 at d = 2 over theta/d pairs of both
     Green sectors, eps, the scalar theta, x and P, half of them plus a Green

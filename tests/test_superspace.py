@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from ternalg import dsl, superspace
-from ternalg.algebra import Element, commutator, random_element, sym3
+from ternalg.algebra import (TERNARY_ORDERINGS, Element, commutator,
+                             nested_action, random_element, sym3)
 from ternalg.colour import col3_weights
-from ternalg.cyclo import Q
+from ternalg.cyclo import Cyclo, Q, ZERO
 from ternalg.report import CheckReport
 from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 CLS_THETA_SC, CLS_X, DOUBLE_BRACKET_FAMILIES,
@@ -20,7 +21,8 @@ from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 _psi_base, _slot_choices, build,
                                 check_closure, check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
-                                check_roby, check_superspace_transformation)
+                                check_roby, check_superspace_transformation,
+                                colour_action)
 
 
 def _all_pass(reports):
@@ -142,13 +144,14 @@ def _ordered_psi_bracket(alg):
     sign_txt = "undetermined" if global_sign is None else f"{global_sign:+d}"
     notes = (f"computed global sign {sign_txt} "
              f"(i.e. bracket = sign * s * 4(...)); "
-             "tabulated reference prints the opposite overall sign -s; "
-             "mixed bracket {psi+_0, psi+_1, psi-_2} ")
+             "tabulated reference prints the opposite overall sign -s; ")
     if d >= 2:
-        notes += "= " + str(sym3(alg.psi(1, 0), alg.psi(1, 1),
-                                 alg.psi(-1, min(2, d - 1))))
+        mixed = min(2, d - 1)
+        notes += (f"mixed bracket {{psi+_0, psi+_1, psi-_{mixed}}} = "
+                  + str(sym3(alg.psi(1, 0), alg.psi(1, 1), alg.psi(-1, mixed))))
     else:
-        notes += "not formed: it needs psi^1, and d = 1"
+        notes += ("mixed bracket {psi+_0, psi+_1, psi-_2} "
+                  "not formed: it needs psi^1, and d = 1")
     return rep.residuals, notes
 
 
@@ -174,6 +177,71 @@ def test_orbit_sweeps_match_ordered_reference(d, kappa, sectors, n_para,
     psi = check_psi_bracket(alg)
     assert (psi.residuals, psi.notes) == _ordered_psi_bracket(alg)
     assert len(psi.residuals) == n_psi
+
+
+def _ordered_roby_residuals(alg):
+    """Reference for ``check_roby``: ``sym3`` of every unordered triple of
+    names, with no pair table."""
+    rep = CheckReport("roby", "")
+    names = [(lbl, el) for lbl, el, _ in alg.non_derivative_choices()]
+    for (la, ea), (lb, eb), (lc, ec) in \
+            itertools.combinations_with_replacement(names, 3):
+        rep.expect_zero((la, lb, lc), sym3(ea, eb, ec))
+    return rep.residuals
+
+
+@pytest.mark.parametrize("d, kappa, sectors, n_roby", [
+    (2, Fraction(1, 2), (0, 1), 0),
+    (3, Fraction(1, 2), (0, 1), 0),
+    (2, Fraction(1, 3), (0, 1), 0),
+    (2, Fraction(1, 2), (0, 1, 2), 165),
+])
+def test_roby_pair_table_matches_ordered_reference(d, kappa, sectors, n_roby,
+                                                   monkeypatch):
+    """Forming each {u, v} once per call reports, triple for triple, what
+    ``sym3`` per triple reports: on passing algebras, on a wrong pairing and
+    with three Green sectors, where every triple fails."""
+    monkeypatch.setattr(superspace, "GREEN_SECTORS", sectors)
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
+                                 pairing_kappa=kappa))
+    got = check_roby(alg).residuals
+    assert got == _ordered_roby_residuals(alg)
+    assert len(got) == n_roby
+
+
+def test_colour_action_matches_nested_sum(alg2):
+    """``colour_action`` (grouped by the leading V_i) equals the direct sum
+    of w * [V_i, [V_j, [V_k, t]]] over the six orderings, on theta monomials
+    of degree 1-3 and on x^alpha at d = 2, with the paper weights and with
+    random weights that include a zero; no zero coefficient is stored."""
+    rng = random.Random(47)
+    weight_sets = [col3_weights()]
+    for _ in range(2):
+        ws = [Cyclo(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(6)]
+        ws[rng.randrange(6)] = ZERO
+        weight_sets.append(tuple(ws))
+    targets = [alg2.x(alpha) for alpha in range(2)]
+    for degree in (1, 2, 3):
+        for idx in itertools.product(range(2), repeat=degree):
+            target = alg2.theta(idx[0])
+            for mu in idx[1:]:
+                target = target * alg2.theta(mu)
+            targets.append(target)
+    nonzero = 0
+    for weights in weight_sets:
+        for target in targets:
+            want = Element.zero(alg2.system)
+            for (i, j, k), w in zip(TERNARY_ORDERINGS, weights):
+                ops = [alg2.V(i + 1), alg2.V(j + 1), alg2.V(k + 1)]
+                want = want + nested_action(ops, target).scale(w)
+            got = colour_action(alg2, weights, target)
+            assert got == want, str(target)
+            assert all(got.terms.values())
+            nonzero += bool(got)
+    # three nested actions kill every theta monomial of degree < 3, and the
+    # paper weights kill degree 3 too; so the comparison is carried by
+    # x^alpha (2 per weight set) and by 4 degree-3 monomials per random set
+    assert nonzero == 2 * 3 + 4 * 2
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -229,6 +297,8 @@ def test_psi_bracket(alg2):
     rep = check_psi_bracket(alg2)
     assert rep.passed, rep.residuals[:2]
     assert "computed global sign +1" in rep.notes
+    # at d = 2 the mixed bracket takes psi-_1, and its label says so
+    assert "mixed bracket {psi+_0, psi+_1, psi-_1} = 0" in rep.notes
 
 
 def test_transformation(alg2):
