@@ -12,7 +12,7 @@ Grammar (whitespace insensitive)::
             | 'cbr' '(' grades ';' expr ',' expr ',' expr ')'
             | 'star' '(' expr ')'
             | 'act' '(' exprlist ';' expr ')'
-    gen    := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))?
+    gen    := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))? ('(' INT ')')?
     rational := ['-'] INT ('/' INT)?
 
 A factor may follow a factor without '*', a number only after '*' (or
@@ -29,7 +29,9 @@ Generator names are the algebra's labels, ``SuperspaceAlgebra.symbols``:
 symbols are ``J_{01}``, ``L_{01}``, ``V_1``..``V_3``, and ``psi+_0`` /
 ``psi-_0``.  The index position is part of the name: ``theta_0``, ``d^0``
 and ``theta^00`` are unknown generators, not other spellings of
-``theta^0``.  A bare ``q`` is the primitive cube root of unity.
+``theta^0``.  A name followed by ``(`` INT ``)`` is a Green component as
+the engine prints it, ``theta^0(1)``; ``x^0(1)`` is unknown, not 1*x^0.
+A bare ``q`` is the primitive cube root of unity.
 
 The parser evaluates as it reads: every rule returns the normal-formed
 element it denotes, so there is no syntax tree, and the first error in
@@ -96,6 +98,8 @@ def _resolve(name: str, alg: SuperspaceAlgebra) -> Element:
     above the dimension."""
     if name in alg.symbols:
         return alg.symbols[name]
+    if name in alg.system.names:   # a Green component
+        return Element.generator(alg.system, alg.system.names.index(name))
     m = _DERIVED_RE.match(name)
     if m is None:
         raise KeyError(name)
@@ -248,7 +252,7 @@ class _Parser:
         self.expect(";")
         return nested_action(ops, self.expr(")"))
 
-    # gen := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))?
+    # gen := IDENT ('^' INT | '_' (INT | '{' INT INT? '}'))? ('(' INT ')')?
     def gen(self) -> Element:
         _, name, pos = self.next()
         if self.accept("^"):
@@ -262,6 +266,9 @@ class _Parser:
                 name += "_{" + digits + "}"
             else:
                 name += "_" + self.expect("num")[1]
+        if [t[0] for t in self.toks[self.i:self.i + 3]] == ["(", "num", ")"]:
+            name += "(" + self.toks[self.i + 1][1] + ")"
+            self.i += 3
         try:
             return _resolve(name, self.alg)
         except KeyError:

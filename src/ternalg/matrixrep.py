@@ -186,18 +186,21 @@ def check_representation(rep: MatrixRep) -> CheckReport:
     return rep_report
 
 
+MAX_DEGREE = 4  # word length bound of ``check_random_equivalence``'s samples
+
+
 def check_random_equivalence(rep: MatrixRep, n_samples: int = 200,
-                             max_degree: int = 4, seed: int = 0) -> CheckReport:
+                             seed: int = 0) -> CheckReport:
     """Seeded sweep: raw and normal-form matrix evaluations agree."""
     gens = sorted(rep.actions)
     rng = random.Random(seed)
     with CheckReport(
             "oracle.random",
-            f"{n_samples} seeded random elements of degree <= {max_degree}: "
+            f"{n_samples} seeded random elements of degree <= {MAX_DEGREE}: "
             "raw-word and normal-form matrix evaluations agree") as report:
         for k in range(n_samples):
             raw = random_raw_terms(rep.alg.system, rng, gens,
-                                   max_degree=max_degree, n_terms=4)
+                                   max_degree=MAX_DEGREE, n_terms=4)
             if not cross_check_element(rep, raw):
                 report.add_residual((k,), "raw and normal-form matrices differ")
     return report

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from ternalg import superspace
+from ternalg import colour, superspace
+from ternalg.algebra import GeneratorSystem
+from ternalg.cyclo import ONE
 from ternalg.suites import SuiteSpec, run_suite
 from ternalg.superspace import MetricSignature, SuperspaceConfig, build
 
@@ -39,12 +41,24 @@ def alg4():
 def corrupted_d2_runs():
     """``--suite all`` at d = 2 under each corruption, run once per session:
     {name: (spec, reports)}.  "kappa=1/3" corrupts the pairing, "p=3" gives
-    every parafermion three Green components instead of two."""
+    every parafermion three Green components instead of two, "Px=-1"
+    negates every contraction P_mu x^nu -> x^nu P_mu + c, and
+    "unit-weights" replaces the colour-bracket weights by six ones."""
+    def p_x_negated(names, swap, contraction, square_zero):
+        contraction = {(u, v): -c if names[u].startswith("P_") else c
+                       for (u, v), c in contraction.items()}
+        return GeneratorSystem(names, swap, contraction, square_zero)
+
     runs = {}
     spec = SuiteSpec("all", dimension=2, seed=0, kappa=Fraction(1, 3))
     runs["kappa=1/3"] = spec, run_suite(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(superspace, "GREEN_SECTORS", (0, 1, 2))
-        spec = SuiteSpec("all", dimension=2)
-        runs["p=3"] = spec, run_suite(spec)
+    for name, (module, attr, value) in {
+            "p=3": (superspace, "GREEN_SECTORS", (0, 1, 2)),
+            "Px=-1": (superspace, "GeneratorSystem", p_x_negated),
+            "unit-weights": (colour, "col3_weights", lambda: (ONE,) * 6),
+    }.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, attr, value)
+            spec = SuiteSpec("all", dimension=2)
+            runs[name] = spec, run_suite(spec)
     return runs

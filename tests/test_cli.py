@@ -112,6 +112,8 @@ def test_eval_reads_back_its_scalar_output(argv, capsys):
     ("theta^0 * theta^7", "2"),
     # a lowered index is not another spelling: theta_1 = -theta^1
     ("theta^1 + theta_1", "2"),
+    # a Green component must exist; x^mu is one generator, named x^mu
+    ("theta^0 + x^0(1)", "2"),
 ])
 def test_eval_unknown_generator_position(expr, dim, capsys):
     assert main(["eval", expr, "--dim", dim]) == 2

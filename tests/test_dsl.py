@@ -1,14 +1,14 @@
 """Expression language: grammar, evaluation, pinned values, errors."""
 
 import json
-import re
 from pathlib import Path
 
 import pytest
 
 from ternalg import dsl
 from ternalg.algebra import commutator, sym3
-from ternalg.cyclo import Cyclo, Q
+from ternalg.cyclo import ONE, Cyclo, Q
+from ternalg.superspace import CLS_THETA
 
 
 ROUND_TRIP_SOURCES = [
@@ -28,23 +28,17 @@ ROUND_TRIP_SOURCES = [
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "dsl_values_d2.json").read_text())
 
-# a Green component in a rendering, e.g. theta^0(1); the DSL has no name
-# for one, so such a rendering does not read back as its own value
-_GREEN_COMPONENT_RE = re.compile(r"\(\d+\)")
-
 
 @pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
 def test_parse_render_fixpoint(src, alg2):
     """The source rendered one token per word reads as the same element,
-    and a rendered value that names no Green component reads back as
+    and the rendered value, Green components included, reads back as
     itself."""
     value = dsl.evaluate(src, alg2)
     spaced = " ".join(text for kind, text, _ in dsl._tokenize(src)
                       if kind != "eof")
     assert dsl.evaluate(spaced, alg2) == value
-    rendered = str(value)
-    if not _GREEN_COMPONENT_RE.search(rendered):
-        assert dsl.evaluate(rendered, alg2) == value
+    assert dsl.evaluate(str(value), alg2) == value
 
 
 @pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
@@ -156,6 +150,14 @@ def test_errors_are_positioned(bad, alg2):
     with pytest.raises(dsl.DslError) as exc:
         dsl.evaluate(bad, alg2)
     assert "position" in str(exc.value)
+
+
+def test_green_component_names(alg2):
+    """A name followed by (INT) is the Green component the engine prints,
+    not the name times a juxtaposed number."""
+    th0_2 = alg2.components[(CLS_THETA, 0)][1]
+    assert dsl.evaluate("theta^0(2)", alg2).terms == {(th0_2,): ONE}
+    assert dsl.evaluate("theta^0(1) + theta^0(2)", alg2) == alg2.theta(0)
 
 
 def test_optional_star_between_factors(alg2):

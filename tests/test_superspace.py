@@ -15,10 +15,11 @@ from ternalg.cyclo import Cyclo, Q, ZERO
 from ternalg.report import CheckReport
 from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 CLS_THETA_SC, CLS_X, DOUBLE_BRACKET_FAMILIES,
-                                GREEN_SECTORS, SYM_BRACKET_FAMILIES,
+                                GREEN_SECTORS, REALISED_QUARTIC_COEFFS,
+                                REFERENCE_QUARTIC_COEFFS, SYM_BRACKET_FAMILIES,
                                 MetricSignature, SuperspaceConfig,
                                 _expected_double, _expected_sym, _label,
-                                _psi_base, _slot_choices, build,
+                                _psi_base, build,
                                 check_closure, check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
                                 check_roby, check_superspace_transformation,
@@ -93,22 +94,31 @@ def test_corrupted_pairing_leaves_residual():
     assert str(alg.theta(0)) in rendered
 
 
+def _slot_keys(alg, kind):
+    """The slot keys of one pattern letter: "N" the coordinate-type names,
+    "D" the conjugates d_mu."""
+    if kind == "N":
+        return alg.coordinate_keys
+    return [(CLS_DEL, mu) for mu in range(alg.dimension)]
+
+
 def _ordered_para_residuals(alg):
     """Reference for ``check_parafermion_relations``: ``lhs - rhs`` reduced
-    for every ordered index tuple, with no orbit quotient.  Returns
-    [(check_id, residuals)] in family order."""
+    for every ordered slot-key tuple, with no orbit quotient and no pair
+    table.  Returns [(check_id, residuals)] in family order."""
     out = []
-    for family_id, pattern in DOUBLE_BRACKET_FAMILIES + SYM_BRACKET_FAMILIES:
+    el = alg._named
+    for family_id, pattern, _ in DOUBLE_BRACKET_FAMILIES + SYM_BRACKET_FAMILIES:
         rep = CheckReport(family_id, "")
-        slots = [_slot_choices(alg, kind) for kind in pattern]
+        slots = [_slot_keys(alg, kind) for kind in pattern]
         for a, b, c in itertools.product(*slots):
             if family_id.startswith("para."):
-                lhs = sym3(a[1], b[1], c[1])
+                lhs = sym3(el[a], el[b], el[c])
                 rhs = _expected_sym(alg, a, b, c)
             else:
-                lhs = commutator(commutator(a[1], b[1]), c[1])
+                lhs = commutator(commutator(el[a], el[b]), el[c])
                 rhs = _expected_double(alg, a, b, c)
-            rep.expect_zero((a[0], b[0], c[0]), lhs - rhs)
+            rep.expect_zero((_label(*a), _label(*b), _label(*c)), lhs - rhs)
         out.append((family_id, rep.residuals))
     return out
 
@@ -181,12 +191,13 @@ def test_orbit_sweeps_match_ordered_reference(d, kappa, sectors, n_para,
 
 def _ordered_roby_residuals(alg):
     """Reference for ``check_roby``: ``sym3`` of every unordered triple of
-    names, with no pair table."""
+    slot keys, with no pair table."""
     rep = CheckReport("roby", "")
-    names = [(lbl, el) for lbl, el, _ in alg.non_derivative_choices()]
-    for (la, ea), (lb, eb), (lc, ec) in \
-            itertools.combinations_with_replacement(names, 3):
-        rep.expect_zero((la, lb, lc), sym3(ea, eb, ec))
+    el = alg._named
+    for a, b, c in itertools.combinations_with_replacement(
+            alg.coordinate_keys, 3):
+        rep.expect_zero((_label(*a), _label(*b), _label(*c)),
+                        sym3(el[a], el[b], el[c]))
     return rep.residuals
 
 
@@ -248,23 +259,18 @@ def test_colour_action_matches_nested_sum(alg2):
 def test_expected_sides_have_the_bracket_symmetry(d):
     """The right-hand sides obey the symmetry the orbit quotient relies on:
     ``_expected_sym`` is invariant under every permutation of its slots,
-    ``_expected_double`` is antisymmetric in slots 1-2 for every double
-    family whose slots 1-2 have the same kind, and the psi right-hand side
-    is symmetric in (mu, nu, rho)."""
+    ``_expected_double`` is antisymmetric in slots 1-2 for every triple of
+    slot keys (the double families order slots 1-2 whatever their kinds),
+    and the psi right-hand side is symmetric in (mu, nu, rho)."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
-    choices = _slot_choices(alg, "N") + _slot_choices(alg, "D")
+    choices = _slot_keys(alg, "N") + _slot_keys(alg, "D")
     for triple in itertools.product(choices, repeat=3):
         want = _expected_sym(alg, *triple)
         for perm in itertools.permutations(triple):
             assert _expected_sym(alg, *perm) == want
-    antisymmetric = [pattern for _, pattern in DOUBLE_BRACKET_FAMILIES
-                     if pattern[0] == pattern[1]]
-    assert len(antisymmetric) == 4   # para1.1, para1.2, para1.5, para1.6
-    for pattern in antisymmetric:
-        slots = [_slot_choices(alg, kind) for kind in pattern]
-        for a, b, c in itertools.product(*slots):
-            assert _expected_double(alg, a, b, c) == \
-                -_expected_double(alg, b, a, c)
+        a, b, c = triple
+        assert _expected_double(alg, a, b, c) == \
+            -_expected_double(alg, b, a, c)
     for s in (1, -1):
         for idx in itertools.product(range(d), repeat=3):
             want = _psi_base(alg, s, *idx)
@@ -279,7 +285,7 @@ def test_roby(alg2):
 def test_roby_instance_count(alg2):
     # 7 coordinate-type names at d=2 -> C(9,3) unordered triples with
     # repetition; every one reduces to zero
-    names = alg2.non_derivative_choices()
+    names = alg2.coordinate_keys
     assert len(names) == 1 + 2 + 3 * 2
 
 
@@ -337,6 +343,17 @@ def test_closure(alg2):
     assert "multiset matches" in by_id["closure.deltax"].notes
 
 
+def test_realised_quartic_coefficients_pair_differently():
+    """The notes of ``closure.deltax`` state a fact about two constants:
+    the realised coefficients have the reference multiset
+    {-1, -1, -q, -q, -q^2, -q^2} but pair with different quartic shapes."""
+    want = sorted(map(str, [-Cyclo(1), -Cyclo(1), -Q, -Q, -Q * Q, -Q * Q]))
+    for coeffs in (REALISED_QUARTIC_COEFFS, REFERENCE_QUARTIC_COEFFS):
+        assert sorted(map(str, coeffs.values())) == want
+    assert set(REALISED_QUARTIC_COEFFS) == set(REFERENCE_QUARTIC_COEFFS)
+    assert REALISED_QUARTIC_COEFFS != REFERENCE_QUARTIC_COEFFS
+
+
 def test_dimension_three_smoke():
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
     _all_pass(check_poincare_realisation(alg))
@@ -357,19 +374,39 @@ def test_green_order_three_control(corrupted_d2_runs):
     assert len(reports) == 55
 
 
+def test_px_and_unit_weight_controls(corrupted_d2_runs):
+    """A negated P x contraction fails the x/P sector (and the
+    structure-table cross-check that reads [L, P]); unit colour weights
+    fail the weight check and both colour-bracket closure checks.  Both
+    with these exact residual counts at d = 2."""
+    for name, want in (
+            ("Px=-1", {"poincare.LP": 2, "trans.x": 6,
+                       "order3.superspace": 2, "closure.deltax": 2}),
+            ("unit-weights", {"colour.weights": 2, "closure.annihilate": 5,
+                              "closure.deltax": 4})):
+        _, reports = corrupted_d2_runs[name]
+        assert {r.check_id: len(r.residuals)
+                for r in reports if not r.passed} == want, name
+
+
 # check ID -> the corruptions of ``corrupted_d2_runs`` that fail it at d = 2
 CONTROLS = {
     "para1.2": {"kappa=1/3"}, "para1.3": {"kappa=1/3"},
     "para1.4": {"kappa=1/3"}, "para1.5": {"kappa=1/3"},
     "para.1": {"p=3"}, "para.2": {"kappa=1/3", "p=3"},
     "para.3": {"kappa=1/3", "p=3"}, "para.4": {"p=3"}, "roby": {"p=3"},
-    "poincare.Jtheta": {"kappa=1/3"}, "order3.superspace": {"kappa=1/3"},
-    "trans.theta": {"kappa=1/3"}, "psi.bracket": {"kappa=1/3", "p=3"},
-    "closure.leib": {"kappa=1/3"}, "closure.deltax": {"kappa=1/3"},
+    "poincare.Jtheta": {"kappa=1/3"}, "poincare.LP": {"Px=-1"},
+    "order3.superspace": {"kappa=1/3", "Px=-1"},
+    "colour.weights": {"unit-weights"},
+    "trans.theta": {"kappa=1/3"}, "trans.x": {"Px=-1"},
+    "psi.bracket": {"kappa=1/3", "p=3"},
+    "closure.leib": {"kappa=1/3"},
+    "closure.annihilate": {"unit-weights"},
+    "closure.deltax": {"kappa=1/3", "Px=-1", "unit-weights"},
     "oracle.zero": {"kappa=1/3", "p=3"},
 }
 
-# check IDs that neither corruption fails: no suite-wide control shows yet
+# check IDs that no corruption fails: no suite-wide control shows yet
 # that they can fail.  A new corruption shrinks this list; loosening a
 # check never may.  (order3.* and colour.axioms have table-level
 # corruption tests of their own in test_order3.py and test_colour.py.)
@@ -377,11 +414,11 @@ NO_CONTROL_YET = {
     "arith.root", "arith.ring", "arith.conj", "arith.division",
     "engine.idempotent", "engine.confluence", "engine.star", "engine.sym3",
     "para1.1", "para1.6",
-    "poincare.LL", "poincare.LP", "poincare.PP", "poincare.Ptheta",
+    "poincare.LL", "poincare.PP", "poincare.Ptheta",
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
-    "colour.axioms", "colour.weights",
-    "trans.x", "trans.eps", "trans.deltax",
-    "closure.annihilate", "closure.symmetric",
+    "colour.axioms",
+    "trans.eps", "trans.deltax",
+    "closure.symmetric",
 } | {f"oracle.{kind}.{sub}" for kind in ("rep", "random")
      for sub in ("th0", "th0-d0", "sc-th0-d0", "e1-e2-e3", "th0-th1",
                  "th0-e1", "th0-th1-d1")}
