@@ -5,11 +5,11 @@ A ``GeneratorSystem`` fixes a total (canonical) order on the generators and a
 quadratic rule table: for u strictly after v in canonical order, the word
 ``u v`` rewrites to ``swap_sign(u,v) * v u + contraction(u,v) * 1``, and a
 generator with the zero square rule has ``u u -> 0``.  Every swap strictly
-decreases the number of inversions of a word, so rewriting terminates; local
-confluence is verified at construction time on the descending length-3
-overlap words that carry a contraction (the others are confluent by the
-lemma in ``_verify_local_confluence``), and construction fails loudly on a
-mismatch.
+decreases the number of inversions of a word, so rewriting terminates; by
+Bergman's diamond lemma (Adv. Math. 29, 1978) normal forms are then unique
+iff every descending length-3 overlap word has one.  Construction checks
+the closed form of those critical pairs, a sign condition per contraction
+derived in ``_verify_local_confluence``, and fails loudly on a mismatch.
 
 Products are normal-ordered by one kernel, ``GeneratorSystem.times_word``:
 each generator of the right factor is inserted into the normal word by a
@@ -184,14 +184,6 @@ class GeneratorSystem:
 
     # -- single-step reducer (independent of the insertion path) --------
 
-    def _reducible_positions(self, word: Word):
-        pos = []
-        for i in range(len(word) - 1):
-            u, v = word[i], word[i + 1]
-            if u > v or (u == v and self._square_zero[u]):
-                pos.append(i)
-        return pos
-
     def _apply_rule(self, word: Word, i: int) -> dict:
         u, v = word[i], word[i + 1]
         out: dict = {}
@@ -213,11 +205,16 @@ class GeneratorSystem:
         must agree with :meth:`normalize_terms`; the randomised agreement is
         the package's confluence oracle.
         """
+        square_zero = self._square_zero
         pending = [(w, c) for w, c in terms.items() if c]
         out: dict = {}
         while pending:
             word, coeff = pending.pop()
-            pos = self._reducible_positions(word)
+            pos = []
+            for i in range(len(word) - 1):
+                u, v = word[i], word[i + 1]
+                if u > v or (u == v and square_zero[u]):
+                    pos.append(i)
             if not pos:
                 _accumulate(out, word, coeff)
                 continue
@@ -234,30 +231,29 @@ class GeneratorSystem:
         return {w: c for w, c in out.items() if c}
 
     def _verify_local_confluence(self):
-        # Only overlap words with a contraction among their letters are
-        # reduced.  Without one, every rewrite of u v w either swaps two
-        # distinct letters, with their swap sign, or kills a zero square.
-        # Each pair of distinct letters is then swapped exactly once on any
-        # path, so every strategy reaches the product of their swap signs
-        # times w v u; or 0 when a square-zero letter repeats, since the
-        # letters are only permuted and no normal word repeats it.
-        n = len(self.names)
-        con = self._contraction
-        for u in range(n):
-            for v in range(u + 1):
-                for w in range(v + 1):
-                    if u not in con[v] and u not in con[w] and v not in con[w]:
-                        continue
-                    word = (u, v, w)
-                    if len(self._reducible_positions(word)) < 2:
-                        continue
-                    left = self.reduce_terms({word: ONE}, "leftmost")
-                    right = self.reduce_terms({word: ONE}, "rightmost")
-                    if left != right:
-                        raise ConfluenceError(
-                            f"rule table not confluent on overlap word "
-                            f"{self.render_word(word)}: leftmost and rightmost "
-                            f"reductions disagree")
+        # Bergman's critical pairs in closed form (s: swap_sign, c:
+        # contraction).  For u > v > w both reductions of u v w, leftmost
+        # and rightmost, end in s_uv s_uw s_vw w v u plus one-letter terms:
+        #   leftmost   c_uv w + s_uv c_uw v + s_uv s_uw c_vw u,
+        #   rightmost  s_vw s_uw c_uv w + s_vw c_uw v + c_vw u,
+        # so each c(a, b) != 0 needs s(t, a) == s(t, b) for every other t.
+        # With u square-zero, u u w gives 0 one way and c_uw (1 + s_uw) u
+        # the other (u w w likewise), so then s(a, b) == -1.  Overlaps
+        # without a contraction only permute letters.
+        sign, zero = self._sign, self._square_zero
+        bad = []
+        for b, row in enumerate(self._contraction):
+            for a in row:
+                bad += [tuple(sorted((a, b, t), reverse=True))
+                        for t, (sa, sb) in enumerate(zip(sign[a], sign[b]))
+                        if sa != sb and t != a and t != b]
+                if sign[a][b] > 0:
+                    bad += [(a, a, b)] * zero[a] + [(a, b, b)] * zero[b]
+        if bad:
+            raise ConfluenceError(
+                f"rule table not confluent on overlap word "
+                f"{self.render_word(min(bad))}: leftmost and rightmost "
+                f"reductions disagree")
 
     # -- rendering -------------------------------------------------------
 

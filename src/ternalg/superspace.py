@@ -657,6 +657,9 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
     with CheckReport("closure.annihilate",
                      "the colour bracket of (V_1, V_2, V_3) annihilates "
                      "theta monomials of degree 1..4") as rep:
+        # Degrees 1 and 2 are zero for any weights: three nested ad_V need
+        # three theta letters.  They stay as part of the paper's claim and the
+        # report; test_colour_action_matches_nested_sum pins that they vanish.
         for a in range(d):
             rep.expect_zero((1, a),
                             colour_action(alg, col3_weights, alg.theta(a)))

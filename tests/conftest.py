@@ -27,6 +27,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+class UncheckedSystem(GeneratorSystem):
+    """A generator system whose rule table is not checked at construction."""
+
+    def _verify_local_confluence(self):
+        pass
+
+
+def cross_sector_pairing(names, swap, contraction, square_zero):
+    """The rule table with each d_mu(2) also contracted with theta^mu(1),
+    by the scalar that pairs d_mu(1) with it: a pairing across Green
+    sectors, which breaks local confluence."""
+    ids = {name: g for g, name in enumerate(names)}
+    contraction = dict(contraction)
+    for name in names:
+        if name.startswith("d_") and name.endswith("(2)"):
+            mu = name[2:-3]
+            theta = ids[f"theta^{mu}(1)"]
+            same_sector = contraction[(ids[f"d_{mu}(1)"], theta)]
+            contraction[(ids[name], theta)] = same_sector
+    return names, swap, contraction, square_zero
+
+
 @pytest.fixture(scope="session")
 def alg2():
     return build(SuperspaceConfig(metric=MetricSignature.minkowski(2)))
@@ -42,8 +64,10 @@ def corrupted_d2_runs():
     """``--suite all`` at d = 2 under each corruption, run once per session:
     {name: (spec, reports)}.  "kappa=1/3" corrupts the pairing, "p=3" gives
     every parafermion three Green components instead of two, "Px=-1"
-    negates every contraction P_mu x^nu -> x^nu P_mu + c, and
-    "unit-weights" replaces the colour-bracket weights by six ones."""
+    negates every contraction P_mu x^nu -> x^nu P_mu + c,
+    "unit-weights" replaces the colour-bracket weights by six ones, and
+    "non-confluent" builds the cross-sector pairing with its construction
+    check skipped."""
     def p_x_negated(names, swap, contraction, square_zero):
         contraction = {(u, v): -c if names[u].startswith("P_") else c
                        for (u, v), c in contraction.items()}
@@ -56,6 +80,8 @@ def corrupted_d2_runs():
             "p=3": (superspace, "GREEN_SECTORS", (0, 1, 2)),
             "Px=-1": (superspace, "GeneratorSystem", p_x_negated),
             "unit-weights": (colour, "col3_weights", lambda: (ONE,) * 6),
+            "non-confluent": (superspace, "GeneratorSystem", lambda *args:
+                              UncheckedSystem(*cross_sector_pairing(*args))),
     }.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(module, attr, value)

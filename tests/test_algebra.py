@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import UncheckedSystem, cross_sector_pairing
+from ternalg import superspace
 from ternalg.algebra import (TERNARY_ORDERINGS, ConfluenceError, Element,
                              GeneratorSystem, IncompatibleSystems,
                              anticommutator, colour3, commutator,
@@ -153,13 +155,6 @@ def test_inconsistent_rules_rejected():
             square_zero=(0,))
 
 
-class _UncheckedSystem(GeneratorSystem):
-    """A generator system whose rule table is not checked at construction."""
-
-    def _verify_local_confluence(self):
-        pass
-
-
 def _confluent_by_full_sweep(sys_) -> bool:
     """Reference check: reduce every descending overlap word both ways."""
     n = sys_.size()
@@ -173,10 +168,22 @@ def _confluent_by_full_sweep(sys_) -> bool:
     return True
 
 
+def _assert_names_a_witness(err, args):
+    """The overlap word that ``err`` names is a descending word of the
+    table ``args`` whose leftmost and rightmost reductions differ."""
+    named = str(err).split("overlap word ")[1].split(":")[0]
+    word = tuple(args[0].index(name) for name in named.split(" "))
+    assert len(word) == 3 and list(word) == sorted(word, reverse=True)
+    unchecked = UncheckedSystem(*args)
+    assert (unchecked.reduce_terms({word: ONE}, "leftmost")
+            != unchecked.reduce_terms({word: ONE}, "rightmost"))
+
+
 def test_confluence_check_matches_full_sweep():
-    """The construction-time check skips overlap words without a
-    contraction; on random small rule tables it must accept and reject
-    exactly what reducing every overlap word accepts and rejects."""
+    """The construction-time sign criterion reduces nothing; on random
+    small rule tables it must accept and reject exactly what reducing
+    every overlap word both ways accepts and rejects, and name a word
+    that the two reductions disagree on."""
     rng = random.Random(29)
     values = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Q, Cyclo(1, -1))
     outcomes = []
@@ -192,11 +199,66 @@ def test_confluence_check_matches_full_sweep():
         try:
             GeneratorSystem(*args)
             accepted = True
-        except ConfluenceError:
+        except ConfluenceError as err:
             accepted = False
-        assert accepted == _confluent_by_full_sweep(_UncheckedSystem(*args)), args
+            _assert_names_a_witness(err, args)
+        assert accepted == _confluent_by_full_sweep(UncheckedSystem(*args)), args
         outcomes.append(accepted)
     assert any(outcomes) and not all(outcomes)
+
+
+def _rule_table(monkeypatch, d, kappa=Fraction(1, 2), sectors=(0, 1)):
+    """The (names, swap, contraction, square_zero) arguments that ``build``
+    passes to ``GeneratorSystem`` at dimension d."""
+    tables = []
+
+    def record(*args):
+        tables.append(args)
+        return GeneratorSystem(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(superspace, "GeneratorSystem", record)
+        mp.setattr(superspace, "GREEN_SECTORS", sectors)
+        build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
+                               pairing_kappa=kappa))
+    (table,) = tables
+    return table
+
+
+@pytest.mark.parametrize("d, kappa, sectors", [
+    (1, Fraction(1, 2), (0, 1)), (2, Fraction(1, 2), (0, 1)),
+    (3, Fraction(1, 2), (0, 1)), (2, Fraction(1, 3), (0, 1)),
+    (2, Fraction(1, 2), (0, 1, 2))])
+def test_superspace_rule_tables_are_confluent(monkeypatch, d, kappa, sectors):
+    """The superspace rule tables (and the kappa = 1/3 and p = 3 ones) pass
+    the construction check and reducing every overlap word both ways."""
+    args = _rule_table(monkeypatch, d, kappa, sectors)
+    GeneratorSystem(*args)
+    assert _confluent_by_full_sweep(UncheckedSystem(*args))
+
+
+def _flipped_swap(a, b):
+    """A corruption that flips the swap sign of the same-sector pair a, b."""
+    def corrupt(names, swap, contraction, square_zero):
+        key = (names.index(a), names.index(b))
+        return names, {**swap, key: -swap[key]}, contraction, square_zero
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    cross_sector_pairing,
+    _flipped_swap("d_0(1)", "theta^0(1)"),
+    _flipped_swap("d_0(1)", "theta^1(1)")],
+    ids=["cross-sector-pairing", "same-sector-swap-plus", "flipped-sign"])
+def test_corrupted_rule_tables_rejected(monkeypatch, corrupt):
+    """Corrupted d = 2 tables fail both the construction check and the full
+    sweep, and the error names an overlap word whose leftmost and
+    rightmost reductions really differ."""
+    args = corrupt(*_rule_table(monkeypatch, 2))
+    with pytest.raises(ConfluenceError) as err:
+        GeneratorSystem(*args)
+    _assert_names_a_witness(err.value, args)
+    assert not _confluent_by_full_sweep(UncheckedSystem(*args))
 
 
 def _raw_product(a_raw: dict, b_raw: dict) -> dict:

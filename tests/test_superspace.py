@@ -391,20 +391,27 @@ def test_px_and_unit_weight_controls(corrupted_d2_runs):
 
 # check ID -> the corruptions of ``corrupted_d2_runs`` that fail it at d = 2
 CONTROLS = {
-    "para1.2": {"kappa=1/3"}, "para1.3": {"kappa=1/3"},
-    "para1.4": {"kappa=1/3"}, "para1.5": {"kappa=1/3"},
-    "para.1": {"p=3"}, "para.2": {"kappa=1/3", "p=3"},
-    "para.3": {"kappa=1/3", "p=3"}, "para.4": {"p=3"}, "roby": {"p=3"},
-    "poincare.Jtheta": {"kappa=1/3"}, "poincare.LP": {"Px=-1"},
-    "order3.superspace": {"kappa=1/3", "Px=-1"},
+    "engine.confluence": {"non-confluent"}, "engine.star": {"non-confluent"},
+    "para1.2": {"kappa=1/3", "non-confluent"},
+    "para1.3": {"kappa=1/3", "non-confluent"},
+    "para1.4": {"kappa=1/3", "non-confluent"},
+    "para1.5": {"kappa=1/3", "non-confluent"},
+    "para.1": {"p=3"}, "para.2": {"kappa=1/3", "p=3", "non-confluent"},
+    "para.3": {"kappa=1/3", "p=3", "non-confluent"},
+    "para.4": {"p=3"}, "roby": {"p=3"},
+    "poincare.Jtheta": {"kappa=1/3", "non-confluent"},
+    "poincare.LP": {"Px=-1"},
+    "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent"},
     "colour.weights": {"unit-weights"},
-    "trans.theta": {"kappa=1/3"}, "trans.x": {"Px=-1"},
-    "psi.bracket": {"kappa=1/3", "p=3"},
-    "closure.leib": {"kappa=1/3"},
-    "closure.annihilate": {"unit-weights"},
+    "trans.theta": {"kappa=1/3", "non-confluent"}, "trans.x": {"Px=-1"},
+    "psi.bracket": {"kappa=1/3", "p=3", "non-confluent"},
+    "closure.leib": {"kappa=1/3", "non-confluent"},
+    "closure.annihilate": {"unit-weights", "non-confluent"},
     "closure.deltax": {"kappa=1/3", "Px=-1", "unit-weights"},
-    "oracle.zero": {"kappa=1/3", "p=3"},
-}
+    "closure.symmetric": {"non-confluent"},
+    "oracle.zero": {"kappa=1/3", "p=3", "non-confluent"},
+} | {f"oracle.{kind}.{sub}": {"non-confluent"} for kind in ("rep", "random")
+     for sub in ("th0-d0", "sc-th0-d0", "th0-th1-d1")}
 
 # check IDs that no corruption fails: no suite-wide control shows yet
 # that they can fail.  A new corruption shrinks this list; loosening a
@@ -412,16 +419,14 @@ CONTROLS = {
 # corruption tests of their own in test_order3.py and test_colour.py.)
 NO_CONTROL_YET = {
     "arith.root", "arith.ring", "arith.conj", "arith.division",
-    "engine.idempotent", "engine.confluence", "engine.star", "engine.sym3",
+    "engine.idempotent", "engine.sym3",
     "para1.1", "para1.6",
     "poincare.LL", "poincare.PP", "poincare.Ptheta",
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
     "colour.axioms",
     "trans.eps", "trans.deltax",
-    "closure.symmetric",
 } | {f"oracle.{kind}.{sub}" for kind in ("rep", "random")
-     for sub in ("th0", "th0-d0", "sc-th0-d0", "e1-e2-e3", "th0-th1",
-                 "th0-e1", "th0-th1-d1")}
+     for sub in ("th0", "e1-e2-e3", "th0-th1", "th0-e1")}
 
 
 def test_control_matrix(corrupted_d2_runs):
