@@ -5,24 +5,36 @@ Each Green component of each selected name gets one fermionic mode.  The
 component ids come from the algebra's layout table ``alg.components``, one
 per Green sector, and the modes are laid out sector by sector in name
 order, so a basis state is an occupation bitmask over (sectors x names)
-modes (mode 0 is the most significant bit).  Every generator acts on the
-basis as a weighted partial map, tabulated once per representation: column
-j goes to row i with weight sign * kappa**k, or to nothing.  A creation
-operator fails on an occupied mode; a conjugate d-component is realised as
-kappa * (annihilation at the partner theta mode of its sector), which keeps
-every weight in Q(q) - no square roots, and self-adjointness is irrelevant
-for identity checking.  Within a Green sector the modes carry Jordan-Wigner
-sign strings (so same-sector components anticommute exactly); distinct
-sectors carry no string across each other and therefore commute exactly.
+modes (mode 0 is the most significant bit).
 
-A word is evaluated by walking each basis column through its letters,
-right to left, with an integer sign and a kappa exponent; no matrix product
-is formed, and the empty word walks every column to itself.  Every check
-here asks one question: does a raw word map have the zero image?  The
-rule-table check asks it of u v - s v u - c for each rewrite rule
-u v -> s v u + c and of each square g g; the random sweep asks it of
-raw - nf, a raw word map merged with its normal form (a word in both cancels
-before it is walked), which by linearity is raw == nf.
+Every generator is a conditioned, signed bit flip, stored as one record
+(bit, need, string, k): it takes column j with j & bit == need to row
+j ^ bit with weight (-1)**popcount(j & string) * kappa**k, and any other
+column to nothing.  A creation operator needs its mode empty (need 0,
+k = 0).  A conjugate d-component is realised as kappa times the
+annihilation at the partner theta mode of its sector (need = bit, k = 1),
+which keeps every weight in Q(q) - no square roots, and self-adjointness is
+irrelevant for identity checking.  The string is the Jordan-Wigner string: the later
+modes of the same Green sector, so same-sector components anticommute
+exactly; distinct sectors carry no string across each other and therefore
+commute exactly.
+
+A word is folded right to left into one word record: the bits a live
+column must carry (j & mask == value), the flipped bits F, the XOR S of the
+strings, a constant sign and a kappa power.  A letter sees j ^ F, so it
+requires need ^ (F & bit) of j; a requirement against an earlier one makes
+the word zero.  On live columns the bits of S inside mask are fixed, so
+their sign joins the constant, and the word is the signed partial
+permutation j -> j ^ F with sign (-1)**popcount(j & S & ~mask).  Words of
+equal shape (mask, value, F, S & ~mask) are one such permutation, so their
+scalars are summed first: a raw word and its swap-only rewrites cancel
+before any column is touched.  Each shape with a nonzero sum then writes
+every live column.  No matrix product is formed, and the empty word is the
+identity.  Every check here asks one question: does a raw word map have
+the zero image?  The rule-table check asks it of u v - s v u - c for each
+rewrite rule u v -> s v u + c and of each square g g; the random sweep asks
+it of raw - nf, a raw word map merged with its normal form (a word in both
+cancels before it is evaluated), which by linearity is raw == nf.
 
 Only one direction of faithfulness is used: a symbolic zero must map to the
 zero matrix.  The converse is not claimed (the parafermionic realisation is
@@ -88,56 +100,63 @@ class MatrixRep:
         self.kappa = Cyclo(alg.config.pairing_kappa)
         theta_pos = {mu: pos for pos, (cls, mu) in enumerate(self.names)
                      if cls == CLS_THETA}
-        # gid -> per-state action: None, or (row, sign, kappa exponent)
+        # gid -> (bit, need, string, k), as in the module docstring
         self.actions = {}
         for pos, ((cls, mu), ids) in enumerate(zip(self.names, comps)):
             partner = theta_pos.get(mu) if cls == CLS_DEL else None
             for s, gid in enumerate(ids):
-                if partner is not None:
-                    # land on the partner theta mode, scaled to the pairing
-                    mode, occupied, k = s * half + partner, True, 1
-                else:
-                    mode, occupied, k = s * half + pos, False, 0
+                mode = s * half + (pos if partner is None else partner)
                 bit = 1 << (n_modes - 1 - mode)
                 # Jordan-Wigner string: the later modes of the same sector
                 string = sum(1 << (n_modes - 1 - m)
                              for m in range(mode + 1, (s + 1) * half))
-                self.actions[gid] = [
-                    (j ^ bit, -1 if (j & string).bit_count() & 1 else 1, k)
-                    if bool(j & bit) == occupied else None
-                    for j in range(self.dim)]
-
-    def _weight(self, sign, k):
-        """sign * kappa**k."""
-        power = self.kappa ** k
-        return power if sign > 0 else -power
+                # a d with a theta partner empties that mode, scaled to the
+                # pairing; every other generator fills its own mode
+                self.actions[gid] = ((bit, 0, string, 0) if partner is None
+                                     else (bit, bit, string, 1))
 
     def evaluate_raw(self, terms) -> SparseMatrix:
         """Evaluate a word->coefficient map without normal forming."""
-        out = {}
+        shapes = {}  # (mask, value, F, S & ~mask) -> summed scalar
         for word, coeff in terms.items():
-            letters = []
-            for g in reversed(word):
-                if g not in self.actions:
-                    raise KeyError(f"generator {self.alg.system.names[g]} "
-                                   "not present in this representation")
-                letters.append(self.actions[g])
-            scaled = {}  # (sign, k) -> coeff * sign * kappa**k, for this word
-            for j in range(self.dim):
-                state, sign, k = j, 1, 0
-                for action in letters:
-                    step = action[state]
-                    if step is None:
+            try:
+                letters = [self.actions[g] for g in reversed(word)]
+            except KeyError as e:
+                raise KeyError(f"generator {self.alg.system.names[e.args[0]]} "
+                               "not present in this representation") from None
+            mask = value = flip = strings = k = parity = 0
+            for bit, need, string, dk in letters:
+                want = need ^ (flip & bit)  # the letter sees j ^ flip
+                if mask & bit:
+                    if (value & bit) != want:
                         break
-                    state, s, dk = step
-                    sign *= s
-                    k += dk
                 else:
-                    value = scaled.get((sign, k))
-                    if value is None:
-                        value = scaled[sign, k] = self._weight(sign, k) * coeff
-                    prev = out.get((state, j))
-                    out[(state, j)] = value if prev is None else prev + value
+                    mask |= bit
+                    value |= want
+                parity ^= (flip & string).bit_count()
+                strings ^= string
+                flip ^= bit
+                k += dk
+            else:
+                # the bits of strings inside mask are fixed on live columns
+                parity ^= (value & strings).bit_count()
+                _accumulate(shapes, (mask, value, flip, strings & ~mask),
+                            self.kappa ** k * coeff, parity & 1)
+        out = {}
+        full = self.dim - 1
+        for (mask, value, flip, strings), scalar in shapes.items():
+            signed = (scalar, -scalar)
+            free = full & ~mask
+            sub = free
+            while True:  # j = value | sub runs over every live column
+                j = value | sub
+                v = signed[(sub & strings).bit_count() & 1]
+                key = (j ^ flip, j)
+                prev = out.get(key)
+                out[key] = v if prev is None else prev + v
+                if not sub:
+                    break
+                sub = (sub - 1) & free
         return SparseMatrix(self.dim, {key: v for key, v in out.items() if v})
 
     def evaluate(self, element: Element) -> SparseMatrix:
@@ -152,8 +171,10 @@ def cross_check_element(rep: MatrixRep, raw_terms) -> bool:
     """Raw-word evaluation and normal-form evaluation must agree.
 
     Evaluation is linear and exact, so this is the zero image of raw - nf:
-    the two word maps are merged first (a word in both cancels before any
-    walk), and every column is walked for every word that remains.
+    the two word maps are merged first (a word in both cancels at once),
+    each remaining word is folded into its record, words of one shape are
+    summed (a raw word cancels against its swap-only rewrites there), and
+    every shape with a nonzero sum writes every live column.
     """
     diff = dict(raw_terms)
     for word, coeff in Element(rep.alg.system, raw_terms).terms.items():

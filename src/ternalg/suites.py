@@ -226,7 +226,9 @@ def check_oracle(alg: SuperspaceAlgebra, seed: int = 0,
         reports.append(r)
 
     # each probe is a raw word map: its normal form must vanish, and so must
-    # its matrix image, walked word by word without normal forming
+    # its matrix image, never normal formed: each raw word is folded from its
+    # generators' (bit, need, string, k) records into one word record, words
+    # of one shape are summed, and each surviving shape writes its live columns
     with CheckReport(
             "oracle.zero",
             "symbolically-zero relation instances map to the zero matrix, and "

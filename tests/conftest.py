@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ternalg import colour, superspace
+from ternalg import colour, matrixrep, superspace
 from ternalg.algebra import GeneratorSystem
 from ternalg.cyclo import ONE
 from ternalg.suites import SuiteSpec, run_suite
@@ -49,6 +49,18 @@ def cross_sector_pairing(names, swap, contraction, square_zero):
     return names, swap, contraction, square_zero
 
 
+def rewritten_strings(rewrite):
+    """``MatrixRep`` with the Jordan-Wigner string of every generator record
+    (bit, need, string, k) replaced by ``rewrite(bit, string)``."""
+    class Rep(matrixrep.MatrixRep):
+        def __init__(self, alg, names):
+            super().__init__(alg, names)
+            self.actions = {gid: (bit, need, rewrite(bit, string), k)
+                            for gid, (bit, need, string, k)
+                            in self.actions.items()}
+    return Rep
+
+
 @pytest.fixture(scope="session")
 def alg2():
     return build(SuperspaceConfig(metric=MetricSignature.minkowski(2)))
@@ -65,9 +77,11 @@ def corrupted_d2_runs():
     {name: (spec, reports)}.  "kappa=1/3" corrupts the pairing, "p=3" gives
     every parafermion three Green components instead of two, "Px=-1"
     negates every contraction P_mu x^nu -> x^nu P_mu + c,
-    "unit-weights" replaces the colour-bracket weights by six ones, and
+    "unit-weights" replaces the colour-bracket weights by six ones,
     "non-confluent" builds the cross-sector pairing with its construction
-    check skipped."""
+    check skipped, and two corrupt the matrix oracle's Jordan-Wigner
+    strings: "no-JW" empties every string, "cross-sector-JW" runs each over
+    every later mode (the lower bits), not only those of its own sector."""
     def p_x_negated(names, swap, contraction, square_zero):
         contraction = {(u, v): -c if names[u].startswith("P_") else c
                        for (u, v), c in contraction.items()}
@@ -82,6 +96,10 @@ def corrupted_d2_runs():
             "unit-weights": (colour, "col3_weights", lambda: (ONE,) * 6),
             "non-confluent": (superspace, "GeneratorSystem", lambda *args:
                               UncheckedSystem(*cross_sector_pairing(*args))),
+            "no-JW": (matrixrep, "MatrixRep",
+                      rewritten_strings(lambda bit, string: 0)),
+            "cross-sector-JW": (matrixrep, "MatrixRep",
+                                rewritten_strings(lambda bit, string: bit - 1)),
     }.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(module, attr, value)

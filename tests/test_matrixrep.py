@@ -1,8 +1,9 @@
 """The sparse-matrix oracle for small fermionic subsystems."""
 
 import random
+import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -17,12 +18,51 @@ from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA, CLS_X,
                                 MetricSignature, SuperspaceConfig, build)
 
 
+def _state_table(rep, record):
+    """One generator's action on each basis state, read off its record by
+    the rule of the module docstring: None, or (row, sign, kappa exponent)."""
+    bit, need, string, k = record
+    return [(j ^ bit, -1 if (j & string).bit_count() & 1 else 1, k)
+            if (j & bit) == need else None for j in range(rep.dim)]
+
+
+def _weight(rep, sign, k):
+    """sign * kappa**k."""
+    power = rep.kappa ** k
+    return power if sign > 0 else -power
+
+
 def _matrices(rep):
-    """Reference generator matrices, read off the per-generator actions."""
+    """Reference generator matrices, built state by state from the records."""
     return {gid: SparseMatrix(rep.dim, {
-                (step[0], j): rep._weight(step[1], step[2])
-                for j, step in enumerate(action) if step is not None})
-            for gid, action in rep.actions.items()}
+                (step[0], j): _weight(rep, step[1], step[2])
+                for j, step in enumerate(_state_table(rep, record))
+                if step is not None})
+            for gid, record in rep.actions.items()}
+
+
+def _state_walk(rep, terms):
+    """Reference evaluation: walk every basis column through every letter of
+    every word, right to left, with an integer sign and a kappa exponent."""
+    tables = {gid: _state_table(rep, record)
+              for gid, record in rep.actions.items()}
+    out = {}
+    for word, coeff in terms.items():
+        letters = [tables[g] for g in reversed(word)]
+        for j in range(rep.dim):
+            state, sign, k = j, 1, 0
+            for action in letters:
+                step = action[state]
+                if step is None:
+                    break
+                state, s, dk = step
+                sign *= s
+                k += dk
+            else:
+                value = _weight(rep, sign, k) * coeff
+                prev = out.get((state, j))
+                out[(state, j)] = value if prev is None else prev + value
+    return SparseMatrix(rep.dim, {key: v for key, v in out.items() if v})
 
 
 def _identity(dim, c=ONE):
@@ -35,6 +75,57 @@ def test_sparse_matrix_arithmetic():
     assert ident * ident == ident
     assert _identity(2, q) * _identity(2, q) == _identity(2, q ** 2)
     assert SparseMatrix(2, {}).is_zero()
+
+
+def test_generator_records(alg2):
+    """th0-d0 at d = 2 has four modes, theta^0 and the d_0 slot per sector;
+    d_0 acts on its partner theta mode, so the slots stay empty."""
+    rep = build_rep(alg2, dict(_oracle_subsystems(2))["th0-d0"])
+    th = alg2.components[(CLS_THETA, 0)]
+    d = alg2.components[(CLS_DEL, 0)]
+    assert rep.actions == {th[0]: (0b1000, 0, 0b0100, 0),
+                           d[0]: (0b1000, 0b1000, 0b0100, 1),
+                           th[1]: (0b0010, 0, 0b0001, 0),
+                           d[1]: (0b0010, 0b0010, 0b0001, 1)}
+
+
+def test_closed_form_matches_state_walk():
+    """evaluate_raw equals the per-column walk on every oracle subsystem:
+    each word of length <= 3 alone (repeated letters, contradictory words
+    such as theta^0(1) theta^0(1) d_0(1), the empty word), all of them in
+    one map, seeded multi-word maps, and both orders of each generator pair
+    (one shape, so they cancel, where the two anticommute).  The
+    oracle subsystems have no two words that differ only in their flipped
+    bits F, so two conjugate pairs in one sector supply such a pair:
+    theta^0 theta^1 flips both modes, d_0 theta^0 d_1 theta^1 neither."""
+    rng = random.Random(5)
+    pairs = [(CLS_THETA, 0), (CLS_THETA, 1), (CLS_DEL, 0), (CLS_DEL, 1)]
+    for dim, kappa in product((2, 3, 4), (Fraction(1, 2), Fraction(1, 3))):
+        alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(dim),
+                                     pairing_kappa=kappa))
+        cases = []  # (rep, word maps)
+        for _, names in _oracle_subsystems(dim):
+            rep = build_rep(alg, names)
+            gens = sorted(rep.actions)
+            words = [w for n in range(4) for w in product(gens, repeat=n)]
+            maps = [{w: ONE} for w in words]
+            maps.append({w: Cyclo(rng.randint(-3, 3), rng.randint(1, 2))
+                         for w in words})
+            maps += [{(u, v): ONE, (v, u): ONE} for u, v in
+                     combinations(gens, 2)]
+            cases.append((rep, maps))
+        rep = build_rep(alg, pairs)
+        t0, t1, d0, d1 = (alg.components[name][0] for name in pairs)
+        cases.append((rep, [{(t0, t1): ONE, (d0, t0, d1, t1): ONE}]))
+        for rep, maps in cases:
+            gens = sorted(rep.actions)
+            maps += [random_raw_terms(alg.system, rng, gens, max_degree=5,
+                                      n_terms=6) for _ in range(20)]
+            for terms in maps:
+                assert rep.evaluate_raw(terms) == _state_walk(rep, terms), \
+                    (dim, kappa, rep.names, terms)
+        rep = build_rep(alg, [(CLS_THETA, 0), (CLS_THETA, 1)])
+        assert rep.evaluate_raw({(t0, t1): ONE, (t1, t0): ONE}).is_zero()
 
 
 def test_construction_targets(alg2):
@@ -129,9 +220,18 @@ def test_single_component_square_is_zero(alg2):
 
 
 def test_bosonic_generators_rejected(alg2):
+    """A letter outside the subsystem is named, also in a word that its
+    other letters have already made zero, at either end."""
     rep = build_rep(alg2, [(CLS_THETA, 0)])
     with pytest.raises(KeyError):
         rep.evaluate(alg2.x(0))
+    th = alg2.components[(CLS_THETA, 0)][0]
+    (x0,), = alg2.x(0).terms
+    th1 = alg2.components[(CLS_THETA, 1)][0]
+    for word in ((th1,), (th, th1), (x0, th, th), (th, th, x0)):
+        foreign = alg2.system.names[th1 if th1 in word else x0]
+        with pytest.raises(KeyError, match=re.escape(foreign)):
+            rep.evaluate_raw({word: ONE})
     for names in ([(CLS_X, 0)], [(CLS_THETA, 0), (CLS_P, 1)]):
         with pytest.raises(ValueError):
             build_rep(alg2, names)

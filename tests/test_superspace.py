@@ -409,9 +409,17 @@ CONTROLS = {
     "closure.annihilate": {"unit-weights", "non-confluent"},
     "closure.deltax": {"kappa=1/3", "Px=-1", "unit-weights"},
     "closure.symmetric": {"non-confluent"},
-    "oracle.zero": {"kappa=1/3", "p=3", "non-confluent"},
-} | {f"oracle.{kind}.{sub}": {"non-confluent"} for kind in ("rep", "random")
-     for sub in ("th0-d0", "sc-th0-d0", "th0-th1-d1")}
+    "oracle.zero": {"kappa=1/3", "p=3", "non-confluent", "no-JW",
+                    "cross-sector-JW"},
+} | {f"oracle.{kind}.{sub}": want for kind in ("rep", "random")
+     for sub, want in (
+         ("th0", {"cross-sector-JW"}),
+         ("th0-d0", {"non-confluent", "cross-sector-JW"}),
+         ("sc-th0-d0", {"non-confluent", "no-JW", "cross-sector-JW"}),
+         ("e1-e2-e3", {"no-JW", "cross-sector-JW"}),
+         ("th0-th1", {"no-JW", "cross-sector-JW"}),
+         ("th0-e1", {"no-JW", "cross-sector-JW"}),
+         ("th0-th1-d1", {"non-confluent", "no-JW", "cross-sector-JW"}))}
 
 # check IDs that no corruption fails: no suite-wide control shows yet
 # that they can fail.  A new corruption shrinks this list; loosening a
@@ -425,8 +433,7 @@ NO_CONTROL_YET = {
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
     "colour.axioms",
     "trans.eps", "trans.deltax",
-} | {f"oracle.{kind}.{sub}" for kind in ("rep", "random")
-     for sub in ("th0", "e1-e2-e3", "th0-th1", "th0-e1")}
+}
 
 
 def test_control_matrix(corrupted_d2_runs):
