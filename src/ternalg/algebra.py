@@ -23,19 +23,31 @@ coefficients.  Equality of elements is identity of these maps.  All the
 derived brackets (commutator, fully symmetric ternary, weighted colour
 ternary, nested commutator action) and the star anti-involution live here.
 
-The brackets build no intermediate element: each accumulates into one
-term map through ``times_word``.  A six-term ternary bracket groups its
-orderings by their leading argument,
+Every product of two elements runs through one accumulation loop,
+``sum_of_products``: the sum over its (x, y) pairs of x y + sign y x,
+each pair of terms fed to ``times_word`` and merged into one term map,
+with no intermediate element.  ``Element.__mul__`` is one pair at sign 0,
+``commutator`` and ``anticommutator`` one pair at sign -1 and +1.  The
+ternary brackets are sums of products of quadratic brackets,
 
-    sum_s w_s a_s1 a_s2 a_s3 = sum_i a_i (w_ijk a_j a_k + w_ikj a_k a_j),
+    {a, b, c} = a {b, c} + b {c, a} + c {a, b},
 
-normal-forming the inner sum before multiplying a_i into it.  This is
-exact because the normal-form product is associative: the rules are
-confluent, and confluence is verified at construction.  For Green-sum
-parafermions the inner sum already contracts same-sector terms to
-scalars, so the outer product sees fewer terms.  ``sum_of_products`` is
-the outer step on its own, for callers that already hold the inner
-brackets: {u, v, w} = u {v, w} + v {w, u} + w {u, v}.
+and the colour bracket is the same sum with the weights inside the inner
+brackets, its orderings grouped by their leading argument,
+
+    sum_s w_s a_s1 a_s2 a_s3 = sum_i a_i (w_ijk a_j a_k + w_ikj a_k a_j).
+
+Normal-forming the inner sum first is exact because the normal-form
+product is associative: the rules are confluent, and confluence is
+verified at construction.  For Green-sum parafermions the inner sum
+already contracts same-sector terms to scalars, so the outer product sees
+fewer terms.
+
+Only two other callers drive ``times_word``, because neither multiplies
+two elements: ``normalize_terms`` inserts each raw word into the empty
+word, and ``superspace.SuperspaceAlgebra.ad_V`` splices a row of its
+Leibniz table between the prefix and the suffix of each word, a product
+of three factors that a pair loop would form in two passes.
 """
 
 from __future__ import annotations
@@ -345,13 +357,7 @@ class Element:
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
-        self._check(other)
-        times_word = self.system.times_word
-        out: dict = {}
-        for wb, cb in other.terms.items():
-            for wa, ca in self.terms.items():
-                times_word(wa, ca * cb, wb, out)
-        return Element(self.system, _normal=out)
+        return sum_of_products(((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -403,25 +409,30 @@ class Element:
 
 # -- derived brackets ----------------------------------------------------
 
-def _bracket(a: Element, b: Element, sign: int) -> Element:
-    """ab + sign * ba, both orders accumulated into one term map."""
-    a._check(b)
-    times_word = a.system.times_word
+def sum_of_products(pairs: Sequence, sign: int = 0) -> Element:
+    """The sum of x * y + sign * y * x over the (x, y) pairs, accumulated
+    into one term map: the one loop that multiplies two elements."""
+    first = pairs[0][0]
+    times_word = first.system.times_word
     out: dict = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            c = ca * cb
-            times_word(wa, c, wb, out)
-            times_word(wb, c if sign > 0 else -c, wa, out)
-    return Element(a.system, _normal=out)
+    for x, y in pairs:
+        first._check(x)
+        first._check(y)
+        for wx, cx in x.terms.items():
+            for wy, cy in y.terms.items():
+                c = cx * cy
+                times_word(wx, c, wy, out)
+                if sign:
+                    times_word(wy, c if sign > 0 else -c, wx, out)
+    return Element(first.system, _normal=out)
 
 
 def commutator(a: Element, b: Element) -> Element:
-    return _bracket(a, b, -1)
+    return sum_of_products(((a, b),), -1)
 
 
 def anticommutator(a: Element, b: Element) -> Element:
-    return _bracket(a, b, 1)
+    return sum_of_products(((a, b),), 1)
 
 
 #: argument orderings of the six-term ternary brackets, in weight order;
@@ -431,55 +442,28 @@ TERNARY_ORDERINGS = ((0, 1, 2), (1, 2, 0), (2, 0, 1),
 
 
 def sym3(a: Element, b: Element, c: Element) -> Element:
-    """Fully symmetric ternary bracket: the sum over all six orderings."""
-    return colour3(a, b, c, (ONE,) * 6)
+    """Fully symmetric ternary bracket, the sum over all six orderings:
+    {a, b, c} = a {b, c} + b {c, a} + c {a, b}."""
+    return sum_of_products(((a, anticommutator(b, c)),
+                            (b, anticommutator(c, a)),
+                            (c, anticommutator(a, b))))
 
 
 def colour3(a: Element, b: Element, c: Element, weights: Sequence) -> Element:
     """Six-term ternary bracket weighted per ordering.
 
     ``weights`` are given in the order (abc, bca, cab, acb, bac, cba); all
-    weights equal to one degenerates to :func:`sym3`.  The orderings are
-    grouped by their leading argument x_i, (j, k) = (i + 1, i + 2) mod 3:
-    w_ijk x_j x_k + w_ikj x_k x_j is normal-formed into one map, then x_i
-    is multiplied into it.  The normal-form product is associative (the
-    rules are confluent), so this equals the six triple products exactly.
+    weights equal to one gives :func:`sym3`.  The orderings are grouped by
+    their leading argument x_i, (j, k) = (i + 1, i + 2) mod 3, and the inner
+    sum w_ijk x_j x_k + w_ikj x_k x_j is formed first (module docstring).
     """
     if len(weights) != 6:
         raise ValueError("colour3 needs exactly six weights")
-    a._check(b)
-    a._check(c)
     args = (a, b, c)
-    times_word = a.system.times_word
-    pairs = []
-    for i in range(3):
-        y, z = args[(i + 1) % 3], args[(i + 2) % 3]
-        inner: dict = {}
-        for w, (p, r) in ((weights[i], (y, z)), (weights[i + 3], (z, y))):
-            w = w if isinstance(w, Cyclo) else Cyclo(w)
-            for wp, cp in p.terms.items():
-                cpw = cp * w
-                for wr, cr in r.terms.items():
-                    times_word(wp, cpw * cr, wr, inner)
-        pairs.append((args[i], Element(a.system, _normal=inner)))
-    return sum_of_products(pairs)
-
-
-def sum_of_products(pairs: Sequence) -> Element:
-    """The sum of x * y over the (x, y) pairs, accumulated into one term map.
-
-    A ternary bracket whose inner brackets are already formed is one such
-    sum: {u, v, w} = u {v, w} + v {w, u} + w {u, v}.
-    """
-    system = pairs[0][0].system
-    times_word = system.times_word
-    out: dict = {}
-    for x, y in pairs:
-        x._check(y)
-        for wx, cx in x.terms.items():
-            for wy, cy in y.terms.items():
-                times_word(wx, cx * cy, wy, out)
-    return Element(system, _normal=out)
+    return sum_of_products([
+        (args[i], sum_of_products(((args[j], args[k].scale(weights[n])),
+                                   (args[k], args[j].scale(weights[n + 3])))))
+        for n, (i, j, k) in enumerate(TERNARY_ORDERINGS[:3])])
 
 
 def nested_action(ops: Sequence[Element], target: Element) -> Element:

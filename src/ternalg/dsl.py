@@ -43,9 +43,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Element, colour3, commutator, nested_action
+from .algebra import Element, colour3, commutator, nested_action, sym3
 from .colour import GradeVector, colour_weights, paper_factor
-from .cyclo import ONE, Q
+from .cyclo import Q
 from .superspace import SuperspaceAlgebra
 
 
@@ -204,8 +204,7 @@ class _Parser:
         if self.accept("["):
             return commutator(self.expr(","), self.expr("]"))
         if self.accept("{"):
-            return colour3(self.expr(","), self.expr(","), self.expr("}"),
-                           (ONE,) * 6)
+            return sym3(self.expr(","), self.expr(","), self.expr("}"))
         kind, text, pos = self.toks[self.i]
         if kind != "ident":
             raise DslError(f"unexpected {text or 'end'!r}", pos)

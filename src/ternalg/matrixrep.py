@@ -1,11 +1,13 @@
 """Brute-force cross-check: small fermionic subsystems acting on occupation
 states.
 
-Each Green component of each selected name gets one fermionic mode.  The
-component ids come from the algebra's layout table ``alg.components``, one
-per Green sector, and the modes are laid out sector by sector in name
-order, so a basis state is an occupation bitmask over (sectors x names)
-modes (mode 0 is the most significant bit).
+Each Green component of each selected name gets one fermionic mode, except
+that a d_mu whose partner theta^mu is selected acts on that theta's mode
+and owns none.  The component ids come from the algebra's layout table
+``alg.components``, one per Green sector, and the modes are laid out
+sector by sector in the order of the mode-owning names, so a basis state is
+an occupation bitmask over (sectors x owners) modes (mode 0 is the most
+significant bit).
 
 Every generator is a conditioned, signed bit flip, stored as one record
 (bit, need, string, k): it takes column j with j & bit == need to row
@@ -92,28 +94,30 @@ class MatrixRep:
         self.names = list(names)
         if any(cls in (CLS_X, CLS_P) for cls, _ in self.names):
             raise ValueError("bosonic generators are not representable")
-        comps = [alg.components[name] for name in self.names]
-        # sector s occupies modes [s * half, (s + 1) * half), in name order
-        half = len(self.names)
-        n_modes = sum(map(len, comps))
+        # a d_mu whose partner theta^mu is selected acts on that theta's
+        # modes; every other name owns one mode per Green sector
+        owner = {key: (CLS_THETA, key[1])
+                 if key[0] == CLS_DEL and (CLS_THETA, key[1]) in self.names
+                 else key for key in self.names}
+        owners = [key for key in self.names if owner[key] == key]
+        # sector s occupies modes [s * half, (s + 1) * half), in owner order
+        half = len(owners)
+        n_modes = sum(len(alg.components[key]) for key in owners)
         self.dim = 2 ** n_modes
         self.kappa = Cyclo(alg.config.pairing_kappa)
-        theta_pos = {mu: pos for pos, (cls, mu) in enumerate(self.names)
-                     if cls == CLS_THETA}
         # gid -> (bit, need, string, k), as in the module docstring
         self.actions = {}
-        for pos, ((cls, mu), ids) in enumerate(zip(self.names, comps)):
-            partner = theta_pos.get(mu) if cls == CLS_DEL else None
-            for s, gid in enumerate(ids):
-                mode = s * half + (pos if partner is None else partner)
+        for key in self.names:
+            k = int(owner[key] != key)
+            for s, gid in enumerate(alg.components[key]):
+                mode = s * half + owners.index(owner[key])
                 bit = 1 << (n_modes - 1 - mode)
                 # Jordan-Wigner string: the later modes of the same sector
                 string = sum(1 << (n_modes - 1 - m)
                              for m in range(mode + 1, (s + 1) * half))
-                # a d with a theta partner empties that mode, scaled to the
+                # a d on its partner's mode empties it, scaled to the
                 # pairing; every other generator fills its own mode
-                self.actions[gid] = ((bit, 0, string, 0) if partner is None
-                                     else (bit, bit, string, 1))
+                self.actions[gid] = (bit, bit if k else 0, string, k)
 
     def evaluate_raw(self, terms) -> SparseMatrix:
         """Evaluate a word->coefficient map without normal forming."""
@@ -208,18 +212,18 @@ def check_representation(rep: MatrixRep) -> CheckReport:
 
 
 MAX_DEGREE = 4  # word length bound of ``check_random_equivalence``'s samples
+N_SAMPLES = 200  # random elements per ``check_random_equivalence`` sweep
 
 
-def check_random_equivalence(rep: MatrixRep, n_samples: int = 200,
-                             seed: int = 0) -> CheckReport:
+def check_random_equivalence(rep: MatrixRep, seed: int = 0) -> CheckReport:
     """Seeded sweep: raw and normal-form matrix evaluations agree."""
     gens = sorted(rep.actions)
     rng = random.Random(seed)
     with CheckReport(
             "oracle.random",
-            f"{n_samples} seeded random elements of degree <= {MAX_DEGREE}: "
+            f"{N_SAMPLES} seeded random elements of degree <= {MAX_DEGREE}: "
             "raw-word and normal-form matrix evaluations agree") as report:
-        for k in range(n_samples):
+        for k in range(N_SAMPLES):
             raw = random_raw_terms(rep.alg.system, rng, gens,
                                    max_degree=MAX_DEGREE, n_terms=4)
             if not cross_check_element(rep, raw):

@@ -108,6 +108,10 @@ def check_engine(seed: int = 0) -> list[CheckReport]:
     system = alg.system
     rng = random.Random(seed)
 
+    # No rule table can fail this check: a normal word re-normalised only
+    # inserts each letter at the right end of a non-decreasing word, so no
+    # rule fires.  It stays because it tests the kernel, not the table: a
+    # times_word that rewrites a normal word is caught here.
     with CheckReport("engine.idempotent",
                      "normal forming a normal form changes nothing") as rep:
         for k in range(50):
@@ -160,7 +164,7 @@ def check_engine(seed: int = 0) -> list[CheckReport]:
 
 # -- colour suite ---------------------------------------------------------
 
-def check_colour(seed: int = 0) -> list[CheckReport]:
+def check_colour() -> list[CheckReport]:
     reports = [colour.check_axioms(colour.paper_factor())]
 
     with CheckReport("colour.weights",
@@ -211,8 +215,7 @@ def _raw_products(*products) -> dict:
     return out
 
 
-def check_oracle(alg: SuperspaceAlgebra, seed: int = 0,
-                 n_samples: int = 200) -> list[CheckReport]:
+def check_oracle(alg: SuperspaceAlgebra, seed: int = 0) -> list[CheckReport]:
     reports = []
     mats = {}  # subsystem tag -> its MatrixRep, reused by oracle.zero
     for tag, names in _oracle_subsystems(alg.dimension):
@@ -220,8 +223,7 @@ def check_oracle(alg: SuperspaceAlgebra, seed: int = 0,
         r = matrixrep.check_representation(rep)
         r.check_id = f"oracle.rep.{tag}"
         reports.append(r)
-        r = matrixrep.check_random_equivalence(rep, n_samples=n_samples,
-                                               seed=seed)
+        r = matrixrep.check_random_equivalence(rep, seed=seed)
         r.check_id = f"oracle.random.{tag}"
         reports.append(r)
 
@@ -280,7 +282,7 @@ SUITES = {
     "poincare": (True, _poincare),
     "order3": (False, lambda spec, metric, alg: order3.check_lie_order3(
         order3.cubic_poincare(metric))),
-    "colour": (False, lambda spec, metric, alg: check_colour(spec.seed)),
+    "colour": (False, lambda spec, metric, alg: check_colour()),
     "superspace": (True, lambda spec, metric, alg:
                    check_superspace_transformation(alg)
                    + [check_psi_bracket(alg)]),

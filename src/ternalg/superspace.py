@@ -17,9 +17,12 @@ the suites and the DSL read both instead of re-deriving them.
 The sweeps ``para``, ``roby`` and ``psi.bracket`` take each slot as a
 layout key ((cls, mu), or (s, mu) for psi_s mu), reduce once per orbit of
 slot tuples (``_per_orbit``: sorted slots for {u, v, w}, slots 1-2 in
-order and a sign for [[u, v], w]) and form each inner bracket once per
-call (``_pair_table``).  ``colour_action`` applies the leading V_i once to
-the weighted sum of the two nested actions it leads (ad_V is linear).
+order and a sign for [[u, v], w]; ``roby`` sweeps the sorted triples
+alone) and form each inner bracket once per call (``_pair_table``).
+Every composite symbol (J, L, V, delta-x) is one ``sum_of_products``
+call over its product pairs.  ``colour_action`` applies the leading V_i
+once to the weighted sum of the two nested actions it leads (ad_V is
+linear).
 
 Sign conventions
 ----------------
@@ -184,16 +187,18 @@ class SuperspaceAlgebra:
     def J(self, mu: int, nu: int) -> Element:
         key = ("J", mu, nu)
         if key not in self._cache:
-            self._cache[key] = (commutator(self.theta_lower(mu), self.d(nu))
-                                - commutator(self.theta_lower(nu), self.d(mu)))
+            # - [theta_nu, d_mu] = [d_mu, theta_nu]
+            self._cache[key] = sum_of_products(
+                ((self.theta_lower(mu), self.d(nu)),
+                 (self.d(mu), self.theta_lower(nu))), -1)
         return self._cache[key]
 
     def lorentz(self, mu: int, nu: int) -> Element:
         """L_{mu nu}: orbital piece plus the parafermionic J_{mu nu}."""
         key = ("L", mu, nu)
         if key not in self._cache:
-            orbital = (self.x_lower(mu) * self.P(nu)
-                       - self.x_lower(nu) * self.P(mu))
+            orbital = sum_of_products(((self.x_lower(mu), self.P(nu)),
+                                       (-self.x_lower(nu), self.P(mu))))
             self._cache[key] = orbital + self.J(mu, nu)
         return self._cache[key]
 
@@ -208,11 +213,14 @@ class SuperspaceAlgebra:
         over mu of [eps_i^mu, d_mu] + delta_x(i, mu) P_mu."""
         key = ("V", i)
         if key not in self._cache:
-            out = Element.zero(self.system)
-            for mu in range(self.dimension):
-                out = (out + commutator(self.eps(i, mu), self.d(mu))
-                       + self.delta_x(i, mu) * self.P(mu))
-            self._cache[key] = out
+            # [eps, d] = eps d + (-d) eps, so every term is one product;
+            # with no vector index (d = 0) the sum is empty
+            pairs = [pair for mu in range(self.dimension)
+                     for pair in ((self.eps(i, mu), self.d(mu)),
+                                  (-self.d(mu), self.eps(i, mu)),
+                                  (self.delta_x(i, mu), self.P(mu)))]
+            self._cache[key] = (sum_of_products(pairs) if pairs
+                                else Element.zero(self.system))
         return self._cache[key]
 
     def delta_x(self, i: int, alpha: int) -> Element:
@@ -220,11 +228,10 @@ class SuperspaceAlgebra:
         key = ("dx", i, alpha)
         if key not in self._cache:
             th = self.theta_scalar()
-            out = Element.zero(self.system)
-            for mu in range(self.dimension):
-                out = out + (commutator(th, self.theta(mu))
-                             * commutator(self.eps(i, alpha), self.theta_lower(mu)))
-            self._cache[key] = out
+            self._cache[key] = sum_of_products([
+                (commutator(th, self.theta(mu)),
+                 commutator(self.eps(i, alpha), self.theta_lower(mu)))
+                for mu in range(self.dimension)])
         return self._cache[key]
 
     def ad_V(self, i: int, element: Element) -> Element:
@@ -396,20 +403,20 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
 
 
 def check_roby(alg: SuperspaceAlgebra) -> CheckReport:
-    """The three-exterior relation once per orbit, i.e. for every sorted
-    triple of names, each {u, v} formed once from a pair table."""
+    """The three-exterior relation once for every sorted triple of names,
+    each {u, v} formed once from a pair table."""
     with CheckReport(
             "roby",
             "sum over the six orderings of eta^a eta^b eta^c vanishes, for "
             "every triple of coordinate-type names (theta^mu, theta, eps_i^mu; "
             "the conjugates d_mu are excluded since their symmetric brackets "
             "with theta are the nonzero pairing relations)") as rep:
-        triples = itertools.combinations_with_replacement(
-            alg.coordinate_keys, 3)
         labels = alg.labels
-        for (a, b, c), value in _per_orbit(triples, _sorted_slots,
-                                           _sym_bracket(alg._named)):
-            rep.expect_zero((labels[a], labels[b], labels[c]), value)
+        sym = _sym_bracket(alg._named)
+        # coordinate_keys are in sorted order, so each triple is already
+        # the sorted representative of its orbit
+        for t in itertools.combinations_with_replacement(alg.coordinate_keys, 3):
+            rep.expect_zero(tuple(labels[key] for key in t), sym(t))
     return rep
 
 
@@ -600,12 +607,11 @@ DEGREE4_SAMPLES = 8  # theta monomials that ``closure.annihilate`` draws
 
 def _quartic_shape(alg: SuperspaceAlgebra, j: int, k: int, l: int,
                    alpha: int) -> Element:
+    """[theta, eps_j^mu][eps_k^alpha, eps_l_mu], summed over mu."""
     th = alg.theta_scalar()
-    out = Element.zero(alg.system)
-    for mu in range(alg.dimension):
-        out = out + (commutator(th, alg.eps(j, mu))
-                     * commutator(alg.eps(k, alpha), alg.eps_lower(l, mu)))
-    return out
+    return sum_of_products([(commutator(th, alg.eps(j, mu)),
+                             commutator(alg.eps(k, alpha), alg.eps_lower(l, mu)))
+                            for mu in range(alg.dimension)])
 
 
 def colour_action(alg: SuperspaceAlgebra, weights, target: Element) -> Element:
@@ -648,9 +654,8 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
         for a1, a2, a3 in itertools.product(range(d), repeat=3):
             target = alg.theta(a1) * alg.theta(a2) * alg.theta(a3)
             lhs = alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, target)))
-            rhs = Element.zero(alg.system)
-            for i, j, k in itertools.permutations((1, 2, 3)):
-                rhs = rhs + alg.eps(i, a1) * alg.eps(j, a2) * alg.eps(k, a3)
+            rhs = sum_of_products([(alg.eps(i, a1) * alg.eps(j, a2), alg.eps(k, a3))
+                                   for i, j, k in itertools.permutations((1, 2, 3))])
             rep.expect_zero((a1, a2, a3), lhs - rhs)
     reports.append(rep)
 

@@ -11,7 +11,7 @@ from ternalg.algebra import (TERNARY_ORDERINGS, ConfluenceError, Element,
                              GeneratorSystem, IncompatibleSystems,
                              anticommutator, colour3, commutator,
                              nested_action, random_element, random_raw_terms,
-                             sym3)
+                             sum_of_products, sym3)
 from ternalg.colour import col3_weights
 from ternalg.cyclo import Cyclo, ONE, Q, ZERO
 from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
@@ -407,7 +407,8 @@ def _raw_colour3(args, weights) -> dict:
 def test_colour3_matches_reducer_on_raw_orderings(alg2):
     """Differential test of the grouped ternary bracket against the one-step
     rewriter applied to the sum of the six concatenated triple words, with
-    unit weights, the paper weights and random weights with a zero."""
+    unit weights, the paper weights and random weights with a zero; sym3
+    is checked against the unit-weight word map of every operand triple."""
     rng = random.Random(41)
     weight_sets = [(ONE,) * 6, col3_weights()]
     for _ in range(4):
@@ -423,10 +424,35 @@ def test_colour3_matches_reducer_on_raw_orderings(alg2):
             bosonic += _has_bosonic_contraction(alg2, raw)
             assert sys_.reduce_terms(raw, "leftmost") == \
                 colour3(*args, weights).terms
+            assert sys_.reduce_terms(_raw_colour3(args, (ONE,) * 6),
+                                     "leftmost") == sym3(*args).terms
     assert bosonic >= 6
-    args = _bracket_operands(alg2, rng, 3)
-    assert sym3(*args).terms == sys_.reduce_terms(
-        _raw_colour3(args, (ONE,) * 6), "leftmost")
+
+
+def test_sum_of_products_matches_reducer(alg2):
+    """sum_of_products at each sign equals the one-step normal form of the
+    raw word map of x y + sign y x summed over its pairs, a zero element
+    among them on either side."""
+    rng = random.Random(47)
+    sys_ = alg2.system
+    zero = Element.zero(sys_)
+    bosonic = 0
+    for _ in range(10):
+        ops = _bracket_operands(alg2, rng, 6)
+        pairs = list(zip(ops[::2], ops[1::2]))
+        pairs[1:1] = [(ops[1], zero), (zero, ops[4])]
+        for sign in (0, -1, 1):
+            raw: dict = {}
+            for x, y in pairs:
+                for wx, cx in x.terms.items():
+                    for wy, cy in y.terms.items():
+                        raw[wx + wy] = raw.get(wx + wy, ZERO) + cx * cy
+                        raw[wy + wx] = raw.get(wy + wx, ZERO) + sign * cx * cy
+            bosonic += _has_bosonic_contraction(alg2, raw)
+            assert sys_.reduce_terms(raw, "leftmost") == \
+                sum_of_products(pairs, sign).terms
+    assert bosonic >= 10
+    assert not sum_of_products([(ops[0], zero), (zero, ops[1])], -1)
 
 
 def test_commutator_matches_reducer_on_raw_products(alg2):

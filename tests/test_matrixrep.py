@@ -78,15 +78,17 @@ def test_sparse_matrix_arithmetic():
 
 
 def test_generator_records(alg2):
-    """th0-d0 at d = 2 has four modes, theta^0 and the d_0 slot per sector;
-    d_0 acts on its partner theta mode, so the slots stay empty."""
+    """th0-d0 at d = 2 has two modes, theta^0 per sector; d_0 acts on its
+    partner theta mode and owns none, and a sector of one mode has no
+    Jordan-Wigner string."""
     rep = build_rep(alg2, dict(_oracle_subsystems(2))["th0-d0"])
     th = alg2.components[(CLS_THETA, 0)]
     d = alg2.components[(CLS_DEL, 0)]
-    assert rep.actions == {th[0]: (0b1000, 0, 0b0100, 0),
-                           d[0]: (0b1000, 0b1000, 0b0100, 1),
-                           th[1]: (0b0010, 0, 0b0001, 0),
-                           d[1]: (0b0010, 0b0010, 0b0001, 1)}
+    assert rep.dim == 4
+    assert rep.actions == {th[0]: (0b10, 0, 0, 0),
+                           d[0]: (0b10, 0b10, 0, 1),
+                           th[1]: (0b01, 0, 0, 0),
+                           d[1]: (0b01, 0b01, 0, 1)}
 
 
 def test_closed_form_matches_state_walk():
@@ -130,7 +132,7 @@ def test_closed_form_matches_state_walk():
 
 def test_construction_targets(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0), (CLS_DEL, 0)])
-    assert rep.dim == 16
+    assert rep.dim == 4
     report = check_representation(rep)
     assert report.passed, report.residuals[:3]
 
@@ -184,7 +186,7 @@ def test_walk_is_the_matrix_product(alg4):
 
 def test_random_equivalence(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0), (CLS_DEL, 0), (CLS_EPS[0], 1)])
-    report = check_random_equivalence(rep, n_samples=200, seed=0)
+    report = check_random_equivalence(rep, seed=0)
     assert report.passed, report.residuals[:3]
 
 
@@ -274,7 +276,7 @@ def test_oracle_zero_walks_raw_words(alg2, monkeypatch):
     build_rep = suites.matrixrep.build_rep
     monkeypatch.setattr(suites.matrixrep, "build_rep",
                         lambda alg, names: build_rep(wrong, names))
-    zero = suites.check_oracle(alg2, n_samples=1)[-1]
+    zero = suites.check_oracle(alg2)[-1]
     assert zero.check_id == "oracle.zero"
     assert {"indices": ["sym-surviving"],
             "element": "nonzero matrix image"} in zero.residuals

@@ -336,6 +336,56 @@ def test_ad_V_matches_commutator():
             assert alg.ad_V(i, e) == commutator(alg.V(i), e), (i, str(e))
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("kappa", (Fraction(1, 2), Fraction(1, 3)))
+def test_composite_symbols_match_term_by_term_sums(d, kappa):
+    """J, L, V, delta-x and the quartic shapes, each one sum_of_products
+    call, equal the same sums built one product and one partial sum at a
+    time, with every commutator spelled a * b - b * a."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
+                                 pairing_kappa=kappa))
+    zero = Element.zero(alg.system)
+    th = alg.theta_scalar()
+
+    def comm(a, b):
+        return a * b - b * a
+
+    def delta_x(i, alpha):
+        out = zero
+        for mu in range(d):
+            out = out + (comm(th, alg.theta(mu))
+                         * comm(alg.eps(i, alpha), alg.theta_lower(mu)))
+        return out
+
+    for mu, nu in itertools.product(range(d), repeat=2):
+        J = (comm(alg.theta_lower(mu), alg.d(nu))
+             - comm(alg.theta_lower(nu), alg.d(mu)))
+        assert alg.J(mu, nu) == J
+        orbital = (alg.x_lower(mu) * alg.P(nu)
+                   - alg.x_lower(nu) * alg.P(mu))
+        assert alg.lorentz(mu, nu) == orbital + J
+    for i in (1, 2, 3):
+        V = zero
+        for mu in range(d):
+            V = (V + comm(alg.eps(i, mu), alg.d(mu))
+                 + delta_x(i, mu) * alg.P(mu))
+        assert V and alg.V(i) == V
+        for alpha in range(d):
+            assert alg.delta_x(i, alpha) == delta_x(i, alpha)
+    for (j, k, l), alpha in itertools.product(REALISED_QUARTIC_COEFFS,
+                                              range(d)):
+        shape = zero
+        for mu in range(d):
+            shape = shape + (comm(th, alg.eps(j, mu))
+                             * comm(alg.eps(k, alpha), alg.eps_lower(l, mu)))
+        assert shape and superspace._quartic_shape(alg, j, k, l, alpha) == shape
+
+
+def test_V_without_vector_indices_is_zero():
+    alg = build(SuperspaceConfig(metric=MetricSignature(0, ())))
+    assert not alg.V(1)
+
+
 def test_closure(alg2):
     reports = check_closure(alg2, col3_weights(), seed=0)
     _all_pass(reports)
