@@ -130,6 +130,35 @@ class GeneratorSystem:
         """Scalar part of the rewrite of u v, for u after v in canonical order."""
         return self._contraction[v].get(u, ZERO)
 
+    def preserves_rules(self, image: Sequence[int]) -> bool:
+        """Whether the generator permutation u -> image[u] maps the rule
+        table onto itself, so that it extends to an automorphism.
+
+        It must keep every swap sign and square rule.  It must map each
+        contraction c(u, v) to c(image[u], image[v]); where it reverses
+        the canonical order of u and v, the image of u v = s v u + c reads
+        image[v] image[u] = s image[u] image[v] - s c, so to -s(u, v) c(u, v).
+        The map permutes the pairs, so once every nonzero contraction lands
+        on its value, no new one can appear.
+        """
+        n = len(self.names)
+        sign, zero = self._sign, self._square_zero
+        if sorted(image) != list(range(n)):
+            return False
+        if any(zero[image[u]] != zero[u] for u in range(n)):
+            return False
+        for u in range(n):
+            row = sign[image[u]]
+            if any(row[image[v]] != s for v, s in enumerate(sign[u])):
+                return False
+        for v, cons in enumerate(self._contraction):
+            for u, c in cons.items():
+                a, b = image[u], image[v]
+                want = c if a > b or sign[u][v] < 0 else -c
+                if self._contraction[min(a, b)].get(max(a, b)) != want:
+                    return False
+        return True
+
     # -- normal forms ----------------------------------------------------
     #
     # The one product kernel.  Right-multiplying a normal word by a

@@ -24,6 +24,22 @@ call over its product pairs.  ``colour_action`` applies the leading V_i
 once to the weighted sum of the two nested actions it leads (ad_V is
 linear).
 
+Spatial quotient.  The rule table, eta and V_1..V_3 are invariant under
+S_{d-1}, which permutes the spatial indices 1..d-1, so a relation
+instance vanishes iff its image under S_{d-1} does.  ``_sweep`` runs
+``para``, ``roby``, ``closure.leib`` and ``closure.annihilate``
+(degrees 1..3): it evaluates one tuple per orbit of (bracket symmetry x
+S_{d-1}), enumerated directly with the spatial indices numbered in order
+of first appearance, and passes the check if all are zero; if any is
+nonzero it sweeps every tuple as before, so residual lists do not
+change.  The symmetry is verified, not assumed: ``_spatial_symmetry``
+checks once per algebra, on first use, that the transposition (1 2) and
+the cycle (1 ... d-1), lifted to generator ids, preserve every swap sign,
+contraction and square rule and fix each V_i.  If it refuses, or d <= 2
+(a trivial group), every tuple is swept.  The right-hand sides read
+indices only through Kronecker deltas; a test pins their covariance.  ``psi.bracket``, ``poincare``
+and ``trans`` sweep every tuple.
+
 Sign conventions
 ----------------
 With kappa = 1/2 the trilinear relations come out with unit coefficient,
@@ -239,20 +255,19 @@ class SuperspaceAlgebra:
 
         A commutator is a derivation, so on a word g_1...g_n it is the sum
         over k of g_1...g_{k-1} [V_i, g_k] g_{k+1}...g_n.  The table of
-        [V_i, g], one row per generator g, is built on first use.
+        [V_i, g] holds one row per generator g, each formed on first use:
+        the closure sweeps read about 60% of the rows.
         """
-        key = ("adV", i)
-        if key not in self._cache:
-            v = self.V(i)
-            self._cache[key] = [
-                commutator(v, Element.generator(self.system, g)).terms
-                for g in range(self.system.size())]
-        table = self._cache[key]
+        table = self._cache.setdefault(("adV", i), {})
         times_word = self.system.times_word
         out: dict = {}
         for word, coeff in element.terms.items():
             for k, g in enumerate(word):
-                for w, c in table[g].items():
+                row = table.get(g)
+                if row is None:
+                    row = table[g] = commutator(
+                        self.V(i), Element.generator(self.system, g)).terms
+                for w, c in row.items():
                     times_word(word[:k], coeff * c, w + word[k + 1:], out)
         return Element(self.system, _normal=out)
 
@@ -342,6 +357,109 @@ def _per_orbit(tuples, canon, value):
         yield t, v if sign == 1 else -v
 
 
+# the slot permutations of each bracket symmetry that ``_per_orbit`` reduces by
+_SLOT_PERMUTATIONS = {_sorted_slots: tuple(itertools.permutations(range(3))),
+                      _ordered_12: ((0, 1, 2), (1, 0, 2))}
+
+
+def _is_automorphism(alg, sigma) -> bool:
+    """Whether the index permutation ``sigma``, lifted to generator ids
+    sector by sector through ``components``, maps the rule table onto
+    itself (``GeneratorSystem.preserves_rules``) and each V_i to itself."""
+    system = alg.system
+    image = [0] * system.size()
+    for (cls, mu), ids in alg.components.items():
+        for g, h in zip(ids, alg.components[(cls, sigma[mu])]):
+            image[g] = h
+    return system.preserves_rules(image) and all(
+        Element(system, {tuple(image[g] for g in w): c
+                         for w, c in alg.V(i).terms.items()}) == alg.V(i)
+        for i in (1, 2, 3))
+
+
+def _spatial_symmetry(alg) -> bool:
+    """Whether S_{d-1}, permuting the spatial indices 1..d-1, acts by
+    automorphisms that fix V_1, V_2 and V_3 (d >= 3).  Checked on first
+    use, once per algebra, on the two generators of S_{d-1}: the
+    transposition (1 2) and the cycle (1 ... d-1)."""
+    key = ("spatial",)
+    if key not in alg._cache:
+        d = alg.dimension
+        alg._cache[key] = d > 2 and all(
+            _is_automorphism(alg, sigma)
+            for sigma in ((0, 2, 1, *range(3, d)), (0, *range(2, d), 1)))
+    return alg._cache[key]
+
+
+def _first_appearance(slots, ordered=(), prefix=(), top=0):
+    """The tuples of ``product(*slots)`` whose spatial indices (mu >= 1 of
+    each layout key (cls, mu)) are 1, 2, ... in order of first appearance,
+    a restricted-growth string: one tuple per S_{d-1} orbit, since every
+    slot list holds each of its classes at every index.  At each position
+    in ``ordered``, (cls, mu > 0) does not decrease from the slot before."""
+    n = len(prefix)
+    if n == len(slots):
+        yield prefix
+        return
+    low = (prefix[-1][0], prefix[-1][1] > 0) if n in ordered else None
+    for key in slots[n]:
+        if key[1] <= top + 1 and (low is None or (key[0], key[1] > 0) >= low):
+            yield from _first_appearance(slots, ordered, prefix + (key,),
+                                         max(top, key[1]))
+
+
+def _relabel(t):
+    """``t`` with its spatial indices renumbered 1, 2, ... in order of
+    first appearance."""
+    names = {0: 0}
+    return tuple((cls, names.setdefault(mu, len(names))) for cls, mu in t)
+
+
+def _representatives(slots, canon):
+    """One tuple of ``product(*slots)`` per orbit of (bracket symmetry x
+    S_{d-1}): of the first-appearance tuples, the first of each orbit of
+    the slot permutations of ``canon`` (none for None), keyed by the least
+    relabelling of its images.  Where the bracket swaps two neighbouring
+    slots of one list, every orbit has a member with those two in
+    (cls, mu > 0) order, so only such tuples are enumerated."""
+    perms = _SLOT_PERMUTATIONS.get(canon)
+    if perms is None:
+        yield from _first_appearance(slots)
+        return
+    k = len(slots)
+    ordered = {i for i in range(1, k) if slots[i] is slots[i - 1] and
+               (*range(i - 1), i, i - 1, *range(i + 1, k)) in perms}
+    seen = set()
+    for t in _first_appearance(slots, ordered):
+        key = min(_relabel([t[i] for i in p]) for p in perms)
+        if key not in seen:
+            seen.add(key)
+            yield t
+
+
+def _sweep(alg, slots, value, canon=None, tuples=None):
+    """(t, value(t)) for the slot tuples t of one check, in sweep order;
+    zero values may be left out.
+
+    ``value`` must have the bracket symmetry ``canon`` and be covariant
+    under S_{d-1}, so that zero-ness is constant on each orbit of both.
+    When ``_spatial_symmetry`` verifies S_{d-1} (never at d <= 2, where it
+    is trivial), ``value`` is first evaluated once per orbit
+    representative; if every one is zero, so is every value, and nothing
+    is yielded.  Otherwise the tuples of ``product(*slots)`` are swept as
+    before, reduced once per ``canon`` orbit (``_per_orbit``), or else the
+    given ``tuples``, one per bracket orbit, each reduced directly.
+    """
+    if _spatial_symmetry(alg) and not any(
+            map(value, _representatives(slots, canon))):
+        return
+    if canon is None or tuples is not None:
+        for t in itertools.product(*slots) if tuples is None else tuples:
+            yield t, value(t)
+    else:
+        yield from _per_orbit(itertools.product(*slots), canon, value)
+
+
 def _pair_table(elements, bracket):
     """``inner(u, v)``: ``bracket`` of the elements at slot keys u and v,
     formed once per ordered pair of keys.  The dict lives as long as the
@@ -370,9 +488,10 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
 
     Both the six double-commutator families and the four symmetric-bracket
     families are swept over every index tuple and over every mixture of
-    theta-type and eps-type slot choices.  ``lhs - rhs`` is reduced once per
-    symmetry orbit of slot tuples (``_per_orbit``); every ordered tuple is
-    still reported, in sweep order, with its residual rendered verbatim.
+    theta-type and eps-type slot choices (``_sweep``): ``lhs - rhs`` is
+    reduced once per orbit of (bracket symmetry x S_{d-1}), and, if any is
+    nonzero, once per bracket orbit, every ordered tuple reported in sweep
+    order with its residual rendered verbatim.
     The inner brackets [u, v] and {u, v} come from two pair tables shared
     by all ten families, so each is formed once per call.
     """
@@ -395,28 +514,30 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
             (SYM_BRACKET_FAMILIES, _sorted_slots, symmetric)):
         for family_id, pattern, relation in families:
             with CheckReport(family_id, relation) as rep:
-                tuples = itertools.product(*(slots[kind] for kind in pattern))
-                for (a, b, c), v in _per_orbit(tuples, canon, value):
+                for (a, b, c), v in _sweep(alg, [slots[kind] for kind in pattern],
+                                           value, canon):
                     rep.expect_zero((labels[a], labels[b], labels[c]), v)
             reports.append(rep)
     return reports
 
 
 def check_roby(alg: SuperspaceAlgebra) -> CheckReport:
-    """The three-exterior relation once for every sorted triple of names,
-    each {u, v} formed once from a pair table."""
+    """The three-exterior relation once per orbit of S_{d-1} on sorted
+    triples of names (``_sweep``), and, if any is nonzero, once for every
+    sorted triple; each {u, v} is formed once from a pair table."""
     with CheckReport(
             "roby",
             "sum over the six orderings of eta^a eta^b eta^c vanishes, for "
             "every triple of coordinate-type names (theta^mu, theta, eps_i^mu; "
             "the conjugates d_mu are excluded since their symmetric brackets "
             "with theta are the nonzero pairing relations)") as rep:
-        labels = alg.labels
-        sym = _sym_bracket(alg._named)
+        labels, keys = alg.labels, alg.coordinate_keys
         # coordinate_keys are in sorted order, so each triple is already
         # the sorted representative of its orbit
-        for t in itertools.combinations_with_replacement(alg.coordinate_keys, 3):
-            rep.expect_zero(tuple(labels[key] for key in t), sym(t))
+        for t, v in _sweep(alg, [keys] * 3, _sym_bracket(alg._named),
+                           _sorted_slots,
+                           itertools.combinations_with_replacement(keys, 3)):
+            rep.expect_zero(tuple(labels[key] for key in t), v)
     return rep
 
 
@@ -634,6 +755,12 @@ def colour_action(alg: SuperspaceAlgebra, weights, target: Element) -> Element:
     return out
 
 
+def _expected_leib(alg, a1, a2, a3) -> Element:
+    """The symmetric sum of eps_i^a1 eps_j^a2 eps_k^a3 over (i, j, k)."""
+    return sum_of_products([(alg.eps(i, a1) * alg.eps(j, a2), alg.eps(k, a3))
+                            for i, j, k in itertools.permutations((1, 2, 3))])
+
+
 def check_closure(alg: SuperspaceAlgebra, col3_weights,
                   seed: int = 0) -> list[CheckReport]:
     """Closure of the coloured algebra on the superspace.
@@ -643,20 +770,31 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
     theta monomials of degree 1..4 (degree 4 on a seeded index sample);
     (c) the colour bracket on x^alpha decomposes over the six quartic
     shapes with coefficient multiset {-1, -1, -q, -q, -q^2, -q^2};
-    (d) that element is not star-fixed.
+    (d) that element is not star-fixed.  (a) and degrees 1..3 of (b) are
+    reduced once per S_{d-1} orbit of index tuples first (``_sweep``).
     """
     d = alg.dimension
     reports = []
+    thetas = [(CLS_THETA, mu) for mu in range(d)]
+
+    def monomial(t):  # theta^mu1 ... theta^muk at slot keys (CLS_THETA, mu)
+        out = alg._named[t[0]]
+        for key in t[1:]:
+            out = out * alg._named[key]
+        return out
+
+    def leib(t):
+        lhs = alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, monomial(t))))
+        return lhs - _expected_leib(alg, *(mu for _, mu in t))
+
+    def annihilated(t):
+        return colour_action(alg, col3_weights, monomial(t))
 
     with CheckReport("closure.leib",
                      "[V_1,[V_2,[V_3, theta^a1 theta^a2 theta^a3]]] equals the "
                      "symmetric sum of eps_i^a1 eps_j^a2 eps_k^a3") as rep:
-        for a1, a2, a3 in itertools.product(range(d), repeat=3):
-            target = alg.theta(a1) * alg.theta(a2) * alg.theta(a3)
-            lhs = alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, target)))
-            rhs = sum_of_products([(alg.eps(i, a1) * alg.eps(j, a2), alg.eps(k, a3))
-                                   for i, j, k in itertools.permutations((1, 2, 3))])
-            rep.expect_zero((a1, a2, a3), lhs - rhs)
+        for t, v in _sweep(alg, [thetas] * 3, leib):
+            rep.expect_zero(tuple(mu for _, mu in t), v)
     reports.append(rep)
 
     with CheckReport("closure.annihilate",
@@ -665,23 +803,15 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
         # Degrees 1 and 2 are zero for any weights: three nested ad_V need
         # three theta letters.  They stay as part of the paper's claim and the
         # report; test_colour_action_matches_nested_sum pins that they vanish.
-        for a in range(d):
-            rep.expect_zero((1, a),
-                            colour_action(alg, col3_weights, alg.theta(a)))
-        for a, b in itertools.product(range(d), repeat=2):
-            rep.expect_zero((2, a, b), colour_action(
-                alg, col3_weights, alg.theta(a) * alg.theta(b)))
-        for tup in itertools.product(range(d), repeat=3):
-            target = alg.theta(tup[0]) * alg.theta(tup[1]) * alg.theta(tup[2])
-            rep.expect_zero((3,) + tup, colour_action(alg, col3_weights, target))
+        for degree in (1, 2, 3):
+            for t, v in _sweep(alg, [thetas] * degree, annihilated):
+                rep.expect_zero((degree,) + tuple(mu for _, mu in t), v)
         rng = random.Random(seed)
         tuples4 = sorted({tuple(rng.randrange(d) for _ in range(4))
                           for _ in range(DEGREE4_SAMPLES)})
         for tup in tuples4:
-            target = alg.theta(tup[0])
-            for mu in tup[1:]:
-                target = target * alg.theta(mu)
-            rep.expect_zero((4,) + tup, colour_action(alg, col3_weights, target))
+            rep.expect_zero((4,) + tup,
+                            annihilated([(CLS_THETA, mu) for mu in tup]))
         rep.notes = f"degree-4 index tuples sampled with seed {seed}: {tuples4}"
     reports.append(rep)
 

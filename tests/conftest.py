@@ -49,6 +49,24 @@ def cross_sector_pairing(names, swap, contraction, square_zero):
     return names, swap, contraction, square_zero
 
 
+def third_pairing_at(indices):
+    """A rule-table rewrite: kappa = 1/3 on the pairing of d_mu with
+    theta^mu, in every Green sector, for each mu of ``indices(d)`` (d the
+    dimension), and the configured kappa elsewhere."""
+    def rewrite(names, swap, contraction, square_zero):
+        ids = {name: g for g, name in enumerate(names)}
+        d = len({name[:name.index("(")] for name in names
+                 if name.startswith("d_")})
+        contraction = dict(contraction)
+        for mu in indices(d):
+            for name in names:
+                if name.startswith(f"d_{mu}("):
+                    theta = ids["theta^" + name[2:]]
+                    contraction[(ids[name], theta)] = Fraction(1, 3)
+        return names, swap, contraction, square_zero
+    return rewrite
+
+
 def rewritten_strings(rewrite):
     """``MatrixRep`` with the Jordan-Wigner string of every generator record
     (bit, need, string, k) replaced by ``rewrite(bit, string)``."""

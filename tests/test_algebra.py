@@ -155,6 +155,69 @@ def test_inconsistent_rules_rejected():
             square_zero=(0,))
 
 
+def _is_homomorphism(sys_, image) -> bool:
+    """Reference for ``preserves_rules``: the generator map sends every
+    defining relation, u v - s(u, v) v u - c(u, v) for u after v and u u
+    for a square-zero u, to a word map whose normal form is zero."""
+    for u in range(sys_.size()):
+        a = image[u]
+        g = Element.generator(sys_, u)
+        if not g * g and Element(sys_, {(a, a): ONE}):
+            return False
+        for v in range(u):
+            b = image[v]
+            raw = {(a, b): ONE, (b, a): Cyclo(-sys_.swap_sign(u, v))}
+            if sys_.contraction(u, v):
+                raw[()] = -sys_.contraction(u, v)
+            if Element(sys_, raw):
+                return False
+    return True
+
+
+def test_preserves_rules_matches_mapped_relations():
+    """``preserves_rules`` holds exactly when the generator permutation
+    and its inverse both send every defining relation to zero: on a
+    fermion pair, on two Weyl pairs whose contractions differ in sign (a
+    map that reverses the order of a commuting pair must negate its
+    contraction), and on the d = 2 superspace with its Green sector swap,
+    its index swap 0 <-> 1 (the rule table ignores eta), and seeded
+    random permutations."""
+    weyl = GeneratorSystem(("x", "p", "y", "q"),
+                           contraction={(1, 0): ONE, (3, 2): -ONE})
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(2)))
+    comps = alg.components
+    sector_swap = list(range(alg.system.size()))
+    index_swap = list(sector_swap)
+    for (cls, mu), ids in comps.items():
+        if len(ids) == 2:
+            sector_swap[ids[0]], sector_swap[ids[1]] = ids[1], ids[0]
+        for g, h in zip(ids, comps[(cls, 1 - mu)] if cls else ids):
+            index_swap[g] = h
+    rng = random.Random(5)
+    cases = [(fermion_pair(), [1, 0], True), (weyl, [3, 2, 1, 0], True),
+             (weyl, [1, 0, 2, 3], False), (weyl, [0, 1, 3, 2], False),
+             (weyl, [0, 1, 0, 2], False),
+             (alg.system, sector_swap, True), (alg.system, index_swap, True)]
+    for _ in range(20):
+        perm = list(range(alg.system.size()))
+        rng.shuffle(perm)
+        cases.append((alg.system, perm, None))
+    # seeded random transpositions; a few swap two generators with equal rules
+    for _ in range(20):
+        perm = list(range(alg.system.size()))
+        i, j = rng.sample(range(alg.system.size()), 2)
+        perm[i], perm[j] = j, i
+        cases.append((alg.system, perm, None))
+    for sys_, image, want in cases:
+        got = sys_.preserves_rules(image)
+        if sorted(image) == list(range(sys_.size())):
+            inverse = sorted(range(len(image)), key=image.__getitem__)
+            assert got == (_is_homomorphism(sys_, image)
+                           and _is_homomorphism(sys_, inverse)), image
+        if want is not None:
+            assert got is want, image
+
+
 def _confluent_by_full_sweep(sys_) -> bool:
     """Reference check: reduce every descending overlap word both ways."""
     n = sys_.size()

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -147,16 +148,32 @@ def test_eval_bad_literal_position(expr, message, pos, capsys):
     assert f"(at position {pos})" in err
 
 
+def _assert_golden(doc: dict, name: str):
+    """``doc`` equals the stored report ``tests/data/<name>`` apart from
+    the timings."""
+    for c in doc["checks"]:
+        del c["elapsed_ms"]
+    golden = Path(__file__).parent / "data" / name
+    assert doc == json.loads(golden.read_text())
+
+
 def test_verify_all_matches_golden_report(capsys):
     """``verify --suite all`` at d = 3, seed 0, equals the stored report
     apart from the timings."""
-    golden = Path(__file__).parent / "data" / "verify_all_d3_seed0.json"
     assert main(["verify", "--suite", "all", "--dim", "3", "--seed", "0",
                  "--report", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    for c in doc["checks"]:
-        del c["elapsed_ms"]
-    assert doc == json.loads(golden.read_text())
+    _assert_golden(json.loads(capsys.readouterr().out),
+                   "verify_all_d3_seed0.json")
+
+
+def test_verify_all_d4_matches_golden_report(capsys):
+    """At d = 4, where the spatial quotient is live (S_3 on the spatial
+    indices), ``verify --suite all`` equals the stored report apart from
+    the timings."""
+    assert main(["verify", "--suite", "all", "--dim", "4", "--seed", "0",
+                 "--report", "json"]) == 0
+    _assert_golden(json.loads(capsys.readouterr().out),
+                   "verify_all_d4_seed0.json")
 
 
 def test_verify_all_runs_at_dim_1(capsys):
@@ -186,12 +203,25 @@ def test_failing_report_matches_golden(corrupted_d2_runs):
     """With the pairing corrupted to kappa = 1/3, ``--suite all`` at d = 2
     fails 13 checks; their residual indices and renderings equal the stored
     report apart from the timings."""
-    golden = Path(__file__).parent / "data" / "verify_all_d2_kappa13.json"
     spec, reports = corrupted_d2_runs["kappa=1/3"]
-    doc = json.loads(emit_json(reports, spec.config_dict()))
-    for c in doc["checks"]:
-        del c["elapsed_ms"]
-    assert doc == json.loads(golden.read_text())
+    _assert_golden(json.loads(emit_json(reports, spec.config_dict())),
+                   "verify_all_d2_kappa13.json")
+
+
+def test_failing_report_d3_matches_golden():
+    """With kappa = 1/3 at d = 3 the spatial gate passes, but some orbit
+    representatives are nonzero, so the sweeps fall back to every tuple:
+    ``--suite all`` fails 14 checks (``closure.leib`` 18 residuals,
+    ``para1.2`` 72, ``psi.bracket`` 42, ...), and their residuals equal the
+    stored report apart from the timings."""
+    spec = SuiteSpec("all", dimension=3, kappa=Fraction(1, 3))
+    reports = run_suite(spec)
+    failed = {r.check_id: len(r.residuals) for r in reports if not r.passed}
+    assert len(failed) == 14
+    assert (failed["closure.leib"], failed["para1.2"],
+            failed["psi.bracket"]) == (18, 72, 42)
+    _assert_golden(json.loads(emit_json(reports, spec.config_dict())),
+                   "verify_all_d3_kappa13.json")
 
 
 def test_dump_factor(capsys):

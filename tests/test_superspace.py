@@ -7,19 +7,21 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import UncheckedSystem, cross_sector_pairing, third_pairing_at
 from ternalg import dsl, superspace
-from ternalg.algebra import (TERNARY_ORDERINGS, Element, commutator,
-                             nested_action, random_element, sym3)
+from ternalg.algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
+                             commutator, nested_action, random_element, sym3)
 from ternalg.colour import col3_weights
-from ternalg.cyclo import Cyclo, Q, ZERO
+from ternalg.cyclo import ONE, Cyclo, Q, ZERO
 from ternalg.report import CheckReport
+from ternalg.suites import SuiteSpec, run_suite
 from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 CLS_THETA_SC, CLS_X, DOUBLE_BRACKET_FAMILIES,
                                 GREEN_SECTORS, REALISED_QUARTIC_COEFFS,
                                 REFERENCE_QUARTIC_COEFFS, SYM_BRACKET_FAMILIES,
                                 MetricSignature, SuperspaceConfig,
-                                _expected_double, _expected_sym, _label,
-                                _psi_base, build,
+                                _expected_double, _expected_leib,
+                                _expected_sym, _label, _psi_base, build,
                                 check_closure, check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
                                 check_roby, check_superspace_transformation,
@@ -171,12 +173,17 @@ def _ordered_psi_bracket(alg):
     (2, Fraction(1, 3), (0, 1), 98, 16),
     (3, Fraction(1, 3), (0, 1), 222, 42),
     (2, Fraction(1, 2), (0, 1, 2), 935, 16),
+    (4, Fraction(1, 2), (0, 1), 0, 0),
+    (4, Fraction(1, 3), (0, 1), 396, 80),
+    (3, Fraction(1, 2), (0, 1, 2), 2848, 54),
+    (4, Fraction(1, 2), (0, 1, 2), 6405, 128),
 ])
 def test_orbit_sweeps_match_ordered_reference(d, kappa, sectors, n_para,
                                               n_psi, monkeypatch):
-    """Reducing once per symmetry orbit reports, tuple for tuple and in the
-    same order, what the ordered sweep reports: on passing algebras and on
-    two corruptions (a wrong pairing, three Green sectors)."""
+    """Reducing once per symmetry orbit (and, from d = 3, once per orbit of
+    S_{d-1} first) reports, tuple for tuple and in the same order, what the
+    ordered sweep reports: on passing algebras and on two corruptions (a
+    wrong pairing, three Green sectors)."""
     monkeypatch.setattr(superspace, "GREEN_SECTORS", sectors)
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
                                  pairing_kappa=kappa))
@@ -206,18 +213,190 @@ def _ordered_roby_residuals(alg):
     (3, Fraction(1, 2), (0, 1), 0),
     (2, Fraction(1, 3), (0, 1), 0),
     (2, Fraction(1, 2), (0, 1, 2), 165),
+    (4, Fraction(1, 2), (0, 1), 0),
+    (4, Fraction(1, 3), (0, 1), 0),
+    (3, Fraction(1, 2), (0, 1, 2), 455),
+    (4, Fraction(1, 2), (0, 1, 2), 969),
 ])
 def test_roby_pair_table_matches_ordered_reference(d, kappa, sectors, n_roby,
                                                    monkeypatch):
-    """Forming each {u, v} once per call reports, triple for triple, what
-    ``sym3`` per triple reports: on passing algebras, on a wrong pairing and
-    with three Green sectors, where every triple fails."""
+    """Forming each {u, v} once per call (and, from d = 3, reducing once
+    per orbit of S_{d-1} first) reports, triple for triple, what ``sym3``
+    per triple reports: on passing algebras, on a wrong pairing and with
+    three Green sectors, where every triple fails."""
     monkeypatch.setattr(superspace, "GREEN_SECTORS", sectors)
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
                                  pairing_kappa=kappa))
     got = check_roby(alg).residuals
     assert got == _ordered_roby_residuals(alg)
     assert len(got) == n_roby
+
+
+def _ordered_closure_residuals(alg, weights):
+    """Reference for ``closure.leib`` and ``closure.annihilate``: every
+    ordered index tuple reduced directly, with no quotient; degree 4 on the
+    sample that ``check_closure`` draws with seed 0.  Returns the two
+    residual lists."""
+    d = alg.dimension
+    leib = CheckReport("closure.leib", "")
+    for a1, a2, a3 in itertools.product(range(d), repeat=3):
+        target = alg.theta(a1) * alg.theta(a2) * alg.theta(a3)
+        rhs = Element.zero(alg.system)
+        for i, j, k in itertools.permutations((1, 2, 3)):
+            rhs = rhs + alg.eps(i, a1) * alg.eps(j, a2) * alg.eps(k, a3)
+        leib.expect_zero((a1, a2, a3),
+                         alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, target))) - rhs)
+    rng = random.Random(0)
+    sample = sorted({tuple(rng.randrange(d) for _ in range(4))
+                     for _ in range(superspace.DEGREE4_SAMPLES)})
+    annihilate = CheckReport("closure.annihilate", "")
+    for idx in [idx for degree in (1, 2, 3)
+                for idx in itertools.product(range(d), repeat=degree)] + sample:
+        target = alg.theta(idx[0])
+        for mu in idx[1:]:
+            target = target * alg.theta(mu)
+        annihilate.expect_zero((len(idx),) + idx,
+                               colour_action(alg, weights, target))
+    return leib.residuals, annihilate.residuals
+
+
+def _control_algebra(name, d, monkeypatch):
+    """(algebra, colour weights) at dimension d under one named control:
+    "none", "kappa=1/3", "p=3", "non-confluent" (the cross-sector pairing,
+    construction check skipped), "unit-weights", "spatial-kappa" (kappa =
+    1/3 on every spatial pairing d_mu theta^mu, mu >= 1, and 1/2 at mu = 0:
+    S_{d-1} stays a symmetry, and every residual has a spatial index) or
+    "last-index" (kappa = 1/3 on d_{d-1} theta^{d-1} alone, which breaks
+    S_{d-1})."""
+    kappa, weights = Fraction(1, 2), col3_weights()
+    if name == "kappa=1/3":
+        kappa = Fraction(1, 3)
+    elif name == "p=3":
+        monkeypatch.setattr(superspace, "GREEN_SECTORS", (0, 1, 2))
+    elif name == "non-confluent":
+        monkeypatch.setattr(superspace, "GeneratorSystem", lambda *args:
+                            UncheckedSystem(*cross_sector_pairing(*args)))
+    elif name == "unit-weights":
+        weights = (ONE,) * 6
+    elif name in ("spatial-kappa", "last-index"):
+        rewrite = third_pairing_at(lambda d: range(1, d) if name ==
+                                   "spatial-kappa" else [d - 1])
+        monkeypatch.setattr(superspace, "GeneratorSystem", lambda *args:
+                            GeneratorSystem(*rewrite(*args)))
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
+                                 pairing_kappa=kappa))
+    return alg, weights
+
+
+def _first_appearance_indices(idx):
+    """An index tuple with its spatial indices renumbered 1, 2, ... in
+    order of first appearance."""
+    names = {0: 0}
+    return tuple(names.setdefault(mu, len(names)) for mu in idx)
+
+
+@pytest.mark.parametrize("name", ["none", "kappa=1/3", "p=3", "non-confluent",
+                                  "unit-weights", "spatial-kappa",
+                                  "last-index"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_closure_sweeps_match_ordered_reference(d, name, monkeypatch):
+    """``closure.leib`` and ``closure.annihilate``, reduced once per orbit
+    of S_{d-1} first, report tuple for tuple what the ordered sweep
+    reports, on the default algebra and under six controls; the para and
+    roby sweeps are compared too under the three rule tables that the
+    parametrised orbit tests above cannot build.  Under "spatial-kappa"
+    the gate passes and every residual has a spatial index, so these match
+    only if the representatives reach the spatial orbits."""
+    alg, weights = _control_algebra(name, d, monkeypatch)
+    reports = {r.check_id: r.residuals
+               for r in check_closure(alg, weights, seed=0)}
+    if name == "spatial-kappa":
+        assert superspace._spatial_symmetry(alg) and reports["closure.leib"]
+    assert (reports["closure.leib"], reports["closure.annihilate"]) == \
+        _ordered_closure_residuals(alg, weights)
+    if name in ("non-confluent", "spatial-kappa", "last-index"):
+        got = [(r.check_id, r.residuals)
+               for r in check_parafermion_relations(alg)]
+        assert got == _ordered_para_residuals(alg)
+        assert check_roby(alg).residuals == _ordered_roby_residuals(alg)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_representatives_meet_every_orbit_once(d):
+    """``_representatives`` yields one slot tuple per orbit of (bracket
+    symmetry x S_{d-1}) for the para, roby and closure slot lists, against
+    orbits found by brute force over all of S_{d-1}."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    perms = {superspace._sorted_slots: list(itertools.permutations(range(3))),
+             superspace._ordered_12: [(0, 1, 2), (1, 0, 2)], None: [None]}
+    thetas = [(CLS_THETA, mu) for mu in range(d)]
+    cases = [([_slot_keys(alg, kind) for kind in pattern], canon)
+             for pattern in ("NNN", "NND", "NDN", "NDD", "DDN", "DDD")
+             for canon in (superspace._sorted_slots, superspace._ordered_12)]
+    cases += [([thetas] * k, None) for k in (1, 2, 3)]
+    relabellings = [(0,) + p for p in itertools.permutations(range(1, d))]
+
+    def orbit(t, canon):
+        return min(tuple((cls, sigma[mu]) for cls, mu in
+                         (t if p is None else [t[i] for i in p]))
+                   for p in perms[canon] for sigma in relabellings)
+
+    for slots, canon in cases:
+        orbits = {orbit(t, canon) for t in itertools.product(*slots)}
+        reps = list(superspace._representatives(slots, canon))
+        assert sorted(orbit(t, canon) for t in reps) == sorted(orbits)
+        assert set(reps) <= set(itertools.product(*slots))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_spatial_gate_verdict_on_the_default_algebra(d):
+    """The gate passes the default algebra at d = 3..5, and is closed at
+    d <= 2, where S_{d-1} is trivial; the verdict is kept on the algebra."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    assert superspace._spatial_symmetry(alg) is (d >= 3)
+    assert alg._cache[("spatial",)] is (d >= 3)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_spatial_gate_refuses_a_rule_table_that_singles_out_an_index(
+        d, monkeypatch):
+    """With kappa = 1/3 on d_{d-1} theta^{d-1} alone the gate refuses, and
+    the closure, para and roby sweeps report what the ordered sweeps
+    report (``test_closure_sweeps_match_ordered_reference``), including
+    residuals whose first-appearance representative is zero.  The gate is
+    load-bearing: forced open at d = 4, the quotient misses residuals."""
+    alg, weights = _control_algebra("last-index", d, monkeypatch)
+    assert not superspace._spatial_symmetry(alg)
+    leib, _ = _ordered_closure_residuals(alg, weights)
+    failing = {tuple(r["indices"]) for r in leib}
+    assert any(_first_appearance_indices(idx) not in failing
+               for idx in failing)
+    if d == 4:
+        monkeypatch.setattr(superspace, "_spatial_symmetry", lambda alg: True)
+        got = [(r.check_id, r.residuals)
+               for r in check_parafermion_relations(alg)]
+        assert got != _ordered_para_residuals(alg)
+
+
+def test_spatial_gate_checks_V():
+    """The gate maps each V_i too: with the mu = d - 1 term [eps_1, d]
+    dropped from V_1 alone, the rule table is still symmetric, and the
+    gate refuses."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
+    alg._cache[("V", 1)] = alg.V(1) - commutator(alg.eps(1, 2), alg.d(2))
+    assert not superspace._spatial_symmetry(alg)
+
+
+def test_reversed_J_control(monkeypatch):
+    """J_{mu nu} negated (the reversed orientation) fails at d = 3 exactly
+    the checks that read J's orientation against the cubic Poincare table;
+    at d = 2 there is one L pair, so poincare.LL cannot fail there."""
+    J = superspace.SuperspaceAlgebra.J
+    monkeypatch.setattr(superspace.SuperspaceAlgebra, "J",
+                        lambda self, mu, nu: -J(self, mu, nu))
+    reports = run_suite(SuiteSpec("all", dimension=3))
+    assert {r.check_id: len(r.residuals) for r in reports if not r.passed} \
+        == {"poincare.LL": 6, "poincare.Jtheta": 6, "order3.superspace": 9}
 
 
 def test_colour_action_matches_nested_sum(alg2):
@@ -255,13 +434,34 @@ def test_colour_action_matches_nested_sum(alg2):
     assert nonzero == 2 * 3 + 4 * 2
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def _spatial_generators(d):
+    """The transposition (1 2) and the cycle (1 ... d-1) of the spatial
+    indices, as index maps: the two generators of S_{d-1}."""
+    return [(0, 2, 1) + tuple(range(3, d)), (0,) + tuple(range(2, d)) + (1,)]
+
+
+def _spatial_action(alg, sigma):
+    """The action of the index map ``sigma`` on elements: each generator of
+    (cls, mu) goes to the generator of (cls, sigma[mu]) in its Green
+    sector, and the mapped words are normal formed again."""
+    image = {}
+    for (cls, mu), ids in alg.components.items():
+        image.update(zip(ids, alg.components[(cls, sigma[mu])]))
+    return lambda e: Element(alg.system, {tuple(image[g] for g in w): c
+                                          for w, c in e.terms.items()})
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_expected_sides_have_the_bracket_symmetry(d):
     """The right-hand sides obey the symmetry the orbit quotient relies on:
     ``_expected_sym`` is invariant under every permutation of its slots,
     ``_expected_double`` is antisymmetric in slots 1-2 for every triple of
     slot keys (the double families order slots 1-2 whatever their kinds),
-    and the psi right-hand side is symmetric in (mu, nu, rho)."""
+    and the psi right-hand side is symmetric in (mu, nu, rho).  From
+    d = 3, ``_expected_sym``, ``_expected_double`` and the ``closure.leib``
+    right-hand side ``_expected_leib`` are also covariant under both
+    generators of S_{d-1}: each maps the side at a tuple to the side at
+    the mapped tuple."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
     choices = _slot_keys(alg, "N") + _slot_keys(alg, "D")
     for triple in itertools.product(choices, repeat=3):
@@ -276,6 +476,15 @@ def test_expected_sides_have_the_bracket_symmetry(d):
             want = _psi_base(alg, s, *idx)
             for perm in itertools.permutations(idx):
                 assert _psi_base(alg, s, *perm) == want
+    for sigma in _spatial_generators(d) if d >= 3 else ():
+        act = _spatial_action(alg, sigma)
+        for triple in itertools.product(choices, repeat=3):
+            mapped = [(cls, sigma[mu]) for cls, mu in triple]
+            for side in (_expected_sym, _expected_double):
+                assert act(side(alg, *triple)) == side(alg, *mapped)
+        for idx in itertools.product(range(d), repeat=3):
+            assert act(_expected_leib(alg, *idx)) == \
+                _expected_leib(alg, *(sigma[mu] for mu in idx))
 
 
 def test_roby(alg2):
