@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, commutator
+from .algebra import Element, commutator  # unused; bench/tracer.py patches it
 from .report import CheckReport
 from .superspace import MetricSignature, SuperspaceAlgebra
 
@@ -321,44 +321,41 @@ def cubic_poincare(metric: MetricSignature) -> StructureConstants3:
     return StructureConstants3(n0, n1, f, R, Q, labels0, labels1)
 
 
-def check_against_superspace(sc: StructureConstants3,
-                             alg: SuperspaceAlgebra) -> CheckReport:
+def check_against_superspace(sc: StructureConstants3, alg: SuperspaceAlgebra,
+                             comm) -> CheckReport:
     """Cross-validate the even sector against the differential realisation.
 
-    Every [L, L] and [L, P] bracket computed by the rewriting engine must
-    match the f-contraction from the structure-constant table, and [J,
-    theta] must match the R-contraction.
+    Every [L, L] and [L, P] engine bracket must match the f-contraction
+    from the structure-constant table, and [J, theta] the R-contraction.
+    The brackets are read from ``comm`` (``superspace.poincare_brackets``),
+    the table that the ``poincare`` checks compare with their eta
+    formulas, so each is formed once and compared with both encodings.
     """
     d = alg.dimension
     lorentz_pairs = list(itertools.combinations(range(d), 2))
     with CheckReport("order3.superspace",
                      "engine brackets of the realised L, P match the "
                      "f table; [J, theta] matches the R table") as rep:
-        basis = [alg.lorentz(mu, nu) for mu, nu in lorentz_pairs] \
-            + [alg.P(mu) for mu in range(d)]
+        keys = [("lorentz", mu, nu) for mu, nu in lorentz_pairs] \
+            + [("P", mu) for mu in range(d)]
+        basis = [getattr(alg, name)(*idx) for name, *idx in keys]
         n0 = len(basis)
         if n0 != sc.dim0 or d != sc.dim1:
             rep.add_residual(("shape",),
                              f"table is {sc.dim0}+{sc.dim1} dimensional, "
                              f"realisation is {n0}+{d}")
             return rep
-        for i in range(n0):
-            for j in range(i + 1, n0):
-                lhs = commutator(basis[i], basis[j])
-                rhs = Element.zero(alg.system)
-                for k in range(n0):
-                    coef = sc.f[i, j, k]
-                    if coef:
-                        rhs = rhs + basis[k].scale(coef)
-                rep.expect_zero((sc.labels0[i], sc.labels0[j]), lhs - rhs)
-        for idx, (mu, nu) in enumerate(lorentz_pairs):
-            for rho in range(d):
-                # theta with the index lowered plays the role of V_rho
-                lhs = commutator(alg.J(mu, nu), alg.theta_lower(rho))
-                rhs = Element.zero(alg.system)
-                for b in range(d):
-                    coef = sc.R[idx, rho, b]
-                    if coef:
-                        rhs = rhs + alg.theta_lower(b).scale(coef)
-                rep.expect_zero((sc.labels0[idx], f"theta^{rho}"), lhs - rhs)
+        f, R = _rows(sc.f), _rows(sc.R)
+        zero = Element.zero(alg.system)
+        for i, j in itertools.combinations(range(n0), 2):
+            rhs = sum((basis[k].scale(v) for k, v in f.get((i, j), ())), zero)
+            rep.expect_zero((sc.labels0[i], sc.labels0[j]),
+                            comm(keys[i], keys[j]) - rhs)
+        for (idx, (mu, nu)), rho in itertools.product(enumerate(lorentz_pairs),
+                                                      range(d)):
+            # theta with the index lowered plays the role of V_rho
+            rhs = sum((alg.theta_lower(b).scale(v)
+                       for b, v in R.get((idx, rho), ())), zero)
+            rep.expect_zero((sc.labels0[idx], f"theta^{rho}"),
+                            comm(("J", mu, nu), ("theta_lower", rho)) - rhs)
     return rep

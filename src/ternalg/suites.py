@@ -22,7 +22,8 @@ from .superspace import (CLS_DEL, CLS_EPS, CLS_THETA, CLS_THETA_SC,
                          MetricSignature, SuperspaceAlgebra, SuperspaceConfig,
                          build, check_closure, check_parafermion_relations,
                          check_poincare_realisation, check_psi_bracket,
-                         check_roby, check_superspace_transformation)
+                         check_roby, check_superspace_transformation,
+                         poincare_brackets)
 
 
 @dataclass(frozen=True)
@@ -265,10 +266,10 @@ def check_oracle(alg: SuperspaceAlgebra, seed: int = 0) -> list[CheckReport]:
 # -- suite registry -------------------------------------------------------
 
 def _poincare(spec, metric, alg):
-    out = check_poincare_realisation(alg)
+    comm = poincare_brackets(alg)  # one table for both checks, this job only
+    out = check_poincare_realisation(alg, comm)
     sc = order3.cubic_poincare(metric)
-    out.append(order3.check_against_superspace(sc, alg))
-    return out
+    return out + [order3.check_against_superspace(sc, alg, comm)]
 
 
 # suite id -> (needs the algebra, job(spec, metric, alg) -> reports), in

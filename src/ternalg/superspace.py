@@ -37,8 +37,11 @@ checks once per algebra, on first use, that the transposition (1 2) and
 the cycle (1 ... d-1), lifted to generator ids, preserve every swap sign,
 contraction and square rule and fix each V_i.  If it refuses, or d <= 2
 (a trivial group), every tuple is swept.  The right-hand sides read
-indices only through Kronecker deltas; a test pins their covariance.  ``psi.bracket``, ``poincare``
-and ``trans`` sweep every tuple.
+indices only through Kronecker deltas; a test pins their covariance.
+``psi.bracket``, ``poincare`` and ``trans`` sweep every tuple.  Each bracket
+has one producer: ``trans`` and ``check_closure`` share the rows of
+``ad_V``, and ``poincare.*`` and ``order3.superspace`` one
+``poincare_brackets`` table.
 
 Sign conventions
 ----------------
@@ -255,8 +258,9 @@ class SuperspaceAlgebra:
 
         A commutator is a derivation, so on a word g_1...g_n it is the sum
         over k of g_1...g_{k-1} [V_i, g_k] g_{k+1}...g_n.  The table of
-        [V_i, g] holds one row per generator g, each formed on first use:
-        the closure sweeps read about 60% of the rows.
+        [V_i, g] holds one row per generator g, each formed on first use
+        and kept with the algebra; it is the only place [V_i, g] is
+        formed, so ``trans`` and the closure sweeps share its rows.
         """
         table = self._cache.setdefault(("adV", i), {})
         times_word = self.system.times_word
@@ -460,16 +464,16 @@ def _sweep(alg, slots, value, canon=None, tuples=None):
         yield from _per_orbit(itertools.product(*slots), canon, value)
 
 
-def _pair_table(elements, bracket):
-    """``inner(u, v)``: ``bracket`` of the elements at slot keys u and v,
+def _pair_table(element, bracket):
+    """``inner(u, v)``: ``bracket`` of ``element(u)`` and ``element(v)``,
     formed once per ordered pair of keys.  The dict lives as long as the
-    returned function, i.e. one check call."""
+    returned function: one check call, or one Poincare job."""
     table = {}
 
     def inner(u, v):
         value = table.get((u, v))
         if value is None:
-            value = table[u, v] = bracket(elements[u], elements[v])
+            value = table[u, v] = bracket(element(u), element(v))
         return value
     return inner
 
@@ -477,7 +481,7 @@ def _pair_table(elements, bracket):
 def _sym_bracket(elements):
     """``value(t)``: {a, b, c} = a{b, c} + b{c, a} + c{a, b} at slot keys
     t = (a, b, c), as ``sym3`` sums it, each {u, v} from one pair table."""
-    anti = _pair_table(elements, anticommutator)
+    anti = _pair_table(elements.__getitem__, anticommutator)
     return lambda t: sum_of_products(((elements[t[0]], anti(t[1], t[2])),
                                       (elements[t[1]], anti(t[0], t[2])),
                                       (elements[t[2]], anti(t[0], t[1]))))
@@ -498,7 +502,7 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
     elements, labels = alg._named, alg.labels
     slots = {"N": alg.coordinate_keys,
              "D": [(CLS_DEL, mu) for mu in range(alg.dimension)]}
-    comm = _pair_table(elements, commutator)
+    comm = _pair_table(elements.__getitem__, commutator)
     sym = _sym_bracket(elements)
 
     def double(t):
@@ -541,62 +545,69 @@ def check_roby(alg: SuperspaceAlgebra) -> CheckReport:
     return rep
 
 
-def check_poincare_realisation(alg: SuperspaceAlgebra) -> list[CheckReport]:
-    """Brackets of the realised L, P, J against the cubic Poincare table."""
-    d = alg.dimension
+def poincare_brackets(alg: SuperspaceAlgebra):
+    """``comm(u, v)``: the commutator of the elements that the accessor
+    keys u and v name, ("J", mu, nu) for ``alg.J(mu, nu)``, formed once per
+    ordered pair for one Poincare job.  It calls the accessors, so a
+    patched ``J`` is the one bracketed."""
+    return _pair_table(lambda key: getattr(alg, key[0])(*key[1:]), commutator)
+
+
+def _rotated(alg, vector, mu, nu, rho) -> Element:
+    """eta_{nu rho} v_mu - eta_{mu rho} v_nu for v_a = ``vector(a)``: the
+    right-hand side of [L_{mu nu}, v_rho], or of [J_{mu nu}, v_rho]."""
     eta = alg.eta
-    reports = []
+    return (vector(mu).scale(eta[nu] if nu == rho else 0)
+            - vector(nu).scale(eta[mu] if mu == rho else 0))
+
+
+def _expected_LL(alg, mu, nu, rho, sigma) -> Element:
+    """[L_{mu nu}, L_{rho sigma}]: each index rotates as in ``_rotated``."""
+    return (_rotated(alg, lambda a: alg.lorentz(a, sigma), mu, nu, rho)
+            + _rotated(alg, lambda b: alg.lorentz(rho, b), mu, nu, sigma))
+
+
+def check_poincare_realisation(alg: SuperspaceAlgebra,
+                               comm) -> list[CheckReport]:
+    """Brackets of the realised L, P, J against the cubic Poincare table,
+    each read from ``comm`` (``poincare_brackets``)."""
+    d = alg.dimension
+    pairs = list(itertools.combinations(range(d), 2))
 
     with CheckReport("poincare.LL",
                      "[L_{mu nu}, L_{rho sigma}] = eta_{nu sigma} L_{rho mu}"
                      " - eta_{mu sigma} L_{rho nu} + eta_{nu rho} L_{mu sigma}"
                      " - eta_{mu rho} L_{nu sigma}") as rep:
-        for mu, nu in itertools.combinations(range(d), 2):
-            for rho, sigma in itertools.combinations(range(d), 2):
-                lhs = commutator(alg.lorentz(mu, nu), alg.lorentz(rho, sigma))
-                rhs = (alg.lorentz(rho, mu).scale(eta[nu] if nu == sigma else 0)
-                       - alg.lorentz(rho, nu).scale(eta[mu] if mu == sigma else 0)
-                       + alg.lorentz(mu, sigma).scale(eta[nu] if nu == rho else 0)
-                       - alg.lorentz(nu, sigma).scale(eta[mu] if mu == rho else 0))
-                rep.expect_zero((mu, nu, rho, sigma), lhs - rhs)
-    reports.append(rep)
+        for (mu, nu), (rho, sigma) in itertools.product(pairs, repeat=2):
+            rep.expect_zero((mu, nu, rho, sigma),
+                            comm(("lorentz", mu, nu), ("lorentz", rho, sigma))
+                            - _expected_LL(alg, mu, nu, rho, sigma))
+    reports = [rep]
 
-    with CheckReport("poincare.LP",
-                     "[L_{mu nu}, P_rho] = eta_{nu rho} P_mu"
-                     " - eta_{mu rho} P_nu") as rep:
-        for mu, nu in itertools.combinations(range(d), 2):
-            for rho in range(d):
-                lhs = commutator(alg.lorentz(mu, nu), alg.P(rho))
-                rhs = (alg.P(mu).scale(eta[nu] if nu == rho else 0)
-                       - alg.P(nu).scale(eta[mu] if mu == rho else 0))
-                rep.expect_zero((mu, nu, rho), lhs - rhs)
-    reports.append(rep)
+    for check_id, relation, op, vector in (
+            ("poincare.LP", "[L_{mu nu}, P_rho] = eta_{nu rho} P_mu"
+             " - eta_{mu rho} P_nu", "lorentz", "P"),
+            ("poincare.Jtheta", "[J_{mu nu}, theta_rho] = eta_{nu rho} "
+             "theta_mu - eta_{mu rho} theta_nu", "J", "theta_lower")):
+        with CheckReport(check_id, relation) as rep:
+            for (mu, nu), rho in itertools.product(pairs, range(d)):
+                rhs = _rotated(alg, getattr(alg, vector), mu, nu, rho)
+                rep.expect_zero((mu, nu, rho),
+                                comm((op, mu, nu), (vector, rho)) - rhs)
+        reports.append(rep)
 
     with CheckReport("poincare.PP", "[P_mu, P_nu] = 0") as rep:
-        for mu, nu in itertools.combinations(range(d), 2):
-            rep.expect_zero((mu, nu), commutator(alg.P(mu), alg.P(nu)))
-    reports.append(rep)
-
-    with CheckReport("poincare.Jtheta",
-                     "[J_{mu nu}, theta_rho] = eta_{nu rho} theta_mu"
-                     " - eta_{mu rho} theta_nu") as rep:
-        for mu, nu in itertools.combinations(range(d), 2):
-            for rho in range(d):
-                lhs = commutator(alg.J(mu, nu), alg.theta_lower(rho))
-                rhs = (alg.theta_lower(mu).scale(eta[nu] if nu == rho else 0)
-                       - alg.theta_lower(nu).scale(eta[mu] if mu == rho else 0))
-                rep.expect_zero((mu, nu, rho), lhs - rhs)
+        for mu, nu in pairs:
+            rep.expect_zero((mu, nu), comm(("P", mu), ("P", nu)))
     reports.append(rep)
 
     with CheckReport("poincare.Ptheta",
                      "[P_mu, theta^nu] = 0 and [J_{mu nu}, theta] = 0") as rep:
-        for mu in range(d):
-            for nu in range(d):
-                rep.expect_zero(("P", mu, nu),
-                                commutator(alg.P(mu), alg.theta(nu)))
-        for mu, nu in itertools.combinations(range(d), 2):
+        for mu, nu in itertools.product(range(d), repeat=2):
+            rep.expect_zero(("P", mu, nu), comm(("P", mu), ("theta", nu)))
+        for mu, nu in pairs:
             rep.expect_zero(("J-scalar", mu, nu),
-                            commutator(alg.J(mu, nu), alg.theta_scalar()))
+                            comm(("J", mu, nu), ("theta_scalar",)))
     reports.append(rep)
     return reports
 
@@ -665,31 +676,22 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
 
 def check_superspace_transformation(alg: SuperspaceAlgebra) -> list[CheckReport]:
     """[V_i, theta^a] = eps_i^a, [V_i, x^a] = delta-x, and reality/centrality
-    of the coordinate shifts."""
+    of the coordinate shifts.  Every [V_i, g] is read from the rows of
+    ``ad_V``, which the closure suite reuses."""
     d = alg.dimension
     reports = []
-
-    with CheckReport("trans.theta", "[V, theta^alpha] = eps^alpha") as rep:
-        for i in (1, 2, 3):
-            for a in range(d):
-                rep.expect_zero((i, a),
-                                commutator(alg.V(i), alg.theta(a)) - alg.eps(i, a))
-    reports.append(rep)
-
-    with CheckReport("trans.x", "[V, x^alpha] = "
-                     "[theta, theta^mu][eps^alpha, theta_mu]") as rep:
-        for i in (1, 2, 3):
-            for a in range(d):
-                rep.expect_zero((i, a),
-                                commutator(alg.V(i), alg.x(a)) - alg.delta_x(i, a))
-    reports.append(rep)
+    for check_id, relation, target, image in (
+            ("trans.theta", "[V, theta^alpha] = eps^alpha", alg.theta, alg.eps),
+            ("trans.x", "[V, x^alpha] = [theta, theta^mu][eps^alpha, theta_mu]",
+             alg.x, alg.delta_x)):
+        with CheckReport(check_id, relation) as rep:
+            for i, a in itertools.product((1, 2, 3), range(d)):
+                rep.expect_zero((i, a), alg.ad_V(i, target(a)) - image(i, a))
+        reports.append(rep)
 
     with CheckReport("trans.eps", "[V_i, eps_j^alpha] = 0") as rep:
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                for a in range(d):
-                    rep.expect_zero((i, j, a),
-                                    commutator(alg.V(i), alg.eps(j, a)))
+        for i, j, a in itertools.product((1, 2, 3), (1, 2, 3), range(d)):
+            rep.expect_zero((i, j, a), alg.ad_V(i, alg.eps(j, a)))
     reports.append(rep)
 
     with CheckReport("trans.deltax",

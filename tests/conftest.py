@@ -49,6 +49,19 @@ def cross_sector_pairing(names, swap, contraction, square_zero):
     return names, swap, contraction, square_zero
 
 
+def eps1_pairing(names, swap, contraction, square_zero):
+    """The rule table with each d_mu Green component also contracted, by 1,
+    with the eps1^mu component of its own sector.  Both components have
+    the same swap row, so the table stays confluent; V_i, which carries
+    [eps_i, d], then no longer commutes with eps1."""
+    ids = {name: g for g, name in enumerate(names)}
+    contraction = dict(contraction)
+    for name in names:
+        if name.startswith("d_"):
+            contraction[(ids["eps1^" + name[2:]], ids[name])] = 1
+    return names, swap, contraction, square_zero
+
+
 def third_pairing_at(indices):
     """A rule-table rewrite: kappa = 1/3 on the pairing of d_mu with
     theta^mu, in every Green sector, for each mu of ``indices(d)`` (d the
@@ -97,7 +110,8 @@ def corrupted_d2_runs():
     negates every contraction P_mu x^nu -> x^nu P_mu + c,
     "unit-weights" replaces the colour-bracket weights by six ones,
     "non-confluent" builds the cross-sector pairing with its construction
-    check skipped, and two corrupt the matrix oracle's Jordan-Wigner
+    check skipped, "d-eps1" contracts each d_mu component with eps1^mu
+    (``eps1_pairing``), and two corrupt the matrix oracle's Jordan-Wigner
     strings: "no-JW" empties every string, "cross-sector-JW" runs each over
     every later mode (the lower bits), not only those of its own sector."""
     def p_x_negated(names, swap, contraction, square_zero):
@@ -114,6 +128,8 @@ def corrupted_d2_runs():
             "unit-weights": (colour, "col3_weights", lambda: (ONE,) * 6),
             "non-confluent": (superspace, "GeneratorSystem", lambda *args:
                               UncheckedSystem(*cross_sector_pairing(*args))),
+            "d-eps1": (superspace, "GeneratorSystem", lambda *args:
+                       GeneratorSystem(*eps1_pairing(*args))),
             "no-JW": (matrixrep, "MatrixRep",
                       rewritten_strings(lambda bit, string: 0)),
             "cross-sector-JW": (matrixrep, "MatrixRep",

@@ -19,7 +19,8 @@ from ternalg.suites import check_engine, check_oracle
 from ternalg.superspace import (MetricSignature, check_closure,
                                 check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
-                                check_roby, check_superspace_transformation)
+                                check_roby, check_superspace_transformation,
+                                poincare_brackets)
 
 
 def _failures(reports):
@@ -51,9 +52,10 @@ def test_criterion_2_roby(alg4):
 
 
 def test_criterion_3_poincare_realisation(alg4):
-    reports = check_poincare_realisation(alg4)
+    comm = poincare_brackets(alg4)
+    reports = check_poincare_realisation(alg4, comm)
     sc = cubic_poincare(MetricSignature.minkowski(4))
-    reports.append(check_against_superspace(sc, alg4))
+    reports.append(check_against_superspace(sc, alg4, comm))
     record_criterion(
         3, "[L,L], [L,P] and [J,theta] match the cubic extension's "
            "structure constants, cross-checked against the table",

@@ -176,6 +176,17 @@ def test_verify_all_d4_matches_golden_report(capsys):
                    "verify_all_d4_seed0.json")
 
 
+def test_verify_all_d5_matches_golden_report(capsys):
+    """At d = 5, the largest dimension of the day-to-day runs (S_4 on the
+    spatial indices), ``verify --suite all`` equals the stored report apart
+    from the timings: every check passes, roby's six-ordering relations
+    among them."""
+    assert main(["verify", "--suite", "all", "--dim", "5", "--seed", "0",
+                 "--report", "json"]) == 0
+    _assert_golden(json.loads(capsys.readouterr().out),
+                   "verify_all_d5_seed0.json")
+
+
 def test_verify_all_runs_at_dim_1(capsys):
     """Every suite runs at the smallest accepted dimension; the probes that
     need a second index are skipped and named in the notes."""
@@ -186,17 +197,6 @@ def test_verify_all_runs_at_dim_1(capsys):
     assert all(c["status"] == "pass" for c in checks.values())
     assert "d = 1" in checks["psi.bracket"]["notes"]
     assert "d = 1" in checks["closure.symmetric"]["notes"]
-
-
-def test_verify_roby_passes_at_dim_5(capsys):
-    """The six-ordering relations at the largest dimension of the
-    day-to-day runs: every fully symmetric bracket of the sweep is formed
-    by the grouped ternary product and must reduce to zero."""
-    assert main(["verify", "--suite", "roby", "--dim", "5",
-                 "--report", "json"]) == 0
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    assert checks
-    assert all(c["status"] == "pass" for c in checks)
 
 
 def test_failing_report_matches_golden(corrupted_d2_runs):

@@ -12,7 +12,7 @@ from ternalg.order3 import (StructureConstants3, Table,
                             check_against_superspace, check_lie_order3,
                             cubic_poincare)
 from ternalg.report import CheckReport
-from ternalg.superspace import MetricSignature
+from ternalg.superspace import MetricSignature, poincare_brackets
 
 
 def _all_pass(reports):
@@ -112,14 +112,14 @@ def test_json_rejects_broken_symmetry():
 
 def test_superspace_cross_check(alg2):
     sc = cubic_poincare(MetricSignature.minkowski(2))
-    rep = check_against_superspace(sc, alg2)
+    rep = check_against_superspace(sc, alg2, poincare_brackets(alg2))
     assert rep.passed, rep.residuals[:3]
 
 
 def test_superspace_metric_mismatch(alg2):
     # flipped signature realises different structure constants
     sc = cubic_poincare(MetricSignature(2, (-1, 1)))
-    rep = check_against_superspace(sc, alg2)
+    rep = check_against_superspace(sc, alg2, poincare_brackets(alg2))
     assert not rep.passed
 
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import UncheckedSystem, cross_sector_pairing, third_pairing_at
-from ternalg import dsl, superspace
+from conftest import (UncheckedSystem, cross_sector_pairing, eps1_pairing,
+                      third_pairing_at)
+from ternalg import dsl, order3, suites, superspace
 from ternalg.algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
                              commutator, nested_action, random_element, sym3)
 from ternalg.colour import col3_weights
@@ -21,11 +22,12 @@ from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 REFERENCE_QUARTIC_COEFFS, SYM_BRACKET_FAMILIES,
                                 MetricSignature, SuperspaceConfig,
                                 _expected_double, _expected_leib,
-                                _expected_sym, _label, _psi_base, build,
+                                _expected_LL, _expected_sym, _label,
+                                _psi_base, _rotated, build,
                                 check_closure, check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
                                 check_roby, check_superspace_transformation,
-                                colour_action)
+                                colour_action, poincare_brackets)
 
 
 def _all_pass(reports):
@@ -399,6 +401,61 @@ def test_reversed_J_control(monkeypatch):
         == {"poincare.LL": 6, "poincare.Jtheta": 6, "order3.superspace": 9}
 
 
+def test_d_eps1_control_fails_trans_eps(monkeypatch, corrupted_d2_runs):
+    """Each d_mu component contracted with eps1^mu of its own sector makes
+    [V_i, eps1^a] nonzero: ``trans.eps`` fails with 6 residuals at d = 2
+    and, where S_{d-1} is live and the sweeps fall back, 9 at d = 3."""
+    _, reports = corrupted_d2_runs["d-eps1"]
+    failed = {r.check_id: len(r.residuals) for r in reports if not r.passed}
+    assert failed["trans.eps"] == 6
+    monkeypatch.setattr(superspace, "GeneratorSystem",
+                        lambda *args: GeneratorSystem(*eps1_pairing(*args)))
+    reports = run_suite(SuiteSpec("all", dimension=3))
+    assert {r.check_id: len(r.residuals) for r in reports if not r.passed} \
+        == {"para1.2": 72, "para1.3": 39, "para1.4": 9, "para1.5": 12,
+            "para.2": 75, "para.3": 15, "trans.eps": 9,
+            "closure.annihilate": 29, "closure.deltax": 3,
+            "closure.symmetric": 8}
+
+
+def _counted_commutator(monkeypatch):
+    """Route every ``commutator`` of superspace and order3 through one
+    counter; returns the list of first arguments, one per call."""
+    firsts = []
+
+    def counted(a, b):
+        firsts.append(a)
+        return commutator(a, b)
+    for module in (superspace, order3):
+        monkeypatch.setattr(module, "commutator", counted)
+    return firsts
+
+
+def test_poincare_job_forms_each_bracket_once(monkeypatch):
+    """``poincare.*`` and ``order3.superspace`` read one bracket table: at
+    d = 3 the job forms 9 [L, L], 9 [L, P], 3 [P, P], 9 [J, theta],
+    9 [P, theta] and 3 [J, theta-scalar] commutators, 42 in all, and
+    ``order3.superspace`` adds none of its own."""
+    firsts = _counted_commutator(monkeypatch)
+    assert all(r.passed for r in run_suite(SuiteSpec("poincare", dimension=3)))
+    assert len(firsts) == 42
+
+
+def test_V_brackets_come_from_the_ad_V_rows(monkeypatch):
+    """Over ``--suite all`` at d = 3, [V_i, g] is formed only by the row
+    builder of ``ad_V``: one commutator on V_i per row of its table, so
+    ``trans`` and ``closure`` share the rows."""
+    firsts = _counted_commutator(monkeypatch)
+    built = []
+    monkeypatch.setattr(suites, "build",
+                        lambda config: built.append(build(config)) or built[-1])
+    assert all(r.passed for r in run_suite(SuiteSpec("all", dimension=3)))
+    alg = built[0]  # the run's algebra; ``check_engine`` builds its own
+    V = [alg._cache[("V", i)] for i in (1, 2, 3)]
+    rows = sum(len(alg._cache[("adV", i)]) for i in (1, 2, 3))
+    assert rows and sum(any(a is v for v in V) for a in firsts) == rows
+
+
 def test_colour_action_matches_nested_sum(alg2):
     """``colour_action`` (grouped by the leading V_i) equals the direct sum
     of w * [V_i, [V_j, [V_k, t]]] over the six orderings, on theta monomials
@@ -451,17 +508,19 @@ def _spatial_action(alg, sigma):
                                           for w, c in e.terms.items()})
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_expected_sides_have_the_bracket_symmetry(d):
     """The right-hand sides obey the symmetry the orbit quotient relies on:
     ``_expected_sym`` is invariant under every permutation of its slots,
     ``_expected_double`` is antisymmetric in slots 1-2 for every triple of
     slot keys (the double families order slots 1-2 whatever their kinds),
     and the psi right-hand side is symmetric in (mu, nu, rho).  From
-    d = 3, ``_expected_sym``, ``_expected_double`` and the ``closure.leib``
-    right-hand side ``_expected_leib`` are also covariant under both
-    generators of S_{d-1}: each maps the side at a tuple to the side at
-    the mapped tuple."""
+    d = 3, ``_expected_sym``, ``_expected_double``, the ``closure.leib``
+    right-hand side ``_expected_leib``, the ``trans`` targets eps(i, a)
+    and delta_x(i, a), the eta sides of ``poincare.LL`` (``_expected_LL``),
+    ``poincare.LP`` and ``poincare.Jtheta`` (``_rotated``) and
+    ``_psi_base`` are also covariant under both generators of S_{d-1}:
+    each maps the side at a tuple to the side at the mapped tuple."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
     choices = _slot_keys(alg, "N") + _slot_keys(alg, "D")
     for triple in itertools.product(choices, repeat=3):
@@ -483,8 +542,21 @@ def test_expected_sides_have_the_bracket_symmetry(d):
             for side in (_expected_sym, _expected_double):
                 assert act(side(alg, *triple)) == side(alg, *mapped)
         for idx in itertools.product(range(d), repeat=3):
+            mapped = [sigma[mu] for mu in idx]
             assert act(_expected_leib(alg, *idx)) == \
-                _expected_leib(alg, *(sigma[mu] for mu in idx))
+                _expected_leib(alg, *mapped)
+            for vector in (alg.P, alg.theta_lower):
+                assert act(_rotated(alg, vector, *idx)) == \
+                    _rotated(alg, vector, *mapped)
+            for s in (1, -1):
+                assert act(_psi_base(alg, s, *idx)) == \
+                    _psi_base(alg, s, *mapped)
+        for idx in itertools.product(range(d), repeat=4):
+            assert act(_expected_LL(alg, *idx)) == \
+                _expected_LL(alg, *(sigma[mu] for mu in idx))
+        for i, a in itertools.product((1, 2, 3), range(d)):
+            for target in (alg.eps, alg.delta_x):
+                assert act(target(i, a)) == target(i, sigma[a])
 
 
 def test_roby(alg2):
@@ -499,7 +571,7 @@ def test_roby_instance_count(alg2):
 
 
 def test_poincare(alg2):
-    _all_pass(check_poincare_realisation(alg2))
+    _all_pass(check_poincare_realisation(alg2, poincare_brackets(alg2)))
 
 
 def test_lorentz_orientation(alg2):
@@ -615,7 +687,7 @@ def test_realised_quartic_coefficients_pair_differently():
 
 def test_dimension_three_smoke():
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
-    _all_pass(check_poincare_realisation(alg))
+    _all_pass(check_poincare_realisation(alg, poincare_brackets(alg)))
 
 
 def test_green_order_three_control(corrupted_d2_runs):
@@ -651,23 +723,25 @@ def test_px_and_unit_weight_controls(corrupted_d2_runs):
 # check ID -> the corruptions of ``corrupted_d2_runs`` that fail it at d = 2
 CONTROLS = {
     "engine.confluence": {"non-confluent"}, "engine.star": {"non-confluent"},
-    "para1.2": {"kappa=1/3", "non-confluent"},
-    "para1.3": {"kappa=1/3", "non-confluent"},
-    "para1.4": {"kappa=1/3", "non-confluent"},
-    "para1.5": {"kappa=1/3", "non-confluent"},
-    "para.1": {"p=3"}, "para.2": {"kappa=1/3", "p=3", "non-confluent"},
-    "para.3": {"kappa=1/3", "p=3", "non-confluent"},
+    "para1.2": {"kappa=1/3", "non-confluent", "d-eps1"},
+    "para1.3": {"kappa=1/3", "non-confluent", "d-eps1"},
+    "para1.4": {"kappa=1/3", "non-confluent", "d-eps1"},
+    "para1.5": {"kappa=1/3", "non-confluent", "d-eps1"},
+    "para.1": {"p=3"},
+    "para.2": {"kappa=1/3", "p=3", "non-confluent", "d-eps1"},
+    "para.3": {"kappa=1/3", "p=3", "non-confluent", "d-eps1"},
     "para.4": {"p=3"}, "roby": {"p=3"},
     "poincare.Jtheta": {"kappa=1/3", "non-confluent"},
     "poincare.LP": {"Px=-1"},
     "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent"},
     "colour.weights": {"unit-weights"},
     "trans.theta": {"kappa=1/3", "non-confluent"}, "trans.x": {"Px=-1"},
+    "trans.eps": {"d-eps1"},
     "psi.bracket": {"kappa=1/3", "p=3", "non-confluent"},
     "closure.leib": {"kappa=1/3", "non-confluent"},
-    "closure.annihilate": {"unit-weights", "non-confluent"},
-    "closure.deltax": {"kappa=1/3", "Px=-1", "unit-weights"},
-    "closure.symmetric": {"non-confluent"},
+    "closure.annihilate": {"unit-weights", "non-confluent", "d-eps1"},
+    "closure.deltax": {"kappa=1/3", "Px=-1", "unit-weights", "d-eps1"},
+    "closure.symmetric": {"non-confluent", "d-eps1"},
     "oracle.zero": {"kappa=1/3", "p=3", "non-confluent", "no-JW",
                     "cross-sector-JW"},
 } | {f"oracle.{kind}.{sub}": want for kind in ("rep", "random")
@@ -691,7 +765,7 @@ NO_CONTROL_YET = {
     "poincare.LL", "poincare.PP", "poincare.Ptheta",
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
     "colour.axioms",
-    "trans.eps", "trans.deltax",
+    "trans.deltax",
 }
 
 
