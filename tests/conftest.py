@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -49,17 +50,34 @@ def cross_sector_pairing(names, swap, contraction, square_zero):
     return names, swap, contraction, square_zero
 
 
-def eps1_pairing(names, swap, contraction, square_zero):
-    """The rule table with each d_mu Green component also contracted, by 1,
-    with the eps1^mu component of its own sector.  Both components have
-    the same swap row, so the table stays confluent; V_i, which carries
-    [eps_i, d], then no longer commutes with eps1."""
-    ids = {name: g for g, name in enumerate(names)}
-    contraction = dict(contraction)
-    for name in names:
-        if name.startswith("d_"):
-            contraction[(ids["eps1^" + name[2:]], ids[name])] = 1
-    return names, swap, contraction, square_zero
+def unit_pairing(match):
+    """A rule-table rewrite: contraction 1 between every two Green
+    components u and v of one sector, u after v in the layout, whose names
+    without the sector suffix ``match(u_name, v_name)`` accepts."""
+    def rewrite(names, swap, contraction, square_zero):
+        contraction = dict(contraction)
+        split = [name.partition("(")[::2] for name in names]  # (name, sector)
+        for v, u in itertools.combinations(range(len(names)), 2):
+            if split[u][1] == split[v][1] and match(split[u][0], split[v][0]):
+                contraction[(u, v)] = 1
+        return names, swap, contraction, square_zero
+    return rewrite
+
+
+# Each d_mu Green component also contracted with the eps1^mu component of
+# its own sector.  Both components have the same swap row, so the table
+# stays confluent; V_i, which carries [eps_i, d], then no longer commutes
+# with eps1.
+eps1_pairing = unit_pairing(
+    lambda u, v: v.startswith("d_") and u == "eps1^" + v[2:])
+# theta^mu with eps1^mu, and d_mu with d_nu (mu < nu), in each sector; both
+# tables stay confluent.  The first breaks delta-x = [theta, theta^mu]
+# [eps_i^alpha, theta_mu] and the NNN double brackets, the second the DDD
+# ones and, from d = 3, [L, L].
+theta_eps1_pairing = unit_pairing(
+    lambda u, v: v.startswith("theta^") and u == "eps1^" + v[6:])
+d_d_pairing = unit_pairing(
+    lambda u, v: u.startswith("d_") and v.startswith("d_"))
 
 
 def third_pairing_at(indices):
@@ -111,7 +129,9 @@ def corrupted_d2_runs():
     "unit-weights" replaces the colour-bracket weights by six ones,
     "non-confluent" builds the cross-sector pairing with its construction
     check skipped, "d-eps1" contracts each d_mu component with eps1^mu
-    (``eps1_pairing``), and two corrupt the matrix oracle's Jordan-Wigner
+    (``eps1_pairing``), "theta-eps1" each theta^mu component with eps1^mu
+    (``theta_eps1_pairing``), "d-d" each d_mu component with d_nu, mu < nu
+    (``d_d_pairing``), and two corrupt the matrix oracle's Jordan-Wigner
     strings: "no-JW" empties every string, "cross-sector-JW" runs each over
     every later mode (the lower bits), not only those of its own sector."""
     def p_x_negated(names, swap, contraction, square_zero):
@@ -128,8 +148,12 @@ def corrupted_d2_runs():
             "unit-weights": (colour, "col3_weights", lambda: (ONE,) * 6),
             "non-confluent": (superspace, "GeneratorSystem", lambda *args:
                               UncheckedSystem(*cross_sector_pairing(*args))),
-            "d-eps1": (superspace, "GeneratorSystem", lambda *args:
-                       GeneratorSystem(*eps1_pairing(*args))),
+            **{name: (superspace, "GeneratorSystem",
+                      lambda *args, rewrite=rewrite:
+                      GeneratorSystem(*rewrite(*args)))
+               for name, rewrite in (("d-eps1", eps1_pairing),
+                                     ("theta-eps1", theta_eps1_pairing),
+                                     ("d-d", d_d_pairing))},
             "no-JW": (matrixrep, "MatrixRep",
                       rewritten_strings(lambda bit, string: 0)),
             "cross-sector-JW": (matrixrep, "MatrixRep",

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (UncheckedSystem, cross_sector_pairing, eps1_pairing,
-                      third_pairing_at)
+from conftest import (UncheckedSystem, cross_sector_pairing, d_d_pairing,
+                      eps1_pairing, theta_eps1_pairing, third_pairing_at)
 from ternalg import dsl, order3, suites, superspace
 from ternalg.algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
-                             commutator, nested_action, random_element, sym3)
+                             anticommutator, commutator, nested_action,
+                             random_element, sym3)
 from ternalg.colour import col3_weights
 from ternalg.cyclo import ONE, Cyclo, Q, ZERO
 from ternalg.report import CheckReport
@@ -418,34 +419,126 @@ def test_d_eps1_control_fails_trans_eps(monkeypatch, corrupted_d2_runs):
             "closure.symmetric": 8}
 
 
-def _counted_commutator(monkeypatch):
-    """Route every ``commutator`` of superspace and order3 through one
-    counter; returns the list of first arguments, one per call."""
-    firsts = []
+def _ordered_deltax_and_LL_residuals(alg):
+    """Reference for ``trans.deltax`` and ``poincare.LL``: every ordered
+    bracket formed directly, with no pair table.  Returns the two residual
+    lists."""
+    d = alg.dimension
+    deltax = CheckReport("trans.deltax", "")
+    dx = [alg.delta_x(1, a) for a in range(d)]
+    for a in range(d):
+        deltax.expect_zero(("star", a), dx[a].star() - dx[a])
+        for b in range(d):
+            deltax.expect_zero(("dxdx", a, b), commutator(dx[a], dx[b]))
+        for key in alg.coordinate_keys:
+            deltax.expect_zero(("gen", a, alg.labels[key]),
+                               commutator(dx[a], alg._named[key]))
+    LL = CheckReport("poincare.LL", "")
+    pairs = itertools.combinations(range(d), 2)
+    for (mu, nu), (rho, sigma) in itertools.product(pairs, repeat=2):
+        LL.expect_zero((mu, nu, rho, sigma),
+                       commutator(alg.lorentz(mu, nu), alg.lorentz(rho, sigma))
+                       - _expected_LL(alg, mu, nu, rho, sigma))
+    return deltax.residuals, LL.residuals
 
-    def counted(a, b):
-        firsts.append(a)
-        return commutator(a, b)
+
+@pytest.mark.parametrize("name, rewrite, at_d2, at_d3", [
+    ("theta-eps1", theta_eps1_pairing,
+     {"para1.1": 64, "para1.3": 8, "para.1": 96, "para.2": 8, "roby": 18,
+      "trans.theta": 2, "trans.eps": 6, "trans.deltax": 10,
+      "closure.leib": 4, "closure.annihilate": 11, "closure.deltax": 2,
+      "closure.symmetric": 4},
+     {"para1.1": 144, "para1.3": 18, "para.1": 216, "para.2": 18,
+      "roby": 39, "trans.theta": 3, "trans.eps": 9, "trans.deltax": 21,
+      "closure.leib": 18, "closure.annihilate": 32, "closure.deltax": 3,
+      "closure.symmetric": 8}),
+    ("d-d", d_d_pairing,
+     {"para1.4": 18, "para1.6": 4, "para.3": 18, "para.4": 6,
+      "psi.bracket": 12},
+     {"para1.4": 78, "para1.6": 18, "para.3": 78, "para.4": 24,
+      "poincare.LL": 6, "order3.superspace": 3, "psi.bracket": 48}),
+])
+def test_unit_pairing_controls(name, rewrite, at_d2, at_d3, monkeypatch,
+                               corrupted_d2_runs):
+    """theta^mu contracted with eps1^mu fails ``trans.deltax`` (6 of its 21
+    residuals at d = 3 are [delta-x, delta-x]) and ``para1.1``; d_mu
+    contracted with d_nu fails ``para1.6`` and, from d = 3, where there is
+    more than one L pair, ``poincare.LL``.  Both failing sets are pinned at
+    d = 2 and 3, and at d = 3 the ``trans.deltax`` and ``poincare.LL``
+    residual lists, read from pair tables, equal every ordered bracket
+    formed directly."""
+    _, reports = corrupted_d2_runs[name]
+    assert {r.check_id: len(r.residuals)
+            for r in reports if not r.passed} == at_d2
+    monkeypatch.setattr(superspace, "GeneratorSystem",
+                        lambda *args: GeneratorSystem(*rewrite(*args)))
+    reports = {r.check_id: r for r in run_suite(SuiteSpec("all", dimension=3))}
+    assert {cid: len(r.residuals)
+            for cid, r in reports.items() if not r.passed} == at_d3
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
+    assert (reports["trans.deltax"].residuals,
+            reports["poincare.LL"].residuals) == \
+        _ordered_deltax_and_LL_residuals(alg)
+    if name == "theta-eps1":
+        assert sum(r["indices"][0] == "dxdx"
+                   for r in reports["trans.deltax"].residuals) == 6
+
+
+@pytest.mark.parametrize("d, n_fail", [(2, 5), (3, 20)])
+def test_closure_annihilate_sees_only_the_weight_sum(d, n_fail):
+    """``closure.annihilate`` passes under three weight variants whose sum
+    is 0 (q and q^2 swapped, w_0 and w_1 swapped, the weights rotated by
+    one) and fails, with ``n_fail`` residuals, under unit weights and under
+    w_5 = 0; ``closure.deltax`` fails all five.  On theta monomials the
+    three nested actions are symmetric in the V labels
+    (``closure.symmetric``), so the colour bracket there is (sum of the
+    weights) times one nested action: the check tests sum(w) =
+    2(1 + q + q^2) = 0."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    w = col3_weights()
+    for weights, weight_sum in (
+            (tuple(c.conj() for c in w), ZERO),
+            ((w[1], w[0]) + w[2:], ZERO), (w[1:] + w[:1], ZERO),
+            ((ONE,) * 6, Cyclo(6)), (w[:5] + (ZERO,), -ONE)):
+        assert sum(weights, ZERO) == weight_sum
+        failed = {r.check_id: len(r.residuals)
+                  for r in check_closure(alg, weights) if not r.passed}
+        assert failed.pop("closure.deltax")
+        assert failed == ({} if weight_sum == ZERO
+                          else {"closure.annihilate": n_fail})
+
+
+def _counted_commutator(monkeypatch, *names):
+    """Route every ``commutator`` of superspace and order3, and each other
+    bracket in ``names`` of superspace, through one counter; returns the
+    list of argument pairs (a, b), one per call."""
+    calls = []
+
+    def counted(bracket):
+        return lambda a, b: calls.append((a, b)) or bracket(a, b)
     for module in (superspace, order3):
-        monkeypatch.setattr(module, "commutator", counted)
-    return firsts
+        monkeypatch.setattr(module, "commutator", counted(commutator))
+    for name in names:
+        monkeypatch.setattr(superspace, name, counted(getattr(superspace, name)))
+    return calls
 
 
 def test_poincare_job_forms_each_bracket_once(monkeypatch):
-    """``poincare.*`` and ``order3.superspace`` read one bracket table: at
-    d = 3 the job forms 9 [L, L], 9 [L, P], 3 [P, P], 9 [J, theta],
-    9 [P, theta] and 3 [J, theta-scalar] commutators, 42 in all, and
-    ``order3.superspace`` adds none of its own."""
-    firsts = _counted_commutator(monkeypatch)
+    """``poincare.*`` and ``order3.superspace`` read one bracket table that
+    forms each unordered pair once: at d = 3 the job forms 6 [L, L] (the
+    three [L_b, L_a] are read as -[L_a, L_b]), 9 [L, P], 3 [P, P],
+    9 [J, theta], 9 [P, theta] and 3 [J, theta-scalar] commutators, 39 in
+    all, and ``order3.superspace`` adds none of its own."""
+    calls = _counted_commutator(monkeypatch)
     assert all(r.passed for r in run_suite(SuiteSpec("poincare", dimension=3)))
-    assert len(firsts) == 42
+    assert len(calls) == 39
 
 
 def test_V_brackets_come_from_the_ad_V_rows(monkeypatch):
     """Over ``--suite all`` at d = 3, [V_i, g] is formed only by the row
     builder of ``ad_V``: one commutator on V_i per row of its table, so
     ``trans`` and ``closure`` share the rows."""
-    firsts = _counted_commutator(monkeypatch)
+    calls = _counted_commutator(monkeypatch)
     built = []
     monkeypatch.setattr(suites, "build",
                         lambda config: built.append(build(config)) or built[-1])
@@ -453,7 +546,70 @@ def test_V_brackets_come_from_the_ad_V_rows(monkeypatch):
     alg = built[0]  # the run's algebra; ``check_engine`` builds its own
     V = [alg._cache[("V", i)] for i in (1, 2, 3)]
     rows = sum(len(alg._cache[("adV", i)]) for i in (1, 2, 3))
-    assert rows and sum(any(a is v for v in V) for a in firsts) == rows
+    assert rows and sum(any(a is v for v in V) for a, _ in calls) == rows
+
+
+@pytest.mark.parametrize("sign, bracket", [(-1, commutator),
+                                           (1, anticommutator)])
+def test_pair_table_answers_the_reversed_pair(sign, bracket, monkeypatch, alg2):
+    """A pair table forms (u, v) once and answers (v, u) from it, negated
+    for a commutator and unchanged for an anticommutator; each answer
+    equals the bracket formed directly.  A repeated pair forms nothing."""
+    calls = _counted_commutator(monkeypatch, "anticommutator")
+    keys = [(CLS_THETA, 0), (CLS_DEL, 0), (CLS_EPS[0], 1)]
+    inner = superspace._pair_table(alg2._named.__getitem__, sign)
+    for u, v in itertools.product(keys, repeat=2):
+        assert inner(u, v) == bracket(alg2._named[u], alg2._named[v])
+        assert inner(v, u) == bracket(alg2._named[v], alg2._named[u])
+    assert len(calls) == 6  # one per unordered pair of the three keys
+
+
+def _key(element):
+    """A hashable key that equal elements share."""
+    return frozenset(element.terms.items())
+
+
+def test_each_bracket_is_formed_once_inside_a_check(monkeypatch):
+    """At d = 3: ``check_superspace_transformation`` forms each
+    [delta-x_a, delta-x_b] once per unordered pair (6, not 9); the closure
+    suite forms 159 commutators, 36 of them in ``closure.deltax`` (9
+    [theta, eps_j^mu] and 27 unordered [eps_k^alpha, eps_l^mu]); and over
+    ``--suite all`` none of the seven pair tables forms a pair twice or
+    forms both (u, v) and (v, u)."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
+    dx = [_key(alg.delta_x(1, a)) for a in range(3)]
+    calls = _counted_commutator(monkeypatch)
+    _all_pass(check_superspace_transformation(alg))
+    dxdx = [(_key(a), _key(b)) for a, b in calls
+            if _key(a) in dx and _key(b) in dx]
+    assert len(dxdx) == len(set(dxdx)) == 6
+    assert not {(v, u) for u, v in dxdx if u != v} & set(dxdx)
+
+    calls.clear()
+    assert all(r.passed for r in run_suite(SuiteSpec("closure", dimension=3)))
+    eps = [_key(alg.eps(i, mu)) for i in (1, 2, 3) for mu in range(3)]
+    assert len(calls) == 159
+    assert sum(_key(b) in eps for _, b in calls) == 36
+
+    tables = []  # per pair table, the (u, v) of each bracket it formed
+    pair_table = superspace._pair_table
+
+    def recorded(element, sign):
+        formed, keys = [], []
+        tables.append(formed)
+
+        def named(key):  # a table names u, then v, for each bracket formed
+            keys.append(key)
+            if len(keys) % 2 == 0:
+                formed.append(tuple(keys[-2:]))
+            return element(key)
+        return pair_table(named, sign)
+    monkeypatch.setattr(superspace, "_pair_table", recorded)
+    assert all(r.passed for r in run_suite(SuiteSpec("all", dimension=3)))
+    assert len(tables) == 7 and all(tables)
+    for formed in tables:
+        assert len(set(formed)) == len(formed)
+        assert not {(v, u) for u, v in formed if u != v} & set(formed)
 
 
 def test_colour_action_matches_nested_sum(alg2):
@@ -620,9 +776,11 @@ def test_ad_V_matches_commutator():
 @pytest.mark.parametrize("d", (1, 2, 3))
 @pytest.mark.parametrize("kappa", (Fraction(1, 2), Fraction(1, 3)))
 def test_composite_symbols_match_term_by_term_sums(d, kappa):
-    """J, L, V, delta-x and the quartic shapes, each one sum_of_products
-    call, equal the same sums built one product and one partial sum at a
-    time, with every commutator spelled a * b - b * a."""
+    """J, L, V and delta-x, each one sum_of_products call, equal the same
+    sums built one product and one partial sum at a time, with every
+    commutator spelled a * b - b * a; and ``closure.deltax`` reports at
+    alpha exactly the colour bracket on x^alpha minus the sum of coeff x
+    quartic shape built that way."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
                                  pairing_kappa=kappa))
     zero = Element.zero(alg.system)
@@ -653,13 +811,22 @@ def test_composite_symbols_match_term_by_term_sums(d, kappa):
         assert V and alg.V(i) == V
         for alpha in range(d):
             assert alg.delta_x(i, alpha) == delta_x(i, alpha)
-    for (j, k, l), alpha in itertools.product(REALISED_QUARTIC_COEFFS,
-                                              range(d)):
-        shape = zero
-        for mu in range(d):
-            shape = shape + (comm(th, alg.eps(j, mu))
-                             * comm(alg.eps(k, alpha), alg.eps_lower(l, mu)))
-        assert shape and superspace._quartic_shape(alg, j, k, l, alpha) == shape
+    want = []
+    for alpha in range(d):
+        diff = colour_action(alg, col3_weights(), alg.x(alpha))
+        for (j, k, l), coeff in REALISED_QUARTIC_COEFFS.items():
+            shape = zero
+            for mu in range(d):
+                shape = shape + (comm(th, alg.eps(j, mu))
+                                 * comm(alg.eps(k, alpha), alg.eps_lower(l, mu)))
+            assert shape
+            diff = diff - shape.scale(coeff)
+        if diff:
+            want.append({"indices": [alpha], "element": str(diff)})
+    deltax = {r.check_id: r for r in check_closure(alg, col3_weights())}[
+        "closure.deltax"]
+    assert [r for r in deltax.residuals if r["indices"][0] != "star"] == want
+    assert bool(want) is (kappa != Fraction(1, 2))
 
 
 def test_V_without_vector_indices_is_zero():
@@ -723,25 +890,30 @@ def test_px_and_unit_weight_controls(corrupted_d2_runs):
 # check ID -> the corruptions of ``corrupted_d2_runs`` that fail it at d = 2
 CONTROLS = {
     "engine.confluence": {"non-confluent"}, "engine.star": {"non-confluent"},
+    "para1.1": {"theta-eps1"},
     "para1.2": {"kappa=1/3", "non-confluent", "d-eps1"},
-    "para1.3": {"kappa=1/3", "non-confluent", "d-eps1"},
-    "para1.4": {"kappa=1/3", "non-confluent", "d-eps1"},
+    "para1.3": {"kappa=1/3", "non-confluent", "d-eps1", "theta-eps1"},
+    "para1.4": {"kappa=1/3", "non-confluent", "d-eps1", "d-d"},
     "para1.5": {"kappa=1/3", "non-confluent", "d-eps1"},
-    "para.1": {"p=3"},
-    "para.2": {"kappa=1/3", "p=3", "non-confluent", "d-eps1"},
-    "para.3": {"kappa=1/3", "p=3", "non-confluent", "d-eps1"},
-    "para.4": {"p=3"}, "roby": {"p=3"},
+    "para1.6": {"d-d"},
+    "para.1": {"p=3", "theta-eps1"},
+    "para.2": {"kappa=1/3", "p=3", "non-confluent", "d-eps1", "theta-eps1"},
+    "para.3": {"kappa=1/3", "p=3", "non-confluent", "d-eps1", "d-d"},
+    "para.4": {"p=3", "d-d"}, "roby": {"p=3", "theta-eps1"},
     "poincare.Jtheta": {"kappa=1/3", "non-confluent"},
     "poincare.LP": {"Px=-1"},
     "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent"},
     "colour.weights": {"unit-weights"},
-    "trans.theta": {"kappa=1/3", "non-confluent"}, "trans.x": {"Px=-1"},
-    "trans.eps": {"d-eps1"},
-    "psi.bracket": {"kappa=1/3", "p=3", "non-confluent"},
-    "closure.leib": {"kappa=1/3", "non-confluent"},
-    "closure.annihilate": {"unit-weights", "non-confluent", "d-eps1"},
-    "closure.deltax": {"kappa=1/3", "Px=-1", "unit-weights", "d-eps1"},
-    "closure.symmetric": {"non-confluent", "d-eps1"},
+    "trans.theta": {"kappa=1/3", "non-confluent", "theta-eps1"},
+    "trans.x": {"Px=-1"}, "trans.eps": {"d-eps1", "theta-eps1"},
+    "trans.deltax": {"theta-eps1"},
+    "psi.bracket": {"kappa=1/3", "p=3", "non-confluent", "d-d"},
+    "closure.leib": {"kappa=1/3", "non-confluent", "theta-eps1"},
+    "closure.annihilate": {"unit-weights", "non-confluent", "d-eps1",
+                           "theta-eps1"},
+    "closure.deltax": {"kappa=1/3", "Px=-1", "unit-weights", "d-eps1",
+                       "theta-eps1"},
+    "closure.symmetric": {"non-confluent", "d-eps1", "theta-eps1"},
     "oracle.zero": {"kappa=1/3", "p=3", "non-confluent", "no-JW",
                     "cross-sector-JW"},
 } | {f"oracle.{kind}.{sub}": want for kind in ("rep", "random")
@@ -761,11 +933,9 @@ CONTROLS = {
 NO_CONTROL_YET = {
     "arith.root", "arith.ring", "arith.conj", "arith.division",
     "engine.idempotent", "engine.sym3",
-    "para1.1", "para1.6",
     "poincare.LL", "poincare.PP", "poincare.Ptheta",
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
     "colour.axioms",
-    "trans.deltax",
 }
 
 
