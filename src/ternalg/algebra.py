@@ -27,8 +27,20 @@ Every product of two elements runs through one accumulation loop,
 ``sum_of_products``: the sum over its (x, y) pairs of x y + sign y x,
 each pair of terms fed to ``times_word`` and merged into one term map,
 with no intermediate element.  ``Element.__mul__`` is one pair at sign 0,
-``commutator`` and ``anticommutator`` one pair at sign -1 and +1.  The
-ternary brackets are sums of products of quadratic brackets,
+``commutator`` and ``anticommutator`` one pair at sign -1 and +1.
+
+The brackets are graded.  If no letter of a word u contracts with a
+letter of a word v, in either orientation, then v u = eps u v, eps the
+product of the swap signs s(a, b) over the letters a of u and b != a of
+v: the commutation factor of a colour Lie algebra (Scheunert, J. Math.
+Phys. 20, 1979), -1 within a Green sector and +1 across sectors.  Such a
+pair of terms adds (1 + sign eps) c u v, one kernel pass or none.  This
+is exact: confluence is verified at construction, so normal forms are
+unique, and on such a pair the kernel meets no contraction and only
+permutes letters; a square-zero letter in both words kills both orders.
+The masks of ``word_keys`` decide the path.
+
+The ternary brackets are sums of products of quadratic brackets,
 
     {a, b, c} = a {b, c} + b {c, a} + c {a, b},
 
@@ -98,11 +110,24 @@ class GeneratorSystem:
         if len(set(self.names)) != n:
             raise ValueError("generator names must be distinct")
         self._sign = [[1] * n for _ in range(n)]
+        # bitmask rows read by ``word_keys``: _neg[u] holds the generators
+        # v != u with swap_sign(u, v) = -1, _partners[u] those that u
+        # contracts with in either orientation
+        self._neg = neg = [0] * n
+        self._partners = [0] * n
         for (u, v), s in (swap_sign or {}).items():
             if s not in (1, -1):
                 raise ValueError(f"swap_sign must be +1/-1, got {s}")
             self._sign[u][v] = s
             self._sign[v][u] = s
+            if u == v:
+                continue
+            if s < 0:
+                neg[u] |= 1 << v
+                neg[v] |= 1 << u
+            else:  # a pair given twice keeps the last sign, as _sign does
+                neg[u] &= ~(1 << v)
+                neg[v] &= ~(1 << u)
         # c(u, v) is stored as self._contraction[v][u]: the scan inserting
         # v looks up every letter u it passes in one row
         self._contraction = [{} for _ in range(n)]
@@ -113,6 +138,8 @@ class GeneratorSystem:
             c = c if isinstance(c, Cyclo) else Cyclo(c)
             if c:
                 self._contraction[v][u] = c
+                self._partners[u] |= 1 << v
+                self._partners[v] |= 1 << u
         self._square_zero = [False] * n
         for u in square_zero:
             self._square_zero[u] = True
@@ -129,6 +156,20 @@ class GeneratorSystem:
     def contraction(self, u: int, v: int) -> Cyclo:
         """Scalar part of the rewrite of u v, for u after v in canonical order."""
         return self._contraction[v].get(u, ZERO)
+
+    def word_keys(self, word: Word) -> tuple:
+        """Generator bitmasks (letters, odd, partners, neg) of ``word``: its
+        letters, its letters of odd multiplicity, the generators that one
+        of its letters contracts with, and the generators h for which the
+        swap signs s(h, b) over its letters b != h multiply to -1."""
+        letters = odd = partners = neg = 0
+        for g in word:
+            bit = 1 << g
+            letters |= bit
+            odd ^= bit
+            partners |= self._partners[g]
+            neg ^= self._neg[g]
+        return letters, odd, partners, neg
 
     def preserves_rules(self, image: Sequence[int]) -> bool:
         """Whether the generator permutation u -> image[u] maps the rule
@@ -440,19 +481,33 @@ class Element:
 
 def sum_of_products(pairs: Sequence, sign: int = 0) -> Element:
     """The sum of x * y + sign * y * x over the (x, y) pairs, accumulated
-    into one term map: the one loop that multiplies two elements."""
+    into one term map: the one loop that multiplies two elements.  For
+    sign +-1 a pair of terms with no contraction across it takes one
+    ``times_word`` pass or none (graded brackets, module docstring)."""
     first = pairs[0][0]
-    times_word = first.system.times_word
+    system = first.system
+    times_word, word_keys = system.times_word, system.word_keys
+    odd_pass = sign < 0  # the parity of eps that keeps a graded pair
     out: dict = {}
     for x, y in pairs:
         first._check(x)
         first._check(y)
+        if not sign:
+            for wx, cx in x.terms.items():
+                for wy, cy in y.terms.items():
+                    times_word(wx, cx * cy, wy, out)
+            continue
+        ys = [(wy, cy, word_keys(wy)) for wy, cy in y.terms.items()]
         for wx, cx in x.terms.items():
-            for wy, cy in y.terms.items():
-                c = cx * cy
-                times_word(wx, c, wy, out)
-                if sign:
+            letters, odd, _, _ = word_keys(wx)
+            for wy, cy, (_, _, partners, neg) in ys:
+                if letters & partners:
+                    c = cx * cy
+                    times_word(wx, c, wy, out)
                     times_word(wy, c if sign > 0 else -c, wx, out)
+                elif ((odd & neg).bit_count() & 1) == odd_pass:
+                    c = cx * cy
+                    times_word(wx, c + c, wy, out)
     return Element(first.system, _normal=out)
 
 

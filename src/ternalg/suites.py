@@ -112,7 +112,8 @@ def check_engine(seed: int = 0) -> list[CheckReport]:
     # No rule table can fail this check: a normal word re-normalised only
     # inserts each letter at the right end of a non-decreasing word, so no
     # rule fires.  It stays because it tests the kernel, not the table: a
-    # times_word that rewrites a normal word is caught here.
+    # times_word that rewrites a normal word is caught here (the tests'
+    # kernel mutants include one).
     with CheckReport("engine.idempotent",
                      "normal forming a normal form changes nothing") as rep:
         for k in range(50):

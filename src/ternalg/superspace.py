@@ -473,11 +473,15 @@ def _sweep(alg, slots, value, canon=None, tuples=None):
 def _pair_table(element, sign):
     """``inner(u, v)``: the commutator (``sign`` -1) or anticommutator (+1)
     of ``element(u)`` and ``element(v)``, formed once per unordered pair of
-    keys; (v, u) is read from (u, v), negated for a commutator.  The dict
-    lives as long as the returned function: one check call or Poincare job."""
+    keys; (v, u) is read from (u, v), negated for a commutator, and a
+    commutator [u, u] is zero without being formed (x x - x x cancels
+    under any rule table).  The dict lives as long as the returned
+    function: one check call or Poincare job."""
     table = {}
 
     def inner(u, v):
+        if u == v and sign < 0:
+            return Element.zero(element(u).system)
         if (u, v) not in table:
             if (v, u) in table:
                 return table[v, u] if sign > 0 else -table[v, u]

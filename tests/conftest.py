@@ -1,9 +1,11 @@
+import inspect
 import itertools
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from ternalg import colour, matrixrep, superspace
+from ternalg import algebra, colour, matrixrep, superspace
 from ternalg.algebra import GeneratorSystem
 from ternalg.cyclo import ONE
 from ternalg.suites import SuiteSpec, run_suite
@@ -98,6 +100,29 @@ def third_pairing_at(indices):
     return rewrite
 
 
+def kernel_mutant(old, new):
+    """``GeneratorSystem.times_word`` with the one occurrence of ``old`` in
+    its source replaced by ``new``: a test-only mutant of the kernel."""
+    source = inspect.getsource(algebra.GeneratorSystem.times_word)
+    source = textwrap.dedent(source)
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(source.replace(old, new), vars(algebra), namespace)
+    return namespace["times_word"]
+
+
+# Two kernel mutants: "kernel-gap-2" drops the swap sign of every letter u
+# that the inserted g passes with u - g = 2, and "kernel-front" negates
+# each term whose inserted letter lands at the front of its word, the
+# empty word included, so it rewrites normal words.
+KERNEL_MUTANTS = {
+    "kernel-gap-2": ("if sign[u] < 0:", "if sign[u] < 0 and u - g != 2:"),
+    "kernel-front": ("_accumulate(nxt, t[:i] + (g,) + t[i:], ct, neg)",
+                     "_accumulate(nxt, t[:i] + (g,) + t[i:], ct, "
+                     "neg if i else not neg)"),
+}
+
+
 def rewritten_strings(rewrite):
     """``MatrixRep`` with the Jordan-Wigner string of every generator record
     (bit, need, string, k) replaced by ``rewrite(bit, string)``."""
@@ -133,7 +158,10 @@ def corrupted_d2_runs():
     (``theta_eps1_pairing``), "d-d" each d_mu component with d_nu, mu < nu
     (``d_d_pairing``), and two corrupt the matrix oracle's Jordan-Wigner
     strings: "no-JW" empties every string, "cross-sector-JW" runs each over
-    every later mode (the lower bits), not only those of its own sector."""
+    every later mode (the lower bits), not only those of its own sector.
+    The ``KERNEL_MUTANTS`` of ``times_word`` run the engine suite alone:
+    it is the suite whose checks no rule table can fail, and a broken
+    kernel fails nearly every check of the others."""
     def p_x_negated(names, swap, contraction, square_zero):
         contraction = {(u, v): -c if names[u].startswith("P_") else c
                        for (u, v), c in contraction.items()}
@@ -162,5 +190,10 @@ def corrupted_d2_runs():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(module, attr, value)
             spec = SuiteSpec("all", dimension=2)
+            runs[name] = spec, run_suite(spec)
+    for name, lines in KERNEL_MUTANTS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GeneratorSystem, "times_word", kernel_mutant(*lines))
+            spec = SuiteSpec("engine", dimension=2)
             runs[name] = spec, run_suite(spec)
     return runs

@@ -1,5 +1,7 @@
 """Rewriting engine: normal forms, confluence, brackets, star."""
 
+import collections
+import math
 import random
 from fractions import Fraction
 
@@ -242,23 +244,28 @@ def _assert_names_a_witness(err, args):
             != unchecked.reduce_terms({word: ONE}, "rightmost"))
 
 
+def _random_rule_table(rng, n_max):
+    """Seeded (names, swap, contraction, square_zero) on at most ``n_max``
+    generators: mixed swap signs, a few contractions, and about half the
+    generators not square-zero, so that words repeat letters."""
+    values = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Q, Cyclo(1, -1))
+    n = rng.randint(1, n_max)
+    pairs = [(u, v) for u in range(n) for v in range(u)]
+    swap = {p: rng.choice((1, -1)) for p in pairs}
+    contraction = {p: rng.choice(values) for p in pairs if rng.random() < 0.3}
+    square_zero = [u for u in range(n) if rng.random() < 0.5]
+    return [f"g{k}" for k in range(n)], swap, contraction, square_zero
+
+
 def test_confluence_check_matches_full_sweep():
     """The construction-time sign criterion reduces nothing; on random
     small rule tables it must accept and reject exactly what reducing
     every overlap word both ways accepts and rejects, and name a word
     that the two reductions disagree on."""
     rng = random.Random(29)
-    values = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Q, Cyclo(1, -1))
     outcomes = []
     for _ in range(3000):
-        n = rng.randint(1, 5)
-        names = [f"g{k}" for k in range(n)]
-        pairs = [(u, v) for u in range(n) for v in range(u)]
-        swap = {p: rng.choice((1, -1)) for p in pairs}
-        contraction = {p: rng.choice(values) for p in pairs
-                       if rng.random() < 0.3}
-        square_zero = [u for u in range(n) if rng.random() < 0.5]
-        args = (names, swap, contraction, square_zero)
+        args = _random_rule_table(rng, 5)
         try:
             GeneratorSystem(*args)
             accepted = True
@@ -535,3 +542,97 @@ def test_commutator_matches_reducer_on_raw_products(alg2):
             bosonic += _has_bosonic_contraction(alg2, raw)
             assert sys_.reduce_terms(raw, "leftmost") == bracket(a, b).terms
     assert bosonic >= 10
+
+
+def _graded_sign(sys_, u, v):
+    """eps with v u = eps u v, read off the rule table for two words with
+    no contraction across them; None if a letter of u contracts with one
+    of v."""
+    if any(sys_.contraction(max(a, b), min(a, b)) for a in u for b in v):
+        return None
+    return math.prod(sys_.swap_sign(a, b) for a in u for b in v if a != b)
+
+
+def _assert_brackets_are_two_products(pairs):
+    """commutator and anticommutator equal x y -+ y x formed as two sign-0
+    products, on every (x, y) of ``pairs``; returns how many pairs of
+    non-empty words took the graded path, by eps."""
+    graded = collections.Counter()
+    for x, y in pairs:
+        xy, yx = sum_of_products(((x, y),)), sum_of_products(((y, x),))
+        assert commutator(x, y) == xy - yx
+        assert anticommutator(x, y) == xy + yx
+        graded.update(_graded_sign(x.system, u, v)
+                      for u in x.terms for v in y.terms if u and v)
+    return graded
+
+
+def test_graded_brackets_match_two_products():
+    """The graded path of ``sum_of_products`` (one kernel pass or none for
+    a pair of words with no contraction across it) gives the brackets that
+    two full products give, on seeded random elements of random rule
+    tables: confluent ones, and ones the construction check would reject,
+    since the kernel's own two passes differ by the swap signs alone."""
+    rng = random.Random(53)
+    graded = collections.Counter()
+    confluent = 0
+    for _ in range(600):
+        args = _random_rule_table(rng, 6)
+        try:
+            sys_ = GeneratorSystem(*args)
+            confluent += 1
+        except ConfluenceError:
+            sys_ = UncheckedSystem(*args)
+        ops = [random_element(sys_, rng, max_degree=4, n_terms=3)
+               for _ in range(10)]
+        graded += _assert_brackets_are_two_products(zip(ops[::2], ops[1::2]))
+    assert confluent > 200 and 600 - confluent > 100
+    assert graded[1] > 1000 and graded[-1] > 1000
+
+
+def test_graded_path_reads_the_last_sign_of_a_pair_given_twice():
+    """A swap sign given for both orientations of a pair keeps the last
+    one, in the rule table and in the masks of the graded path."""
+    for first, last in ((-1, 1), (1, -1)):
+        sys_ = GeneratorSystem(("a", "b"), {(0, 1): first, (1, 0): last})
+        a, b = Element.generator(sys_, 0), Element.generator(sys_, 1)
+        assert sys_.swap_sign(0, 1) == last
+        assert commutator(a, b) == a * b - b * a
+        assert anticommutator(a, b) == a * b + b * a
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_graded_brackets_match_two_products_superspace(d):
+    """The same on the superspace algebras at d = 2 and 3, over every
+    generator and over the operands of ``_bracket_operands``, whose
+    fermionic and bosonic contractions fire."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    rng = random.Random(59 + d)
+    ops = [random_element(alg.system, rng, max_degree=3, n_terms=4)
+           for _ in range(40)]
+    ops += _bracket_operands(alg, rng, 40)
+    graded = _assert_brackets_are_two_products(zip(ops, ops[1:] + ops[:1]))
+    assert graded[1] and graded[-1] and graded[None]
+
+
+def test_graded_pairs_take_one_pass_or_none(monkeypatch, alg2):
+    """At d = 2 [theta^0, theta^1] takes one kernel pass per same-sector
+    pair of Green components, which anticommute, and none for a
+    cross-sector pair, which commute; [theta^0, d_0] keeps both passes on
+    its two contracting same-sector pairs and takes none on the others."""
+    theta0, theta1, d0 = (alg2.components[key] for key in (
+        (CLS_THETA, 0), (CLS_THETA, 1), (CLS_DEL, 0)))
+    want = Element(alg2.system, {(u, v): Cyclo(2)
+                                 for u, v in zip(theta0, theta1)})
+    passes = []
+    times_word = GeneratorSystem.times_word
+    monkeypatch.setattr(GeneratorSystem, "times_word", lambda self, *args:
+                        passes.append((args[0], args[2]))
+                        or times_word(self, *args))
+    assert commutator(alg2.theta(0), alg2.theta(1)) == want
+    assert sorted(passes) == [((u,), (v,)) for u, v in zip(theta0, theta1)]
+    passes.clear()
+    commutator(alg2.theta(0), alg2.d(0))
+    assert sorted(passes) == sorted(
+        pair for u, v in zip(theta0, d0) for pair in (((u,), (v,)),
+                                                      ((v,), (u,))))

@@ -525,13 +525,14 @@ def _counted_commutator(monkeypatch, *names):
 
 def test_poincare_job_forms_each_bracket_once(monkeypatch):
     """``poincare.*`` and ``order3.superspace`` read one bracket table that
-    forms each unordered pair once: at d = 3 the job forms 6 [L, L] (the
-    three [L_b, L_a] are read as -[L_a, L_b]), 9 [L, P], 3 [P, P],
-    9 [J, theta], 9 [P, theta] and 3 [J, theta-scalar] commutators, 39 in
-    all, and ``order3.superspace`` adds none of its own."""
+    forms each unordered pair of distinct keys once: at d = 3 the job forms
+    3 [L, L] (the three [L_b, L_a] are read as -[L_a, L_b], and the three
+    [L_a, L_a] are zero unformed), 9 [L, P], 3 [P, P], 9 [J, theta],
+    9 [P, theta] and 3 [J, theta-scalar] commutators, 36 in all, and
+    ``order3.superspace`` adds none of its own."""
     calls = _counted_commutator(monkeypatch)
     assert all(r.passed for r in run_suite(SuiteSpec("poincare", dimension=3)))
-    assert len(calls) == 39
+    assert len(calls) == 36
 
 
 def test_V_brackets_come_from_the_ad_V_rows(monkeypatch):
@@ -554,14 +555,17 @@ def test_V_brackets_come_from_the_ad_V_rows(monkeypatch):
 def test_pair_table_answers_the_reversed_pair(sign, bracket, monkeypatch, alg2):
     """A pair table forms (u, v) once and answers (v, u) from it, negated
     for a commutator and unchanged for an anticommutator; each answer
-    equals the bracket formed directly.  A repeated pair forms nothing."""
+    equals the bracket formed directly.  A repeated pair forms nothing,
+    and neither does a commutator [u, u]."""
     calls = _counted_commutator(monkeypatch, "anticommutator")
     keys = [(CLS_THETA, 0), (CLS_DEL, 0), (CLS_EPS[0], 1)]
     inner = superspace._pair_table(alg2._named.__getitem__, sign)
     for u, v in itertools.product(keys, repeat=2):
         assert inner(u, v) == bracket(alg2._named[u], alg2._named[v])
         assert inner(v, u) == bracket(alg2._named[v], alg2._named[u])
-    assert len(calls) == 6  # one per unordered pair of the three keys
+    # one per unordered pair of the three keys, the three (u, u) aside
+    # for a commutator
+    assert len(calls) == (6 if sign > 0 else 3)
 
 
 def _key(element):
@@ -571,18 +575,19 @@ def _key(element):
 
 def test_each_bracket_is_formed_once_inside_a_check(monkeypatch):
     """At d = 3: ``check_superspace_transformation`` forms each
-    [delta-x_a, delta-x_b] once per unordered pair (6, not 9); the closure
-    suite forms 159 commutators, 36 of them in ``closure.deltax`` (9
-    [theta, eps_j^mu] and 27 unordered [eps_k^alpha, eps_l^mu]); and over
-    ``--suite all`` none of the seven pair tables forms a pair twice or
-    forms both (u, v) and (v, u)."""
+    [delta-x_a, delta-x_b] once per unordered pair a != b (3, not 9); the
+    closure suite forms 159 commutators, 36 of them in ``closure.deltax``
+    (9 [theta, eps_j^mu] and 27 unordered [eps_k^alpha, eps_l^mu]); and
+    over ``--suite all`` none of the seven pair tables forms a pair twice
+    or forms both (u, v) and (v, u), and no commutator table forms a
+    (u, u)."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
     dx = [_key(alg.delta_x(1, a)) for a in range(3)]
     calls = _counted_commutator(monkeypatch)
     _all_pass(check_superspace_transformation(alg))
     dxdx = [(_key(a), _key(b)) for a, b in calls
             if _key(a) in dx and _key(b) in dx]
-    assert len(dxdx) == len(set(dxdx)) == 6
+    assert len(dxdx) == len(set(dxdx)) == 3
     assert not {(v, u) for u, v in dxdx if u != v} & set(dxdx)
 
     calls.clear()
@@ -596,20 +601,23 @@ def test_each_bracket_is_formed_once_inside_a_check(monkeypatch):
 
     def recorded(element, sign):
         formed, keys = [], []
-        tables.append(formed)
+        tables.append((sign, formed))
+        inner = pair_table(lambda key: keys.append(key) or element(key), sign)
 
-        def named(key):  # a table names u, then v, for each bracket formed
-            keys.append(key)
-            if len(keys) % 2 == 0:
-                formed.append(tuple(keys[-2:]))
-            return element(key)
-        return pair_table(named, sign)
+        def recording(u, v):  # forming a bracket names u, then v
+            keys.clear()
+            value = inner(u, v)
+            if len(keys) == 2:
+                formed.append(tuple(keys))
+            return value
+        return recording
     monkeypatch.setattr(superspace, "_pair_table", recorded)
     assert all(r.passed for r in run_suite(SuiteSpec("all", dimension=3)))
-    assert len(tables) == 7 and all(tables)
-    for formed in tables:
+    assert len(tables) == 7 and all(formed for _, formed in tables)
+    for sign, formed in tables:
         assert len(set(formed)) == len(formed)
         assert not {(v, u) for u, v in formed if u != v} & set(formed)
+        assert sign > 0 or all(u != v for u, v in formed)
 
 
 def test_colour_action_matches_nested_sum(alg2):
@@ -887,9 +895,30 @@ def test_px_and_unit_weight_controls(corrupted_d2_runs):
                 for r in reports if not r.passed} == want, name
 
 
+def test_kernel_mutant_controls(corrupted_d2_runs):
+    """The two ``KERNEL_MUTANTS`` of ``times_word`` fail the engine suite
+    with these exact residual counts at d = 2.  "kernel-gap-2" fails
+    ``engine.sym3`` because {b, c} and {c, b} reach the kernel by
+    different passes: a pair of words with no contraction across it takes
+    one pass, in the order its anticommutator names it, so the mutant's
+    wrong signs no longer cancel between the orderings of sym3."""
+    for name, want in (
+            ("kernel-gap-2", {"engine.confluence": 75, "engine.star": 2,
+                              "engine.sym3": 9}),
+            ("kernel-front", {"engine.idempotent": 50,
+                              "engine.confluence": 270, "engine.star": 30,
+                              "engine.sym3": 24})):
+        _, reports = corrupted_d2_runs[name]
+        assert {r.check_id: len(r.residuals)
+                for r in reports if not r.passed} == want, name
+
+
 # check ID -> the corruptions of ``corrupted_d2_runs`` that fail it at d = 2
 CONTROLS = {
-    "engine.confluence": {"non-confluent"}, "engine.star": {"non-confluent"},
+    "engine.idempotent": {"kernel-front"},
+    "engine.confluence": {"non-confluent", "kernel-gap-2", "kernel-front"},
+    "engine.star": {"non-confluent", "kernel-gap-2", "kernel-front"},
+    "engine.sym3": {"kernel-gap-2", "kernel-front"},
     "para1.1": {"theta-eps1"},
     "para1.2": {"kappa=1/3", "non-confluent", "d-eps1"},
     "para1.3": {"kappa=1/3", "non-confluent", "d-eps1", "theta-eps1"},
@@ -932,7 +961,6 @@ CONTROLS = {
 # corruption tests of their own in test_order3.py and test_colour.py.)
 NO_CONTROL_YET = {
     "arith.root", "arith.ring", "arith.conj", "arith.division",
-    "engine.idempotent", "engine.sym3",
     "poincare.LL", "poincare.PP", "poincare.Ptheta",
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
     "colour.axioms",
