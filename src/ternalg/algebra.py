@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .cyclo import Cyclo, ONE, ZERO
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import dsl
 from .colour import factor_table_csv, paper_factor
 from .order3 import cubic_poincare
 from .report import emit_json, emit_text
@@ -112,6 +111,8 @@ def _run(args, out) -> int:
         return 0 if all(r.passed for r in reports) else 1
 
     if args.verb == "eval":
+        from . import dsl  # only eval parses an expression
+
         alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(args.dim)))
         try:
             value = dsl.evaluate(args.expr, alg)

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, commutator  # unused; bench/tracer.py patches it
+from .record import Record
 from .report import CheckReport
 from .superspace import MetricSignature, SuperspaceAlgebra
 
@@ -73,35 +73,29 @@ class Table(dict):
         return out
 
 
-@dataclass
-class StructureConstants3:
+class StructureConstants3(Record):
     """Sparse exact tables f_{ij}^k, R_{ia}^b, Q_{abc}^i.
 
     Index convention: [X_i, X_j] = f_{ij}^k X_k, [X_i, Y_a] = R_{ia}^b Y_b,
     {Y_a, Y_b, Y_c} = Q_{abc}^i X_i.
     """
 
-    dim0: int
-    dim1: int
-    f: Table
-    R: Table
-    Q: Table
-    labels0: tuple = ()
-    labels1: tuple = ()
+    _fields = ("dim0", "dim1", "f", "R", "Q", "labels0", "labels1")
 
-    def __post_init__(self):
-        if self.f.shape != (self.dim0,) * 3:
+    def __init__(self, dim0: int, dim1: int, f: Table, R: Table, Q: Table,
+                 labels0: tuple = (), labels1: tuple = ()):
+        self.dim0, self.dim1 = dim0, dim1
+        self.f, self.R, self.Q = f, R, Q
+        if f.shape != (dim0,) * 3:
             raise ValueError("f must have shape (dim0, dim0, dim0)")
-        if self.R.shape != (self.dim0, self.dim1, self.dim1):
+        if R.shape != (dim0, dim1, dim1):
             raise ValueError("R must have shape (dim0, dim1, dim1)")
-        if self.Q.shape != (self.dim1,) * 3 + (self.dim0,):
+        if Q.shape != (dim1,) * 3 + (dim0,):
             raise ValueError("Q must have shape (dim1, dim1, dim1, dim0)")
-        if not self.labels0:
-            self.labels0 = tuple(f"X{i}" for i in range(self.dim0))
-        if not self.labels1:
-            self.labels1 = tuple(f"Y{a}" for a in range(self.dim1))
-        for name, labels, n in (("labels0", self.labels0, self.dim0),
-                                ("labels1", self.labels1, self.dim1)):
+        self.labels0 = labels0 or tuple(f"X{i}" for i in range(dim0))
+        self.labels1 = labels1 or tuple(f"Y{a}" for a in range(dim1))
+        for name, labels, n in (("labels0", self.labels0, dim0),
+                                ("labels1", self.labels1, dim1)):
             if len(labels) != n:
                 raise ValueError(f"{name} has {len(labels)} labels, "
                                  f"expected {n}")

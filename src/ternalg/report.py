@@ -19,22 +19,28 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+
+from .record import Record
 
 SCHEMA_VERSION = "1"
 
 
-@dataclass
-class CheckReport:
-    check_id: str
-    paper_ref: str
-    status: str = "pass"
-    residuals: list = field(default_factory=list)
-    elapsed_ms: float = 0.0
-    notes: str = ""
+class CheckReport(Record):
+    _fields = ("check_id", "paper_ref", "status", "residuals", "elapsed_ms",
+               "notes")
+
+    def __init__(self, check_id: str, paper_ref: str, status: str = "pass",
+                 residuals: list | None = None, elapsed_ms: float = 0.0,
+                 notes: str = ""):
+        self.check_id = check_id
+        self.paper_ref = paper_ref
+        self.status = status
+        self.residuals = [] if residuals is None else residuals
+        self.elapsed_ms = elapsed_ms
+        self.notes = notes
 
     def __enter__(self) -> "CheckReport":
-        # a plain attribute, not a field: it never reaches asdict or the JSON
+        # a plain attribute, not a field: it never reaches == or the JSON
         self._t0 = time.perf_counter()
         return self
 
@@ -57,7 +63,8 @@ class CheckReport:
 
 
 def reports_to_document(reports, config: dict) -> dict:
-    checks = [asdict(r) for r in sorted(reports, key=lambda r: r.check_id)]
+    checks = [dict(zip(r._fields, r._values()))
+              for r in sorted(reports, key=lambda r: r.check_id)]
     for c in checks:
         if not c["notes"]:
             del c["notes"]

@@ -9,7 +9,6 @@ per run, and only when a selected job needs it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -17,6 +16,7 @@ from . import colour, matrixrep, order3
 from .algebra import (Element, _accumulate, random_element, random_raw_terms,
                       sym3)
 from .cyclo import Cyclo, ONE, Q, ZERO
+from .record import FrozenRecord
 from .report import CheckReport
 from .superspace import (CLS_DEL, CLS_EPS, CLS_THETA, CLS_THETA_SC,
                          MetricSignature, SuperspaceAlgebra, SuperspaceConfig,
@@ -26,17 +26,15 @@ from .superspace import (CLS_DEL, CLS_EPS, CLS_THETA, CLS_THETA_SC,
                          poincare_brackets)
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    suite: str
-    dimension: int = 4
-    seed: int = 0
-    kappa: Fraction = Fraction(1, 2)
+class SuiteSpec(FrozenRecord):
+    _fields = ("suite", "dimension", "seed", "kappa")
 
-    def __post_init__(self):
-        if self.suite not in SUITE_IDS:
-            raise ValueError(f"unknown suite {self.suite!r}; "
+    def __init__(self, suite: str, dimension: int = 4, seed: int = 0,
+                 kappa: Fraction = Fraction(1, 2)):
+        if suite not in SUITE_IDS:
+            raise ValueError(f"unknown suite {suite!r}; "
                              f"choose from {', '.join(SUITE_IDS)}")
+        self._set(suite=suite, dimension=dimension, seed=seed, kappa=kappa)
 
     def config_dict(self) -> dict:
         metric = MetricSignature.minkowski(self.dimension)

@@ -64,12 +64,12 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
                       anticommutator, commutator, sum_of_products, sym3)
 from .cyclo import Cyclo, ONE, Q
+from .record import FrozenRecord
 from .report import CheckReport
 
 # generator classes, in canonical order (fermionic before bosonic)
@@ -81,28 +81,29 @@ CLS_X = 6
 CLS_P = 7
 
 
-@dataclass(frozen=True)
-class MetricSignature:
+class MetricSignature(FrozenRecord):
     """Diagonal flat metric; default is the mostly-minus (+,-,-,-)."""
 
-    dimension: int = 4
-    eta: tuple = (1, -1, -1, -1)
+    _fields = ("dimension", "eta")
 
-    def __post_init__(self):
-        if len(self.eta) != self.dimension:
+    def __init__(self, dimension: int = 4, eta: tuple = (1, -1, -1, -1)):
+        if len(eta) != dimension:
             raise ValueError("eta must have one entry per dimension")
-        if any(e not in (1, -1) for e in self.eta):
+        if any(e not in (1, -1) for e in eta):
             raise ValueError("eta entries must be +1 or -1")
+        self._set(dimension=dimension, eta=eta)
 
     @classmethod
     def minkowski(cls, d: int = 4) -> "MetricSignature":
         return cls(d, (1,) + (-1,) * (d - 1))
 
 
-@dataclass(frozen=True)
-class SuperspaceConfig:
-    metric: MetricSignature = field(default_factory=MetricSignature)
-    pairing_kappa: Fraction = Fraction(1, 2)
+class SuperspaceConfig(FrozenRecord):
+    _fields = ("metric", "pairing_kappa")
+
+    def __init__(self, metric: MetricSignature = MetricSignature(),
+                 pairing_kappa: Fraction = Fraction(1, 2)):
+        self._set(metric=metric, pairing_kappa=pairing_kappa)
 
 
 # Green sectors: every parafermionic name is the sum of one component per

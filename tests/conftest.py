@@ -82,6 +82,32 @@ d_d_pairing = unit_pairing(
     lambda u, v: u.startswith("d_") and v.startswith("d_"))
 
 
+def odd_swap(match):
+    """A rule-table rewrite: swap sign -1 between every two generators
+    whose names ``match`` accepts, in either order."""
+    def rewrite(names, swap, contraction, square_zero):
+        swap = dict(swap)
+        for v, u in itertools.combinations(range(len(names)), 2):
+            if match(names[u], names[v]) or match(names[v], names[u]):
+                swap[(u, v)] = -1
+        return names, swap, contraction, square_zero
+    return rewrite
+
+
+def _is_xp(name):
+    return name.startswith(("x^", "P_"))
+
+
+# x^mu and P_mu anticommuting with every x^nu and P_nu of another index
+# nu, and every x^mu and P_mu with every theta^nu and d_nu Green
+# component.  Each contraction still joins two generators with equal swap
+# rows, so both tables stay confluent.  The first breaks [P, P], the
+# second [P, theta].
+xp_odd = odd_swap(lambda u, v: _is_xp(u) and _is_xp(v) and u[2:] != v[2:])
+xp_theta_odd = odd_swap(lambda u, v: _is_xp(u)
+                        and v.startswith(("theta^", "d_")))
+
+
 def third_pairing_at(indices):
     """A rule-table rewrite: kappa = 1/3 on the pairing of d_mu with
     theta^mu, in every Green sector, for each mu of ``indices(d)`` (d the
@@ -156,7 +182,10 @@ def corrupted_d2_runs():
     check skipped, "d-eps1" contracts each d_mu component with eps1^mu
     (``eps1_pairing``), "theta-eps1" each theta^mu component with eps1^mu
     (``theta_eps1_pairing``), "d-d" each d_mu component with d_nu, mu < nu
-    (``d_d_pairing``), and two corrupt the matrix oracle's Jordan-Wigner
+    (``d_d_pairing``), "xP-odd" makes x^mu/P_mu anticommute with
+    x^nu/P_nu, mu != nu (``xp_odd``), "xP-theta-odd" every x/P with every
+    theta^mu/d_mu component (``xp_theta_odd``), and two corrupt the matrix
+    oracle's Jordan-Wigner
     strings: "no-JW" empties every string, "cross-sector-JW" runs each over
     every later mode (the lower bits), not only those of its own sector.
     The ``KERNEL_MUTANTS`` of ``times_word`` run the engine suite alone:
@@ -181,7 +210,9 @@ def corrupted_d2_runs():
                       GeneratorSystem(*rewrite(*args)))
                for name, rewrite in (("d-eps1", eps1_pairing),
                                      ("theta-eps1", theta_eps1_pairing),
-                                     ("d-d", d_d_pairing))},
+                                     ("d-d", d_d_pairing),
+                                     ("xP-odd", xp_odd),
+                                     ("xP-theta-odd", xp_theta_odd))},
             "no-JW": (matrixrep, "MatrixRep",
                       rewritten_strings(lambda bit, string: 0)),
             "cross-sector-JW": (matrixrep, "MatrixRep",

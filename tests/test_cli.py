@@ -306,3 +306,33 @@ def test_verify_never_imports_numpy():
                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False 0"
+
+
+# ternalg's standard-library imports, bar ``re`` (the DSL's alone), and
+# ``__future__``, which every module's ``from __future__ import
+# annotations`` imports
+STDLIB_DEPENDENCIES = ("__future__, argparse, collections.abc, fractions, "
+                       "functools, itertools, json, math, random, time")
+
+
+def _modules_loaded_by(statement: str) -> set:
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys; {statement}; print(*sorted(sys.modules))"
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_import_loads_only_what_a_run_executes():
+    """``import ternalg.cli``, in a fresh interpreter without site hooks,
+    loads no module that ternalg's standard-library dependencies do not
+    load alone, apart from ternalg's own, and not ``ternalg.dsl``, which
+    only ``eval`` needs.  Comparing against those dependencies keeps the
+    test independent of what each Python version's stdlib imports."""
+    extra = (_modules_loaded_by("import ternalg.cli")
+             - _modules_loaded_by(f"import {STDLIB_DEPENDENCIES}"))
+    assert {name for name in extra if name.partition(".")[0] != "ternalg"} \
+        == set()
+    assert "ternalg.cli" in extra and "ternalg.dsl" not in extra

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (UncheckedSystem, cross_sector_pairing, d_d_pairing,
-                      eps1_pairing, theta_eps1_pairing, third_pairing_at)
+                      eps1_pairing, theta_eps1_pairing, third_pairing_at,
+                      xp_odd, xp_theta_odd)
 from ternalg import dsl, order3, suites, superspace
 from ternalg.algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
                              anticommutator, commutator, nested_action,
@@ -895,6 +896,36 @@ def test_px_and_unit_weight_controls(corrupted_d2_runs):
                 for r in reports if not r.passed} == want, name
 
 
+@pytest.mark.parametrize("name, rewrite, at_d2, at_d3", [
+    ("xP-odd", xp_odd,
+     {"poincare.LP": 2, "poincare.PP": 1, "order3.superspace": 3,
+      "trans.x": 6, "closure.deltax": 2},
+     {"poincare.LL": 6, "poincare.LP": 6, "poincare.PP": 3,
+      "order3.superspace": 12, "trans.x": 9, "closure.deltax": 3}),
+    ("xP-theta-odd", xp_theta_odd,
+     {"poincare.Ptheta": 4, "trans.theta": 6, "trans.x": 6,
+      "closure.leib": 4, "closure.annihilate": 10, "closure.deltax": 2,
+      "closure.symmetric": 4},
+     {"poincare.Ptheta": 9, "trans.theta": 9, "trans.x": 9,
+      "closure.leib": 18, "closure.annihilate": 32, "closure.deltax": 3,
+      "closure.symmetric": 9}),
+])
+def test_odd_swap_controls(name, rewrite, at_d2, at_d3, monkeypatch,
+                           corrupted_d2_runs):
+    """x/P anticommuting across indices fails ``poincare.PP`` and, from
+    d = 3, where there is more than one L pair, ``poincare.LL``; x/P
+    anticommuting with the theta^mu/d_mu components fails
+    ``poincare.Ptheta``.  Both failing sets are pinned at d = 2 and 3."""
+    _, reports = corrupted_d2_runs[name]
+    assert {r.check_id: len(r.residuals)
+            for r in reports if not r.passed} == at_d2
+    monkeypatch.setattr(superspace, "GeneratorSystem",
+                        lambda *args: GeneratorSystem(*rewrite(*args)))
+    reports = run_suite(SuiteSpec("all", dimension=3))
+    assert {r.check_id: len(r.residuals)
+            for r in reports if not r.passed} == at_d3
+
+
 def test_kernel_mutant_controls(corrupted_d2_runs):
     """The two ``KERNEL_MUTANTS`` of ``times_word`` fail the engine suite
     with these exact residual counts at d = 2.  "kernel-gap-2" fails
@@ -930,19 +961,24 @@ CONTROLS = {
     "para.3": {"kappa=1/3", "p=3", "non-confluent", "d-eps1", "d-d"},
     "para.4": {"p=3", "d-d"}, "roby": {"p=3", "theta-eps1"},
     "poincare.Jtheta": {"kappa=1/3", "non-confluent"},
-    "poincare.LP": {"Px=-1"},
-    "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent"},
+    "poincare.LP": {"Px=-1", "xP-odd"}, "poincare.PP": {"xP-odd"},
+    "poincare.Ptheta": {"xP-theta-odd"},
+    "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent", "xP-odd"},
     "colour.weights": {"unit-weights"},
-    "trans.theta": {"kappa=1/3", "non-confluent", "theta-eps1"},
-    "trans.x": {"Px=-1"}, "trans.eps": {"d-eps1", "theta-eps1"},
+    "trans.theta": {"kappa=1/3", "non-confluent", "theta-eps1",
+                    "xP-theta-odd"},
+    "trans.x": {"Px=-1", "xP-odd", "xP-theta-odd"},
+    "trans.eps": {"d-eps1", "theta-eps1"},
     "trans.deltax": {"theta-eps1"},
     "psi.bracket": {"kappa=1/3", "p=3", "non-confluent", "d-d"},
-    "closure.leib": {"kappa=1/3", "non-confluent", "theta-eps1"},
+    "closure.leib": {"kappa=1/3", "non-confluent", "theta-eps1",
+                     "xP-theta-odd"},
     "closure.annihilate": {"unit-weights", "non-confluent", "d-eps1",
-                           "theta-eps1"},
+                           "theta-eps1", "xP-theta-odd"},
     "closure.deltax": {"kappa=1/3", "Px=-1", "unit-weights", "d-eps1",
-                       "theta-eps1"},
-    "closure.symmetric": {"non-confluent", "d-eps1", "theta-eps1"},
+                       "theta-eps1", "xP-odd", "xP-theta-odd"},
+    "closure.symmetric": {"non-confluent", "d-eps1", "theta-eps1",
+                          "xP-theta-odd"},
     "oracle.zero": {"kappa=1/3", "p=3", "non-confluent", "no-JW",
                     "cross-sector-JW"},
 } | {f"oracle.{kind}.{sub}": want for kind in ("rep", "random")
@@ -961,7 +997,7 @@ CONTROLS = {
 # corruption tests of their own in test_order3.py and test_colour.py.)
 NO_CONTROL_YET = {
     "arith.root", "arith.ring", "arith.conj", "arith.division",
-    "poincare.LL", "poincare.PP", "poincare.Ptheta",
+    "poincare.LL",
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
     "colour.axioms",
 }
