@@ -40,15 +40,15 @@ _ZERO = Fraction(0)
 class Table(dict):
     """A sparse exact table of the given shape, {index tuple: nonzero
     Fraction}.  Unset entries read as zero.  A write stores Fraction(value),
-    or deletes the entry if that is zero; ``:`` writes across its axis.  An
-    index of the wrong length or out of range raises IndexError."""
+    or deletes the entry if that is zero.  An index of the wrong length or
+    out of range raises IndexError."""
 
     def __init__(self, *shape):
         self.shape = shape  # dict.__new__ has made the empty mapping
 
-    def _check(self, idx, slices=False):
+    def _check(self, idx):
         if len(idx) != len(self.shape) or not all(
-                slices and isinstance(i, slice) or type(i) is int and 0 <= i < n
+                type(i) is int and 0 <= i < n
                 for i, n in zip(idx, self.shape)):
             raise IndexError(f"index {idx} outside shape {self.shape}")
 
@@ -57,15 +57,12 @@ class Table(dict):
         return _ZERO
 
     def __setitem__(self, idx, value):
-        self._check(idx, slices=True)
+        self._check(idx)
         value = Fraction(value)
-        for point in itertools.product(*(
-                range(*i.indices(n)) if isinstance(i, slice) else (i,)
-                for i, n in zip(idx, self.shape))):
-            if value:
-                super().__setitem__(point, value)
-            else:
-                self.pop(point, None)
+        if value:
+            super().__setitem__(idx, value)
+        else:
+            self.pop(idx, None)
 
     def copy(self) -> "Table":
         out = Table(*self.shape)

@@ -15,10 +15,12 @@ generator ids, and ``_label`` the one spelling of names; the matrix oracle,
 the suites and the DSL read both instead of re-deriving them.
 
 The sweeps ``para``, ``roby`` and ``psi.bracket`` take each slot as a
-layout key ((cls, mu), or (s, mu) for psi_s mu), reduce once per orbit of
-slot tuples (``_per_orbit``: sorted slots for {u, v, w}, slots 1-2 in
-order and a sign for [[u, v], w]; ``roby`` sweeps the sorted triples
-alone) and read each inner bracket from a ``_pair_table``.
+layout key ((cls, mu), or (s, mu) for psi_s mu).  One memo,
+``_orbit_table``, forms a value once per orbit of a signed slot symmetry
+(``_sorted_slots`` for {u, v} and {u, v, w}, ``_ordered_12`` with a sign
+for [u, v] and [[u, v], w]) and answers every other tuple with the sign:
+the ordered sweeps read their values from it, and each ``_pair_table`` is
+one.  ``roby`` is ``para.1``'s sweep reported on its sorted triples.
 Every composite symbol (J, L, V, delta-x) is one ``sum_of_products``
 call over its product pairs.  ``colour_action`` applies the leading V_i
 once to the weighted sum of the two nested actions it leads (ad_V is
@@ -199,9 +201,6 @@ class SuperspaceAlgebra:
     def theta_lower(self, mu: int) -> Element:
         return self.theta(mu).scale(self.eta[mu])
 
-    def eps_lower(self, i: int, mu: int) -> Element:
-        return self.eps(i, mu).scale(self.eta[mu])
-
     def x_lower(self, mu: int) -> Element:
         return self.x(mu).scale(self.eta[mu])
 
@@ -348,24 +347,28 @@ def _sorted_slots(t):
 
 
 def _ordered_12(t):
-    """[[u, v], w]: both sides change sign when u and v swap."""
-    return (t, 1) if t[0] <= t[1] else ((t[1], t[0], t[2]), -1)
+    """[u, v] or [[u, v], w]: both sides change sign when u and v swap."""
+    return (t, 1) if t[0] <= t[1] else ((t[1], t[0], *t[2:]), -1)
 
 
-def _per_orbit(tuples, canon, value):
-    """(t, value(t)) for each slot tuple t, in sweep order, calling
-    ``value`` once per orbit: ``canon(t)`` is the orbit representative r
-    and the sign with value(t) = sign * value(r)."""
-    values = {}  # one sweep's orbit representatives and their values
-    for t in tuples:
+def _orbit_table(value, canon):
+    """``lookup(t)`` = value(t) for slot tuples t, forming ``value`` once
+    per orbit: ``canon(t)`` is the orbit representative r and the sign
+    with value(t) = sign * value(r).  The memo lives as long as the
+    returned function: one check call or Poincare job."""
+    values = {}
+
+    def lookup(t):
         r, sign = canon(t)
         v = values.get(r)
         if v is None:
             v = values[r] = value(r)
-        yield t, v if sign == 1 else -v
+        return v if sign == 1 else -v
+    return lookup
 
 
-# the slot permutations of each bracket symmetry that ``_per_orbit`` reduces by
+# the slot permutations, on triples, of each bracket symmetry that
+# ``_orbit_table`` reduces by
 _SLOT_PERMUTATIONS = {_sorted_slots: tuple(itertools.permutations(range(3))),
                       _ordered_12: ((0, 1, 2), (1, 0, 2))}
 
@@ -445,9 +448,9 @@ def _representatives(slots, canon):
             yield t
 
 
-def _sweep(alg, slots, value, canon=None, tuples=None):
-    """(t, value(t)) for the slot tuples t of one check, in sweep order;
-    zero values may be left out.
+def _sweep(alg, slots, value, canon=None):
+    """(t, value(t)) for the slot tuples t of ``product(*slots)``, in
+    sweep order; zero values may be left out.
 
     When ``_spatial_symmetry`` verifies S_{d-1} (never at d <= 2, where it
     is trivial), ``value`` is first evaluated once per orbit of (bracket
@@ -455,40 +458,34 @@ def _sweep(alg, slots, value, canon=None, tuples=None):
     yielded.  That verdict rests on ``value`` having both symmetries: the
     gate verifies the left-hand sides', and the right-hand sides' S_{d-1}
     covariance is pinned at d = 2..5 by
-    ``test_expected_sides_have_the_bracket_symmetry``.  Otherwise the
-    tuples of ``product(*slots)`` are swept as before, reduced once per
-    ``canon`` orbit (``_per_orbit``), or else the given ``tuples``, one
-    per bracket orbit, each reduced directly; these residual lists do not
-    rest on the covariance.
+    ``test_expected_sides_have_the_bracket_symmetry``.  Otherwise every
+    tuple is swept, its value read from an ``_orbit_table`` of ``canon``
+    (formed directly for None); these residual lists do not rest on the
+    covariance.
     """
     if _spatial_symmetry(alg) and not any(
             map(value, _representatives(slots, canon))):
         return
-    if canon is None or tuples is not None:
-        for t in itertools.product(*slots) if tuples is None else tuples:
-            yield t, value(t)
-    else:
-        yield from _per_orbit(itertools.product(*slots), canon, value)
+    lookup = value if canon is None else _orbit_table(value, canon)
+    for t in itertools.product(*slots):
+        yield t, lookup(t)
 
 
 def _pair_table(element, sign):
     """``inner(u, v)``: the commutator (``sign`` -1) or anticommutator (+1)
-    of ``element(u)`` and ``element(v)``, formed once per unordered pair of
-    keys; (v, u) is read from (u, v), negated for a commutator, and a
+    of ``element(u)`` and ``element(v)``, an ``_orbit_table`` of the
+    bracket's symmetry, so each unordered pair of keys is formed once.  A
     commutator [u, u] is zero without being formed (x x - x x cancels
-    under any rule table).  The dict lives as long as the returned
-    function: one check call or Poincare job."""
-    table = {}
+    under any rule table)."""
+    bracket, canon = ((commutator, _ordered_12) if sign < 0
+                      else (anticommutator, _sorted_slots))
+    lookup = _orbit_table(lambda t: bracket(element(t[0]), element(t[1])),
+                          canon)
 
     def inner(u, v):
         if u == v and sign < 0:
             return Element.zero(element(u).system)
-        if (u, v) not in table:
-            if (v, u) in table:
-                return table[v, u] if sign > 0 else -table[v, u]
-            table[u, v] = (commutator if sign < 0 else anticommutator)(
-                element(u), element(v))
-        return table[u, v]
+        return lookup((u, v))
     return inner
 
 
@@ -540,22 +537,21 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
 
 
 def check_roby(alg: SuperspaceAlgebra) -> CheckReport:
-    """The three-exterior relation once per orbit of S_{d-1} on sorted
-    triples of names (``_sweep``), and, if any is nonzero, once for every
-    sorted triple; each {u, v} is formed once from a pair table."""
+    """The three-exterior relation, the six-ordering sum {a, b, c} = 0 on
+    coordinate-type names: ``para.1``'s sweep (``_sweep``), reported on its
+    non-decreasing triples.  Product order visits the sorted member of
+    each orbit first, so every bracket formed is one of a sorted triple."""
     with CheckReport(
             "roby",
             "sum over the six orderings of eta^a eta^b eta^c vanishes, for "
             "every triple of coordinate-type names (theta^mu, theta, eps_i^mu; "
             "the conjugates d_mu are excluded since their symmetric brackets "
             "with theta are the nonzero pairing relations)") as rep:
-        labels, keys = alg.labels, alg.coordinate_keys
-        # coordinate_keys are in sorted order, so each triple is already
-        # the sorted representative of its orbit
-        for t, v in _sweep(alg, [keys] * 3, _sym_bracket(alg._named),
-                           _sorted_slots,
-                           itertools.combinations_with_replacement(keys, 3)):
-            rep.expect_zero(tuple(labels[key] for key in t), v)
+        labels = alg.labels
+        for t, v in _sweep(alg, [alg.coordinate_keys] * 3,
+                           _sym_bracket(alg._named), _sorted_slots):
+            if t[0] <= t[1] <= t[2]:
+                rep.expect_zero(tuple(labels[key] for key in t), v)
     return rep
 
 
@@ -653,10 +649,10 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
                      "+ eta_{rho mu} psi_s nu)") as rep:
         global_sign = None
         psis = {(s, mu): alg.psi(s, mu) for s in (1, -1) for mu in range(d)}
-        tuples = [tuple((s, mu) for mu in idx) for s in (1, -1)
-                  for idx in itertools.product(range(d), repeat=3)]
-        for ((s, mu), (_, nu), (_, rho)), lhs in _per_orbit(
-                tuples, _sorted_slots, _sym_bracket(psis)):
+        bracket = _orbit_table(_sym_bracket(psis), _sorted_slots)
+        for s, (mu, nu, rho) in itertools.product(
+                (1, -1), itertools.product(range(d), repeat=3)):
+            lhs = bracket(((s, mu), (s, nu), (s, rho)))
             base = _psi_base(alg, s, mu, nu, rho)
             if not base:
                 rep.expect_zero((s, mu, nu, rho), lhs)

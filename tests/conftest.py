@@ -108,6 +108,13 @@ xp_theta_odd = odd_swap(lambda u, v: _is_xp(u)
                         and v.startswith(("theta^", "d_")))
 
 
+# The paper's commutation-factor exponent form with B_00 = 1: still
+# biadditive, as every form is, but no longer antisymmetric, so
+# N(a, b) N(b, a) = q^(2 a_1 b_1) breaks axiom 1.
+B00_FORM = colour.paper_factor().exponent_form
+B00_FORM[0][0] = 1
+
+
 def third_pairing_at(indices):
     """A rule-table rewrite: kappa = 1/3 on the pairing of d_mu with
     theta^mu, in every Green sector, for each mu of ``indices(d)`` (d the
@@ -184,8 +191,9 @@ def corrupted_d2_runs():
     (``theta_eps1_pairing``), "d-d" each d_mu component with d_nu, mu < nu
     (``d_d_pairing``), "xP-odd" makes x^mu/P_mu anticommute with
     x^nu/P_nu, mu != nu (``xp_odd``), "xP-theta-odd" every x/P with every
-    theta^mu/d_mu component (``xp_theta_odd``), and two corrupt the matrix
-    oracle's Jordan-Wigner
+    theta^mu/d_mu component (``xp_theta_odd``), "B00=1" builds the
+    paper's commutation factor from ``B00_FORM``, and two corrupt the
+    matrix oracle's Jordan-Wigner
     strings: "no-JW" empties every string, "cross-sector-JW" runs each over
     every later mode (the lower bits), not only those of its own sector.
     The ``KERNEL_MUTANTS`` of ``times_word`` run the engine suite alone:
@@ -203,6 +211,8 @@ def corrupted_d2_runs():
             "p=3": (superspace, "GREEN_SECTORS", (0, 1, 2)),
             "Px=-1": (superspace, "GeneratorSystem", p_x_negated),
             "unit-weights": (colour, "col3_weights", lambda: (ONE,) * 6),
+            "B00=1": (colour, "paper_factor",
+                      lambda: colour.CommutationFactor(B00_FORM)),
             "non-confluent": (superspace, "GeneratorSystem", lambda *args:
                               UncheckedSystem(*cross_sector_pairing(*args))),
             **{name: (superspace, "GeneratorSystem",

@@ -87,7 +87,8 @@ def test_criterion_4_order3_axioms():
             ok, detail = False, "asymmetric Q went undetected"
         # broken Jacobi
         sc = clone()
-        sc.f[0, 1, :] = 0
+        for k in range(sc.dim0):
+            sc.f[0, 1, k] = 0
         sc.f[0, 1, 3] = Fraction(1)
         sc.f[1, 0, 3] = Fraction(-1)
         jac = {r.check_id: r for r in check_lie_order3(sc)}["order3.jacobi"]

@@ -157,34 +157,16 @@ def _assert_golden(doc: dict, name: str):
     assert doc == json.loads(golden.read_text())
 
 
-def test_verify_all_matches_golden_report(capsys):
-    """``verify --suite all`` at d = 3, seed 0, equals the stored report
-    apart from the timings."""
-    assert main(["verify", "--suite", "all", "--dim", "3", "--seed", "0",
+@pytest.mark.parametrize("dim", [3, 4, 5, 10])
+def test_verify_all_matches_golden_report(dim, capsys):
+    """``verify --suite all``, seed 0, equals the stored report apart from
+    the timings: at d = 3, at d = 4 and 5, where the spatial quotient is
+    live (S_3 and S_4 on the spatial indices), and at ``MAX_DIM`` = 10,
+    where the pair tables answer the most reversed pairs."""
+    assert main(["verify", "--suite", "all", "--dim", str(dim), "--seed", "0",
                  "--report", "json"]) == 0
     _assert_golden(json.loads(capsys.readouterr().out),
-                   "verify_all_d3_seed0.json")
-
-
-def test_verify_all_d4_matches_golden_report(capsys):
-    """At d = 4, where the spatial quotient is live (S_3 on the spatial
-    indices), ``verify --suite all`` equals the stored report apart from
-    the timings."""
-    assert main(["verify", "--suite", "all", "--dim", "4", "--seed", "0",
-                 "--report", "json"]) == 0
-    _assert_golden(json.loads(capsys.readouterr().out),
-                   "verify_all_d4_seed0.json")
-
-
-def test_verify_all_d5_matches_golden_report(capsys):
-    """At d = 5, the largest dimension of the day-to-day runs (S_4 on the
-    spatial indices), ``verify --suite all`` equals the stored report apart
-    from the timings: every check passes, roby's six-ordering relations
-    among them."""
-    assert main(["verify", "--suite", "all", "--dim", "5", "--seed", "0",
-                 "--report", "json"]) == 0
-    _assert_golden(json.loads(capsys.readouterr().out),
-                   "verify_all_d5_seed0.json")
+                   f"verify_all_d{dim}_seed0.json")
 
 
 def test_verify_all_runs_at_dim_1(capsys):

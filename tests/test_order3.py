@@ -48,7 +48,8 @@ def _corrupt(sc):
 def _jacobi_corruption():
     sc = _corrupt(cubic_poincare(MetricSignature.minkowski(4)))
     # overwrite [L_{01}, L_{02}] with a wrong target
-    sc.f[0, 1, :] = 0
+    for k in range(sc.dim0):
+        sc.f[0, 1, k] = 0
     sc.f[0, 1, 3] = Fraction(1)
     sc.f[1, 0, 3] = Fraction(-1)
     return sc
@@ -278,21 +279,16 @@ def test_table_reads_zero_and_stores_nonzeros_only():
     assert dict(t) == {(1, 1): Fraction(1, 3)}
 
 
-def test_table_slice_assigns_across_the_axis():
-    t = Table(2, 3)
-    t[1, :] = 5
-    assert sorted(t) == [(1, 0), (1, 1), (1, 2)]
-    t[1, 1] = 1
-    t[:, 1] = 0
-    assert sorted(t) == [(1, 0), (1, 2)]
-
-
-@pytest.mark.parametrize("idx", [(0,), (0, 1, 0), (-1, 0), (2, 0), (0, 3)])
+@pytest.mark.parametrize("idx", [(0,), (0, 1, 0), (-1, 0), (2, 0), (0, 3),
+                                 (1, slice(None))])
 def test_table_rejects_bad_index(idx):
     t = Table(2, 3)
     with pytest.raises(IndexError):
         t[idx] = 1
-    with pytest.raises(IndexError):
+    # a read is a dict lookup first, and a slice is unhashable before
+    # Python 3.12
+    sliced = any(type(i) is slice for i in idx)
+    with pytest.raises((IndexError, TypeError) if sliced else IndexError):
         t[idx]
     assert not t
 

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (UncheckedSystem, cross_sector_pairing, d_d_pairing,
-                      eps1_pairing, theta_eps1_pairing, third_pairing_at,
-                      xp_odd, xp_theta_odd)
-from ternalg import dsl, order3, suites, superspace
+from conftest import (B00_FORM, UncheckedSystem, cross_sector_pairing,
+                      d_d_pairing, eps1_pairing, theta_eps1_pairing,
+                      third_pairing_at, xp_odd, xp_theta_odd)
+from ternalg import colour, dsl, order3, suites, superspace
 from ternalg.algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
                              anticommutator, commutator, nested_action,
                              random_element, sym3)
@@ -234,6 +234,21 @@ def test_roby_pair_table_matches_ordered_reference(d, kappa, sectors, n_roby,
     got = check_roby(alg).residuals
     assert got == _ordered_roby_residuals(alg)
     assert len(got) == n_roby
+
+
+@pytest.mark.parametrize("d, n_roby", [(2, 165), (3, 455)])
+def test_roby_is_para1_on_sorted_triples(d, n_roby, monkeypatch):
+    """With three Green sectors, where every triple fails, ``roby``'s
+    residuals are ``para.1``'s restricted to non-decreasing slot triples:
+    one identity on the same names."""
+    monkeypatch.setattr(superspace, "GREEN_SECTORS", (0, 1, 2))
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    para1 = {r.check_id: r for r in check_parafermion_relations(alg)}["para.1"]
+    names = {label: key for key, label in alg.labels.items()}
+    sorted_triples = [r for r in para1.residuals
+                      if sorted(r["indices"], key=names.get) == r["indices"]]
+    roby = check_roby(alg).residuals
+    assert roby == sorted_triples and len(roby) == n_roby
 
 
 def _ordered_closure_residuals(alg, weights):
@@ -569,6 +584,31 @@ def test_pair_table_answers_the_reversed_pair(sign, bracket, monkeypatch, alg2):
     assert len(calls) == (6 if sign > 0 else 3)
 
 
+@pytest.mark.parametrize("canon, bracket, n", [
+    (superspace._sorted_slots, anticommutator, 2),
+    (superspace._ordered_12, commutator, 2),
+    (superspace._sorted_slots, sym3, 3),
+    (superspace._ordered_12,
+     lambda a, b, c: commutator(commutator(a, b), c), 3),
+])
+def test_orbit_table_forms_each_orbit_once(canon, bracket, n, alg2):
+    """An ``_orbit_table`` forms ``value`` once per orbit of its slot
+    symmetry, and answers every tuple, sign included, with what ``value``
+    formed directly gives."""
+    keys = [(CLS_THETA, 0), (CLS_DEL, 0), (CLS_EPS[0], 1)]
+    formed = []
+
+    def value(t):
+        formed.append(t)
+        return bracket(*map(alg2._named.__getitem__, t))
+    lookup = superspace._orbit_table(value, canon)
+    tuples = list(itertools.product(keys, repeat=n))
+    for t in tuples + tuples[::-1]:
+        assert lookup(t) == bracket(*map(alg2._named.__getitem__, t))
+    orbits = {canon(t)[0] for t in tuples}
+    assert len(formed) == len(orbits) and set(formed) == orbits
+
+
 def _key(element):
     """A hashable key that equal elements share."""
     return frozenset(element.terms.items())
@@ -826,8 +866,9 @@ def test_composite_symbols_match_term_by_term_sums(d, kappa):
         for (j, k, l), coeff in REALISED_QUARTIC_COEFFS.items():
             shape = zero
             for mu in range(d):
+                eps_lower = alg.eps(l, mu).scale(alg.eta[mu])
                 shape = shape + (comm(th, alg.eps(j, mu))
-                                 * comm(alg.eps(k, alpha), alg.eps_lower(l, mu)))
+                                 * comm(alg.eps(k, alpha), eps_lower))
             assert shape
             diff = diff - shape.scale(coeff)
         if diff:
@@ -926,6 +967,23 @@ def test_odd_swap_controls(name, rewrite, at_d2, at_d3, monkeypatch,
             for r in reports if not r.passed} == at_d3
 
 
+def test_exponent_form_control(monkeypatch, corrupted_d2_runs):
+    """B_00 = 1 in the paper's exponent form keeps N biadditive (every
+    N(a, b) = q^(a.B.b) is) but breaks N(a, b) N(b, a) = 1 wherever a_1 and
+    b_1 are both nonzero: ``colour.axioms`` alone fails, with its first 20
+    axiom-1 pairs and the count line, at d = 2 and 3.  The colour weights
+    never pair the first grade with itself, so ``colour.weights`` passes."""
+    want = {"colour.axioms": 21}
+    _, reports = corrupted_d2_runs["B00=1"]
+    assert {r.check_id: len(r.residuals)
+            for r in reports if not r.passed} == want
+    monkeypatch.setattr(colour, "paper_factor",
+                        lambda: colour.CommutationFactor(B00_FORM))
+    reports = run_suite(SuiteSpec("all", dimension=3))
+    assert {r.check_id: len(r.residuals)
+            for r in reports if not r.passed} == want
+
+
 def test_kernel_mutant_controls(corrupted_d2_runs):
     """The two ``KERNEL_MUTANTS`` of ``times_word`` fail the engine suite
     with these exact residual counts at d = 2.  "kernel-gap-2" fails
@@ -964,7 +1022,7 @@ CONTROLS = {
     "poincare.LP": {"Px=-1", "xP-odd"}, "poincare.PP": {"xP-odd"},
     "poincare.Ptheta": {"xP-theta-odd"},
     "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent", "xP-odd"},
-    "colour.weights": {"unit-weights"},
+    "colour.axioms": {"B00=1"}, "colour.weights": {"unit-weights"},
     "trans.theta": {"kappa=1/3", "non-confluent", "theta-eps1",
                     "xP-theta-odd"},
     "trans.x": {"Px=-1", "xP-odd", "xP-theta-odd"},
@@ -993,13 +1051,12 @@ CONTROLS = {
 
 # check IDs that no corruption fails: no suite-wide control shows yet
 # that they can fail.  A new corruption shrinks this list; loosening a
-# check never may.  (order3.* and colour.axioms have table-level
-# corruption tests of their own in test_order3.py and test_colour.py.)
+# check never may.  (order3.* have table-level corruption tests of their
+# own in test_order3.py.)
 NO_CONTROL_YET = {
     "arith.root", "arith.ring", "arith.conj", "arith.division",
     "poincare.LL",
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
-    "colour.axioms",
 }
 
 
