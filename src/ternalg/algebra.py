@@ -511,6 +511,21 @@ def sum_of_products(pairs: Sequence, sign: int = 0) -> Element:
     return Element(first.system, _normal=out)
 
 
+def linear_combination(system: GeneratorSystem, pairs) -> Element:
+    """The sum of c * e over the (c, e) pairs, c a scalar, accumulated
+    into one term map; a pair with c = 0 adds nothing."""
+    out: dict = {}
+    for c, e in pairs:
+        if c:
+            terms = e.terms if c == 1 else e.scale(c).terms
+            if not out:
+                out = dict(terms)
+                continue
+            for w, cw in terms.items():
+                _accumulate(out, w, cw)
+    return Element(system, _normal=out)
+
+
 def commutator(a: Element, b: Element) -> Element:
     return sum_of_products(((a, b),), -1)
 

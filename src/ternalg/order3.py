@@ -52,6 +52,13 @@ class Table(dict):
                 for i, n in zip(idx, self.shape)):
             raise IndexError(f"index {idx} outside shape {self.shape}")
 
+    def __getitem__(self, idx):
+        try:
+            return super().__getitem__(idx)
+        except TypeError:  # unhashable, such as a slice before Python 3.12
+            raise IndexError(f"index {idx} outside shape {self.shape}") \
+                from None
+
     def __missing__(self, idx):
         self._check(idx)
         return _ZERO

@@ -26,20 +26,27 @@ call over its product pairs.  ``colour_action`` applies the leading V_i
 once to the weighted sum of the two nested actions it leads (ad_V is
 linear).
 
-Spatial quotient.  The rule table, eta and V_1..V_3 are invariant under
-S_{d-1}, which permutes the spatial indices 1..d-1, so a relation
-instance vanishes iff its image under S_{d-1} does.  ``_sweep`` runs
-``para``, ``roby``, ``closure.leib`` and ``closure.annihilate``
-(degrees 1..3): it evaluates one tuple per orbit of (bracket symmetry x
-S_{d-1}), enumerated directly with the spatial indices numbered in order
-of first appearance, and passes the check if all are zero; if any is
-nonzero it sweeps every tuple as before, so residual lists do not
-change.  The symmetry is verified, not assumed: ``_spatial_symmetry``
-checks once per algebra, on first use, that the transposition (1 2) and
-the cycle (1 ... d-1), lifted to generator ids, preserve every swap sign,
-contraction and square rule and fix each V_i.  If it refuses, or d <= 2
-(a trivial group), every tuple is swept.  The right-hand sides read
-indices only through Kronecker deltas; a test pins their covariance.
+Symmetry quotient.  Two groups act on the slot keys by automorphisms of
+the rule table: Sym(F), which permutes the 1 + 3d free keys F (the scalar
+theta and every eps_i^mu, which contract with nothing and share one
+sector-sign structure), and S_{d-1}, which permutes the spatial indices
+1..d-1 and fixes eta and V_1..V_3.  A relation instance vanishes iff its
+image does.  ``_sweep`` runs ``para``, ``roby``, ``closure.leib`` and
+``closure.annihilate`` (degrees 1..3): it evaluates one tuple per orbit of
+(bracket symmetry x Sym(F) x S_{d-1}), enumerated directly with the free
+keys, and the spatial indices of the other keys, numbered in order of
+first appearance, and passes the check if all are zero; if any is nonzero
+it sweeps every tuple as before, so residual lists do not change.  Each
+group is verified, not assumed, once per algebra on first use, on its two
+generators lifted to generator ids: ``_name_symmetry`` checks that
+(f_0 f_1) and the cycle of F preserve every swap sign, contraction and
+square rule, and ``_spatial_symmetry`` that (1 2) and the cycle
+(1 ... d-1) do and also fix each V_i.  Only a group that its gate passes
+is used: Sym(F) only where a slot holds a free key (the para and roby
+slots, never the closure ones, whose values read V), S_{d-1} only from
+d = 3.  Where neither is live every tuple is swept at once.  The
+right-hand sides read keys only through Kronecker deltas; a test pins
+their covariance.
 ``psi.bracket``, ``poincare`` and ``trans`` sweep every tuple.  Each bracket
 has one producer: ``trans`` and ``check_closure`` share the rows of
 ``ad_V``, ``poincare.*`` and ``order3.superspace`` one ``poincare_brackets``
@@ -69,7 +76,8 @@ import random
 from fractions import Fraction
 
 from .algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
-                      anticommutator, commutator, sum_of_products, sym3)
+                      anticommutator, commutator, linear_combination,
+                      sum_of_products, sym3)
 from .cyclo import Cyclo, ONE, Q
 from .record import FrozenRecord
 from .report import CheckReport
@@ -81,6 +89,7 @@ CLS_DEL = 2
 CLS_EPS = (3, 4, 5)  # eps1, eps2, eps3
 CLS_X = 6
 CLS_P = 7
+CLS_FREE = (CLS_THETA_SC, *CLS_EPS)  # the free keys' classes (``_sweep``)
 
 
 class MetricSignature(FrozenRecord):
@@ -324,21 +333,16 @@ def _pair_delta(u, v) -> int:
 
 def _expected_double(alg, a, b, c) -> Element:
     # [[u, v], w] = 2 c(v,w) u - 2 c(u,w) v with reference pairing 1/2
-    out = Element.zero(alg.system)
-    if _pair_delta(b, c):
-        out = out + alg._named[a]
-    if _pair_delta(a, c):
-        out = out - alg._named[b]
-    return out
+    return linear_combination(alg.system, (
+        (_pair_delta(b, c), alg._named[a]),
+        (-_pair_delta(a, c), alg._named[b])))
 
 
 def _expected_sym(alg, a, b, c) -> Element:
     # {u, v, w} = 4 (c(v,w) u + c(u,w) v + c(u,v) w), reference pairing 1/2
-    out = Element.zero(alg.system)
-    for u, v, w in ((a, b, c), (b, a, c), (c, a, b)):
-        if _pair_delta(v, w):
-            out = out + alg._named[u].scale(2)
-    return out
+    return linear_combination(alg.system, (
+        (2 * _pair_delta(v, w), alg._named[u])
+        for u, v, w in ((a, b, c), (b, a, c), (c, a, b))))
 
 
 def _sorted_slots(t):
@@ -373,19 +377,20 @@ _SLOT_PERMUTATIONS = {_sorted_slots: tuple(itertools.permutations(range(3))),
                       _ordered_12: ((0, 1, 2), (1, 0, 2))}
 
 
-def _is_automorphism(alg, sigma) -> bool:
-    """Whether the index permutation ``sigma``, lifted to generator ids
-    sector by sector through ``components``, maps the rule table onto
-    itself (``GeneratorSystem.preserves_rules``) and each V_i to itself."""
+def _is_automorphism(alg, move, fixes_V) -> bool:
+    """Whether the layout-key map ``move``, lifted to generator ids sector
+    by sector through ``components``, maps the rule table onto itself
+    (``GeneratorSystem.preserves_rules``) and, if ``fixes_V``, each V_i to
+    itself."""
     system = alg.system
     image = [0] * system.size()
-    for (cls, mu), ids in alg.components.items():
-        for g, h in zip(ids, alg.components[(cls, sigma[mu])]):
+    for key, ids in alg.components.items():
+        for g, h in zip(ids, alg.components[move(key)]):
             image[g] = h
-    return system.preserves_rules(image) and all(
+    return system.preserves_rules(image) and (not fixes_V or all(
         Element(system, {tuple(image[g] for g in w): c
                          for w, c in alg.V(i).terms.items()}) == alg.V(i)
-        for i in (1, 2, 3))
+        for i in (1, 2, 3)))
 
 
 def _spatial_symmetry(alg) -> bool:
@@ -397,52 +402,98 @@ def _spatial_symmetry(alg) -> bool:
     if key not in alg._cache:
         d = alg.dimension
         alg._cache[key] = d > 2 and all(
-            _is_automorphism(alg, sigma)
+            _is_automorphism(alg, lambda k: (k[0], sigma[k[1]]), True)
             for sigma in ((0, 2, 1, *range(3, d)), (0, *range(2, d), 1)))
     return alg._cache[key]
 
 
-def _first_appearance(slots, ordered=(), prefix=(), top=0):
-    """The tuples of ``product(*slots)`` whose spatial indices (mu >= 1 of
-    each layout key (cls, mu)) are 1, 2, ... in order of first appearance,
-    a restricted-growth string: one tuple per S_{d-1} orbit, since every
-    slot list holds each of its classes at every index.  At each position
-    in ``ordered``, (cls, mu > 0) does not decrease from the slot before."""
+def _name_symmetry(alg) -> dict:
+    """The free keys F, those of theta and of every eps_i^mu, each mapped
+    to its place in layout order, if Sym(F), permuting them, acts by
+    automorphisms of the rule table; otherwise {}.  Checked on first use,
+    once per algebra, on the two generators of Sym(F): the transposition
+    (f_0 f_1) and the cycle (f_0 ... f_{n-1}).  V_i is not fixed (it reads
+    eps_i^mu), and need not be: the para and roby values never read it."""
+    key = ("names",)
+    if key not in alg._cache:
+        free = [k for k in alg.components if k[0] in CLS_FREE]
+        swap = dict(zip(free[:2], free[1::-1]))
+        cycle = dict(zip(free, free[1:] + free[:1]))
+        live = len(free) > 1 and all(
+            _is_automorphism(alg, lambda k: move.get(k, k), False)
+            for move in (swap, cycle))
+        alg._cache[key] = {k: n for n, k in enumerate(free)} if live else {}
+    return alg._cache[key]
+
+
+def _kind(key, free, spatial):
+    """What the quotient group leaves unchanged of a layout key: only that
+    it is free, for a key of ``free``; otherwise its class and whether its
+    index is spatial if ``spatial``, else the whole key."""
+    if key in free:
+        return (CLS_THETA_SC, False)
+    return (key[0], key[1] > 0) if spatial else key
+
+
+def _first_appearance(slots, free, spatial, ordered=(), prefix=(), seen=0,
+                      top=0):
+    """The tuples of ``product(*slots)`` whose free keys (``free`` maps
+    each to its place n in F) are F_0, F_1, ... in order of first
+    appearance and, if ``spatial``, whose other keys' spatial indices
+    (mu >= 1 of (cls, mu)) are 1, 2, ... in order of first appearance: a
+    restricted-growth string, one tuple per orbit of the live group (Sym(F)
+    x S_{d-1}, or either one), since every slot list holds each of its
+    classes at every index and all of F or none of it.  At each position
+    in ``ordered``, the ``_kind`` does not decrease from the slot before."""
     n = len(prefix)
     if n == len(slots):
         yield prefix
         return
-    low = (prefix[-1][0], prefix[-1][1] > 0) if n in ordered else None
+    low = _kind(prefix[-1], free, spatial) if n in ordered else None
     for key in slots[n]:
-        if key[1] <= top + 1 and (low is None or (key[0], key[1] > 0) >= low):
-            yield from _first_appearance(slots, ordered, prefix + (key,),
-                                         max(top, key[1]))
+        rank = free.get(key)
+        if rank is None:
+            if spatial and key[1] > top + 1:
+                continue
+            counts = seen, max(top, key[1])
+        elif rank > seen:
+            continue
+        else:
+            counts = max(seen, rank + 1), top
+        if low is None or _kind(key, free, spatial) >= low:
+            yield from _first_appearance(slots, free, spatial, ordered,
+                                         prefix + (key,), *counts)
 
 
-def _relabel(t):
-    """``t`` with its spatial indices renumbered 1, 2, ... in order of
-    first appearance."""
-    names = {0: 0}
-    return tuple((cls, names.setdefault(mu, len(names))) for cls, mu in t)
+def _relabel(t, free, spatial):
+    """``t`` with its free keys renamed (CLS_THETA_SC, 0), (CLS_THETA_SC,
+    1), ... and, if ``spatial``, the spatial indices of its other keys
+    renumbered 1, 2, ..., each in order of first appearance: two tuples
+    relabel alike iff one orbit of the live group holds both."""
+    names, indices = {}, {0: 0}
+    return tuple((CLS_THETA_SC, names.setdefault(key, len(names)))
+                 if key in free else
+                 (key[0], indices.setdefault(key[1], len(indices)))
+                 if spatial else key for key in t)
 
 
-def _representatives(slots, canon):
+def _representatives(slots, canon, free, spatial):
     """One tuple of ``product(*slots)`` per orbit of (bracket symmetry x
-    S_{d-1}): of the first-appearance tuples, the first of each orbit of
-    the slot permutations of ``canon`` (none for None), keyed by the least
-    relabelling of its images.  Where the bracket swaps two neighbouring
-    slots of one list, every orbit has a member with those two in
-    (cls, mu > 0) order, so only such tuples are enumerated."""
+    the live group): of the first-appearance tuples, the first of each
+    orbit of the slot permutations of ``canon`` (none for None), keyed by
+    the least relabelling of its images.  Where the bracket swaps two
+    neighbouring slots of one list, every orbit has a member with those
+    two in ``_kind`` order, so only such tuples are enumerated."""
     perms = _SLOT_PERMUTATIONS.get(canon)
     if perms is None:
-        yield from _first_appearance(slots)
+        yield from _first_appearance(slots, free, spatial)
         return
     k = len(slots)
     ordered = {i for i in range(1, k) if slots[i] is slots[i - 1] and
                (*range(i - 1), i, i - 1, *range(i + 1, k)) in perms}
     seen = set()
-    for t in _first_appearance(slots, ordered):
-        key = min(_relabel([t[i] for i in p]) for p in perms)
+    for t in _first_appearance(slots, free, spatial, ordered):
+        key = min(_relabel([t[i] for i in p], free, spatial) for p in perms)
         if key not in seen:
             seen.add(key)
             yield t
@@ -452,19 +503,28 @@ def _sweep(alg, slots, value, canon=None):
     """(t, value(t)) for the slot tuples t of ``product(*slots)``, in
     sweep order; zero values may be left out.
 
-    When ``_spatial_symmetry`` verifies S_{d-1} (never at d <= 2, where it
-    is trivial), ``value`` is first evaluated once per orbit of (bracket
-    symmetry ``canon`` x S_{d-1}); if every one is zero, nothing is
-    yielded.  That verdict rests on ``value`` having both symmetries: the
-    gate verifies the left-hand sides', and the right-hand sides' S_{d-1}
-    covariance is pinned at d = 2..5 by
-    ``test_expected_sides_have_the_bracket_symmetry``.  Otherwise every
-    tuple is swept, its value read from an ``_orbit_table`` of ``canon``
-    (formed directly for None); these residual lists do not rest on the
-    covariance.
+    The live group is Sym(F) x S_{d-1}, or the one factor that its gate
+    verifies: ``_name_symmetry`` for the free keys F (only if a slot holds
+    them) and ``_spatial_symmetry`` for the spatial indices (never at
+    d <= 2, where S_{d-1} is trivial).  When one is live, ``value`` is
+    first evaluated once per orbit of (bracket symmetry ``canon`` x the
+    live group); if every one is zero, nothing is yielded.  That verdict
+    rests on ``value`` having both symmetries: the gates verify the
+    left-hand sides', and the right-hand sides' covariance is pinned by
+    ``test_expected_sides_have_the_bracket_symmetry``.  Sym(F) does not
+    fix V_i, which the closure values read; it is sound there only
+    because no closure slot list holds a free key, so Sym(F) moves no
+    closure tuple.  Where no group is live, such as closure at d <= 2,
+    there is no quotient pass.  Otherwise, or if a representative is
+    nonzero, every tuple is swept, its value read from an ``_orbit_table``
+    of ``canon`` (formed directly for None); these residual lists rest on
+    neither symmetry.
     """
-    if _spatial_symmetry(alg) and not any(
-            map(value, _representatives(slots, canon))):
+    free = _name_symmetry(alg) if any(
+        key[0] in CLS_FREE for keys in slots for key in keys) else {}
+    spatial = _spatial_symmetry(alg)
+    if (free or spatial) and not any(
+            map(value, _representatives(slots, canon, free, spatial))):
         return
     lookup = value if canon is None else _orbit_table(value, canon)
     for t in itertools.product(*slots):
@@ -504,9 +564,9 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
     Both the six double-commutator families and the four symmetric-bracket
     families are swept over every index tuple and over every mixture of
     theta-type and eps-type slot choices (``_sweep``): ``lhs - rhs`` is
-    reduced once per orbit of (bracket symmetry x S_{d-1}), and, if any is
-    nonzero, once per bracket orbit, every ordered tuple reported in sweep
-    order with its residual rendered verbatim.
+    reduced once per orbit of (bracket symmetry x Sym(F) x S_{d-1}), and,
+    if any is nonzero, once per bracket orbit, every ordered tuple reported
+    in sweep order with its residual rendered verbatim.
     The inner brackets [u, v] and {u, v} come from two pair tables shared
     by all ten families, so each is formed once per call.
     """
@@ -750,13 +810,14 @@ def colour_action(alg: SuperspaceAlgebra, weights, target: Element) -> Element:
     instead of 15.
     """
     innermost = [alg.ad_V(k + 1, target) for k in range(3)]
-    out = Element.zero(alg.system)
+    leading = []
     for n, (i, j, k) in enumerate(TERNARY_ORDERINGS[:3]):
         # ordering n + 3 is (i, k, j)
-        inner = (alg.ad_V(j + 1, innermost[k]).scale(weights[n])
-                 + alg.ad_V(k + 1, innermost[j]).scale(weights[n + 3]))
-        out = out + alg.ad_V(i + 1, inner)
-    return out
+        inner = linear_combination(alg.system, (
+            (weights[n], alg.ad_V(j + 1, innermost[k])),
+            (weights[n + 3], alg.ad_V(k + 1, innermost[j]))))
+        leading.append((1, alg.ad_V(i + 1, inner)))
+    return linear_combination(alg.system, leading)
 
 
 def _expected_leib(alg, a1, a2, a3) -> Element:

@@ -157,12 +157,13 @@ def _assert_golden(doc: dict, name: str):
     assert doc == json.loads(golden.read_text())
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5, 10])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 10])
 def test_verify_all_matches_golden_report(dim, capsys):
     """``verify --suite all``, seed 0, equals the stored report apart from
-    the timings: at d = 3, at d = 4 and 5, where the spatial quotient is
-    live (S_3 and S_4 on the spatial indices), and at ``MAX_DIM`` = 10,
-    where the pair tables answer the most reversed pairs."""
+    the timings: at d = 1 and 2, where the free-name group Sym(F) is the
+    only quotient, at d = 3, at d = 4 and 5, where the spatial quotient is
+    live too (S_3 and S_4 on the spatial indices), and at ``MAX_DIM`` =
+    10, where the pair tables answer the most reversed pairs."""
     assert main(["verify", "--suite", "all", "--dim", str(dim), "--seed", "0",
                  "--report", "json"]) == 0
     _assert_golden(json.loads(capsys.readouterr().out),

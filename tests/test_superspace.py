@@ -340,31 +340,73 @@ def test_closure_sweeps_match_ordered_reference(d, name, monkeypatch):
         assert check_roby(alg).residuals == _ordered_roby_residuals(alg)
 
 
-@pytest.mark.parametrize("d", [3, 4])
+def _free_keys(alg):
+    """The free keys F in layout order: theta and every eps_i^mu."""
+    return [key for key in alg.coordinate_keys if key[0] != CLS_THETA]
+
+
+def _name_generators(alg):
+    """The transposition (f_0 f_1) and the cycle (f_0 ... f_{n-1}) of the
+    free keys, as key maps: the two generators of Sym(F)."""
+    free = _free_keys(alg)
+    swap = dict(zip(free[:2], free[1::-1]))
+    cycle = dict(zip(free, free[1:] + free[:1]))
+    return [lambda key, move=move: move.get(key, key)
+            for move in (swap, cycle)]
+
+
+def _index_generators(d):
+    """The generators of S_{d-1} as key maps that move the spatial indices
+    of theta^mu and d_mu only (they commute with Sym(F))."""
+    return [lambda key, sigma=sigma: (key[0], sigma[key[1]])
+            if key[0] in (CLS_THETA, CLS_DEL) else key
+            for sigma in (_spatial_generators(d) if d >= 3 else ())]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_representatives_meet_every_orbit_once(d):
     """``_representatives`` yields one slot tuple per orbit of (bracket
-    symmetry x S_{d-1}) for the para, roby and closure slot lists, against
-    orbits found by brute force over all of S_{d-1}."""
+    symmetry x Sym(F) x S_{d-1}) for the para, roby and closure slot
+    lists, at the group that ``_sweep`` passes it (Sym(F) only where a
+    slot holds a free key, S_{d-1} only from d = 3), against orbits found
+    by brute force: the connected components of the tuples under the
+    generators of each factor, applied to keys and to slot positions."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    free = superspace._name_symmetry(alg)
     perms = {superspace._sorted_slots: list(itertools.permutations(range(3))),
-             superspace._ordered_12: [(0, 1, 2), (1, 0, 2)], None: [None]}
+             superspace._ordered_12: [(0, 1, 2), (1, 0, 2)], None: []}
     thetas = [(CLS_THETA, mu) for mu in range(d)]
     cases = [([_slot_keys(alg, kind) for kind in pattern], canon)
              for pattern in ("NNN", "NND", "NDN", "NDD", "DDN", "DDD")
              for canon in (superspace._sorted_slots, superspace._ordered_12)]
     cases += [([thetas] * k, None) for k in (1, 2, 3)]
-    relabellings = [(0,) + p for p in itertools.permutations(range(1, d))]
+    all_keys = _slot_keys(alg, "N") + _slot_keys(alg, "D")
 
-    def orbit(t, canon):
-        return min(tuple((cls, sigma[mu]) for cls, mu in
-                         (t if p is None else [t[i] for i in p]))
-                   for p in perms[canon] for sigma in relabellings)
+    def orbits(slots, canon, moves):
+        """{tuple: orbit root} over every tuple of ``all_keys``, by
+        union-find under ``moves`` on keys and the slot permutations of
+        ``canon``."""
+        root = {}
+
+        def find(t):
+            while root.setdefault(t, t) != t:
+                t = root[t]
+            return t
+        for t in itertools.product(all_keys, repeat=len(slots)):
+            images = [tuple(map(move, t)) for move in moves]
+            images += [tuple(t[i] for i in p) for p in perms[canon]]
+            for image in images:
+                root[find(image)] = find(t)
+        return {t: find(t) for t in itertools.product(*slots)}
 
     for slots, canon in cases:
-        orbits = {orbit(t, canon) for t in itertools.product(*slots)}
-        reps = list(superspace._representatives(slots, canon))
-        assert sorted(orbit(t, canon) for t in reps) == sorted(orbits)
-        assert set(reps) <= set(itertools.product(*slots))
+        names = free if any(key in free for keys in slots
+                            for key in keys) else {}
+        moves = _index_generators(d) + (_name_generators(alg) if names else [])
+        orbit = orbits(slots, canon, moves)
+        reps = list(superspace._representatives(slots, canon, names, d >= 3))
+        assert set(reps) <= set(orbit)
+        assert sorted(orbit[t] for t in reps) == sorted(set(orbit.values()))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -404,6 +446,66 @@ def test_spatial_gate_checks_V():
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
     alg._cache[("V", 1)] = alg.V(1) - commutator(alg.eps(1, 2), alg.d(2))
     assert not superspace._spatial_symmetry(alg)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_name_gate_verdict_on_the_default_algebra(d):
+    """The name gate passes the default algebra at every d: it maps the
+    1 + 3d free keys, theta and the eps_i^mu, to their places in layout
+    order, and the verdict is kept on the algebra."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    free = superspace._name_symmetry(alg)
+    assert free == {key: n for n, key in enumerate(_free_keys(alg))}
+    assert len(free) == 1 + 3 * d and alg._cache[("names",)] is free
+
+
+@pytest.mark.parametrize("name, rewrite", [("theta-eps1", theta_eps1_pairing),
+                                           ("d-eps1", eps1_pairing)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_name_gate_refuses_a_rule_table_that_singles_out_a_name(
+        d, name, rewrite, monkeypatch):
+    """A contraction of eps1^mu alone, with theta^mu or with d_mu, sets
+    eps1 apart from the other free keys: the gate refuses, and the para
+    and roby sweeps report what the ordered sweeps report.  The gate is
+    load-bearing: forced open under "theta-eps1" at d = 2, the quotient
+    misses para residuals."""
+    free = superspace._name_symmetry(
+        build(SuperspaceConfig(metric=MetricSignature.minkowski(d))))
+    monkeypatch.setattr(superspace, "GeneratorSystem",
+                        lambda *args: GeneratorSystem(*rewrite(*args)))
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    assert superspace._name_symmetry(alg) == {}
+    got = [(r.check_id, r.residuals) for r in check_parafermion_relations(alg)]
+    assert got == _ordered_para_residuals(alg)
+    assert check_roby(alg).residuals == _ordered_roby_residuals(alg)
+    if (name, d) == ("theta-eps1", 2):
+        monkeypatch.setattr(superspace, "_name_symmetry", lambda alg: free)
+        assert [(r.check_id, r.residuals)
+                for r in check_parafermion_relations(alg)] != got
+
+
+def test_para_and_roby_form_one_bracket_per_orbit_at_d2(monkeypatch):
+    """At d = 2, where S_{d-1} is trivial and Sym(F) is the only quotient,
+    each para family and roby forms these many brackets ([u, v], {u, v},
+    [[u, v], w] and {u, v, w}, counted per sweep): 160 over the ten para
+    families and 25 for roby, where sweeping every tuple forms 1,133 and
+    210."""
+    calls = []
+    for name in ("commutator", "anticommutator", "sum_of_products"):
+        monkeypatch.setattr(superspace, name,
+                            lambda *args, bracket=getattr(superspace, name):
+                            calls.append(args) or bracket(*args))
+    formed = []
+    sweep = superspace._sweep
+
+    def counted(*args):
+        before = len(calls)
+        yield from sweep(*args)
+        formed.append(len(calls) - before)
+    monkeypatch.setattr(superspace, "_sweep", counted)
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(2)))
+    _all_pass(check_parafermion_relations(alg) + [check_roby(alg)])
+    assert formed == [29, 14, 26, 12, 10, 6, 25, 22, 12, 4, 25]
 
 
 def test_reversed_J_control(monkeypatch):
@@ -702,18 +804,18 @@ def _spatial_generators(d):
     return [(0, 2, 1) + tuple(range(3, d)), (0,) + tuple(range(2, d)) + (1,)]
 
 
-def _spatial_action(alg, sigma):
-    """The action of the index map ``sigma`` on elements: each generator of
-    (cls, mu) goes to the generator of (cls, sigma[mu]) in its Green
+def _key_action(alg, move):
+    """The action of the layout-key map ``move`` on elements: each
+    generator of a key goes to the generator of ``move(key)`` in its Green
     sector, and the mapped words are normal formed again."""
     image = {}
-    for (cls, mu), ids in alg.components.items():
-        image.update(zip(ids, alg.components[(cls, sigma[mu])]))
+    for key, ids in alg.components.items():
+        image.update(zip(ids, alg.components[move(key)]))
     return lambda e: Element(alg.system, {tuple(image[g] for g in w): c
                                           for w, c in e.terms.items()})
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_expected_sides_have_the_bracket_symmetry(d):
     """The right-hand sides obey the symmetry the orbit quotient relies on:
     ``_expected_sym`` is invariant under every permutation of its slots,
@@ -725,7 +827,10 @@ def test_expected_sides_have_the_bracket_symmetry(d):
     and delta_x(i, a), the eta sides of ``poincare.LL`` (``_expected_LL``),
     ``poincare.LP`` and ``poincare.Jtheta`` (``_rotated``) and
     ``_psi_base`` are also covariant under both generators of S_{d-1}:
-    each maps the side at a tuple to the side at the mapped tuple."""
+    each maps the side at a tuple to the side at the mapped tuple.  At
+    every d, ``_expected_sym`` and ``_expected_double`` are covariant under
+    both generators of Sym(F), which permute the free keys (theta and the
+    eps_i^mu) and which the para and roby quotient uses."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
     choices = _slot_keys(alg, "N") + _slot_keys(alg, "D")
     for triple in itertools.product(choices, repeat=3):
@@ -740,8 +845,14 @@ def test_expected_sides_have_the_bracket_symmetry(d):
             want = _psi_base(alg, s, *idx)
             for perm in itertools.permutations(idx):
                 assert _psi_base(alg, s, *perm) == want
+    for move in _name_generators(alg):
+        act = _key_action(alg, move)
+        for triple in itertools.product(choices, repeat=3):
+            mapped = [move(key) for key in triple]
+            for side in (_expected_sym, _expected_double):
+                assert act(side(alg, *triple)) == side(alg, *mapped)
     for sigma in _spatial_generators(d) if d >= 3 else ():
-        act = _spatial_action(alg, sigma)
+        act = _key_action(alg, lambda key: (key[0], sigma[key[1]]))
         for triple in itertools.product(choices, repeat=3):
             mapped = [(cls, sigma[mu]) for cls, mu in triple]
             for side in (_expected_sym, _expected_double):
