@@ -28,7 +28,8 @@ import itertools
 import json
 from fractions import Fraction
 
-from .algebra import Element, commutator  # unused; bench/tracer.py patches it
+# commutator is unused here; bench/tracer.py patches it
+from .algebra import commutator, linear_combination
 from .record import Record
 from .report import CheckReport
 from .superspace import MetricSignature, SuperspaceAlgebra
@@ -344,16 +345,16 @@ def check_against_superspace(sc: StructureConstants3, alg: SuperspaceAlgebra,
                              f"realisation is {n0}+{d}")
             return rep
         f, R = _rows(sc.f), _rows(sc.R)
-        zero = Element.zero(alg.system)
         for i, j in itertools.combinations(range(n0), 2):
-            rhs = sum((basis[k].scale(v) for k, v in f.get((i, j), ())), zero)
+            rhs = linear_combination(alg.system, (
+                (v, basis[k]) for k, v in f.get((i, j), ())))
             rep.expect_zero((sc.labels0[i], sc.labels0[j]),
                             comm(keys[i], keys[j]) - rhs)
         for (idx, (mu, nu)), rho in itertools.product(enumerate(lorentz_pairs),
                                                       range(d)):
             # theta with the index lowered plays the role of V_rho
-            rhs = sum((alg.theta_lower(b).scale(v)
-                       for b, v in R.get((idx, rho), ())), zero)
+            rhs = linear_combination(alg.system, (
+                (v, alg.theta_lower(b)) for b, v in R.get((idx, rho), ())))
             rep.expect_zero((sc.labels0[idx], f"theta^{rho}"),
                             comm(("J", mu, nu), ("theta_lower", rho)) - rhs)
     return rep

@@ -32,11 +32,12 @@ theta and every eps_i^mu, which contract with nothing and share one
 sector-sign structure), and S_{d-1}, which permutes the spatial indices
 1..d-1 and fixes eta and V_1..V_3.  A relation instance vanishes iff its
 image does.  ``_sweep`` runs ``para``, ``roby``, ``closure.leib`` and
-``closure.annihilate`` (degrees 1..3): it evaluates one tuple per orbit of
-(bracket symmetry x Sym(F) x S_{d-1}), enumerated directly with the free
-keys, and the spatial indices of the other keys, numbered in order of
-first appearance, and passes the check if all are zero; if any is nonzero
-it sweeps every tuple as before, so residual lists do not change.  Each
+``closure.annihilate`` (degrees 1..3) through one ``_orbit_table`` of the
+bracket symmetry: it reads one tuple per orbit of Sym(F) x S_{d-1},
+enumerated directly with the free keys, and the spatial indices of the
+other keys, numbered in order of first appearance, and passes the check
+if all are zero; if any is nonzero it sweeps every tuple through the same
+memo, so residual lists do not change and no value is formed twice.  Each
 group is verified, not assumed, once per algebra on first use, on its two
 generators lifted to generator ids: ``_name_symmetry`` checks that
 (f_0 f_1) and the cycle of F preserve every swap sign, contraction and
@@ -44,7 +45,7 @@ square rule, and ``_spatial_symmetry`` that (1 2) and the cycle
 (1 ... d-1) do and also fix each V_i.  Only a group that its gate passes
 is used: Sym(F) only where a slot holds a free key (the para and roby
 slots, never the closure ones, whose values read V), S_{d-1} only from
-d = 3.  Where neither is live every tuple is swept at once.  The
+d = 3; where neither is live the first pass reads every tuple.  The
 right-hand sides read keys only through Kronecker deltas; a test pins
 their covariance.
 ``psi.bracket``, ``poincare`` and ``trans`` sweep every tuple.  Each bracket
@@ -350,6 +351,11 @@ def _sorted_slots(t):
     return tuple(sorted(t)), 1
 
 
+def _identity(t):
+    """No bracket symmetry: each tuple is its own orbit."""
+    return t, 1
+
+
 def _ordered_12(t):
     """[u, v] or [[u, v], w]: both sides change sign when u and v swap."""
     return (t, 1) if t[0] <= t[1] else ((t[1], t[0], *t[2:]), -1)
@@ -369,12 +375,6 @@ def _orbit_table(value, canon):
             v = values[r] = value(r)
         return v if sign == 1 else -v
     return lookup
-
-
-# the slot permutations, on triples, of each bracket symmetry that
-# ``_orbit_table`` reduces by
-_SLOT_PERMUTATIONS = {_sorted_slots: tuple(itertools.permutations(range(3))),
-                      _ordered_12: ((0, 1, 2), (1, 0, 2))}
 
 
 def _is_automorphism(alg, move, fixes_V) -> bool:
@@ -426,30 +426,19 @@ def _name_symmetry(alg) -> dict:
     return alg._cache[key]
 
 
-def _kind(key, free, spatial):
-    """What the quotient group leaves unchanged of a layout key: only that
-    it is free, for a key of ``free``; otherwise its class and whether its
-    index is spatial if ``spatial``, else the whole key."""
-    if key in free:
-        return (CLS_THETA_SC, False)
-    return (key[0], key[1] > 0) if spatial else key
-
-
-def _first_appearance(slots, free, spatial, ordered=(), prefix=(), seen=0,
-                      top=0):
-    """The tuples of ``product(*slots)`` whose free keys (``free`` maps
-    each to its place n in F) are F_0, F_1, ... in order of first
-    appearance and, if ``spatial``, whose other keys' spatial indices
+def _first_appearance(slots, free, spatial, prefix=(), seen=0, top=0):
+    """The tuples of ``product(*slots)``, in product order, whose free keys
+    (``free`` maps each to its place n in F) are F_0, F_1, ... in order of
+    first appearance and, if ``spatial``, whose other keys' spatial indices
     (mu >= 1 of (cls, mu)) are 1, 2, ... in order of first appearance: a
     restricted-growth string, one tuple per orbit of the live group (Sym(F)
-    x S_{d-1}, or either one), since every slot list holds each of its
-    classes at every index and all of F or none of it.  At each position
-    in ``ordered``, the ``_kind`` does not decrease from the slot before."""
+    x S_{d-1}, either one, or the trivial group, whose orbits are single
+    tuples), since every slot list holds each of its classes at every
+    index and all of F or none of it."""
     n = len(prefix)
     if n == len(slots):
         yield prefix
         return
-    low = _kind(prefix[-1], free, spatial) if n in ordered else None
     for key in slots[n]:
         rank = free.get(key)
         if rank is None:
@@ -460,73 +449,33 @@ def _first_appearance(slots, free, spatial, ordered=(), prefix=(), seen=0,
             continue
         else:
             counts = max(seen, rank + 1), top
-        if low is None or _kind(key, free, spatial) >= low:
-            yield from _first_appearance(slots, free, spatial, ordered,
-                                         prefix + (key,), *counts)
+        yield from _first_appearance(slots, free, spatial, prefix + (key,),
+                                     *counts)
 
 
-def _relabel(t, free, spatial):
-    """``t`` with its free keys renamed (CLS_THETA_SC, 0), (CLS_THETA_SC,
-    1), ... and, if ``spatial``, the spatial indices of its other keys
-    renumbered 1, 2, ..., each in order of first appearance: two tuples
-    relabel alike iff one orbit of the live group holds both."""
-    names, indices = {}, {0: 0}
-    return tuple((CLS_THETA_SC, names.setdefault(key, len(names)))
-                 if key in free else
-                 (key[0], indices.setdefault(key[1], len(indices)))
-                 if spatial else key for key in t)
-
-
-def _representatives(slots, canon, free, spatial):
-    """One tuple of ``product(*slots)`` per orbit of (bracket symmetry x
-    the live group): of the first-appearance tuples, the first of each
-    orbit of the slot permutations of ``canon`` (none for None), keyed by
-    the least relabelling of its images.  Where the bracket swaps two
-    neighbouring slots of one list, every orbit has a member with those
-    two in ``_kind`` order, so only such tuples are enumerated."""
-    perms = _SLOT_PERMUTATIONS.get(canon)
-    if perms is None:
-        yield from _first_appearance(slots, free, spatial)
-        return
-    k = len(slots)
-    ordered = {i for i in range(1, k) if slots[i] is slots[i - 1] and
-               (*range(i - 1), i, i - 1, *range(i + 1, k)) in perms}
-    seen = set()
-    for t in _first_appearance(slots, free, spatial, ordered):
-        key = min(_relabel([t[i] for i in p], free, spatial) for p in perms)
-        if key not in seen:
-            seen.add(key)
-            yield t
-
-
-def _sweep(alg, slots, value, canon=None):
+def _sweep(alg, slots, value, canon=_identity):
     """(t, value(t)) for the slot tuples t of ``product(*slots)``, in
     sweep order; zero values may be left out.
 
-    The live group is Sym(F) x S_{d-1}, or the one factor that its gate
-    verifies: ``_name_symmetry`` for the free keys F (only if a slot holds
-    them) and ``_spatial_symmetry`` for the spatial indices (never at
-    d <= 2, where S_{d-1} is trivial).  When one is live, ``value`` is
-    first evaluated once per orbit of (bracket symmetry ``canon`` x the
-    live group); if every one is zero, nothing is yielded.  That verdict
+    ``value`` is read through one ``_orbit_table`` of ``canon``, so it is
+    formed at most once per bracket orbit.  It is first read at one tuple
+    per orbit of the live group (``_first_appearance``): Sym(F) if
+    ``_name_symmetry`` verifies it and a slot holds a free key, times
+    S_{d-1} if ``_spatial_symmetry`` does (never at d <= 2); with neither,
+    at every tuple.  If all are zero nothing is yielded.  That verdict
     rests on ``value`` having both symmetries: the gates verify the
-    left-hand sides', and the right-hand sides' covariance is pinned by
-    ``test_expected_sides_have_the_bracket_symmetry``.  Sym(F) does not
-    fix V_i, which the closure values read; it is sound there only
-    because no closure slot list holds a free key, so Sym(F) moves no
-    closure tuple.  Where no group is live, such as closure at d <= 2,
-    there is no quotient pass.  Otherwise, or if a representative is
-    nonzero, every tuple is swept, its value read from an ``_orbit_table``
-    of ``canon`` (formed directly for None); these residual lists rest on
-    neither symmetry.
+    left-hand sides', and ``test_expected_sides_have_the_bracket_symmetry``
+    pins the right-hand sides' covariance.  Sym(F) does not fix V_i, which
+    the closure values read; it is sound there only because no closure
+    slot holds a free key.  Otherwise every tuple is swept through the
+    same memo; these residual lists rest on neither symmetry.
     """
     free = _name_symmetry(alg) if any(
         key[0] in CLS_FREE for keys in slots for key in keys) else {}
-    spatial = _spatial_symmetry(alg)
-    if (free or spatial) and not any(
-            map(value, _representatives(slots, canon, free, spatial))):
+    lookup = _orbit_table(value, canon)
+    if not any(map(lookup, _first_appearance(slots, free,
+                                             _spatial_symmetry(alg)))):
         return
-    lookup = value if canon is None else _orbit_table(value, canon)
     for t in itertools.product(*slots):
         yield t, lookup(t)
 
@@ -564,9 +513,9 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
     Both the six double-commutator families and the four symmetric-bracket
     families are swept over every index tuple and over every mixture of
     theta-type and eps-type slot choices (``_sweep``): ``lhs - rhs`` is
-    reduced once per orbit of (bracket symmetry x Sym(F) x S_{d-1}), and,
-    if any is nonzero, once per bracket orbit, every ordered tuple reported
-    in sweep order with its residual rendered verbatim.
+    read once per orbit of Sym(F) x S_{d-1}, and, if any is nonzero, at
+    every ordered tuple, reported in sweep order with its residual
+    rendered verbatim; either way it is formed once per bracket orbit.
     The inner brackets [u, v] and {u, v} come from two pair tables shared
     by all ten families, so each is formed once per call.
     """
@@ -599,8 +548,9 @@ def check_parafermion_relations(alg: SuperspaceAlgebra) -> list[CheckReport]:
 def check_roby(alg: SuperspaceAlgebra) -> CheckReport:
     """The three-exterior relation, the six-ordering sum {a, b, c} = 0 on
     coordinate-type names: ``para.1``'s sweep (``_sweep``), reported on its
-    non-decreasing triples.  Product order visits the sorted member of
-    each orbit first, so every bracket formed is one of a sorted triple."""
+    non-decreasing triples.  Its memo forms each {a, b, c} at the sorted
+    member of its orbit, so every bracket formed is one of a sorted
+    triple."""
     with CheckReport(
             "roby",
             "sum over the six orderings of eta^a eta^b eta^c vanishes, for "
@@ -626,15 +576,22 @@ def poincare_brackets(alg: SuperspaceAlgebra):
 def _rotated(alg, vector, mu, nu, rho) -> Element:
     """eta_{nu rho} v_mu - eta_{mu rho} v_nu for v_a = ``vector(a)``: the
     right-hand side of [L_{mu nu}, v_rho], or of [J_{mu nu}, v_rho]."""
+    return linear_combination(alg.system, _rotation(alg, vector, mu, nu, rho))
+
+
+def _rotation(alg, vector, mu, nu, rho):
+    """The nonzero (coefficient, element) pairs of ``_rotated``."""
     eta = alg.eta
-    return (vector(mu).scale(eta[nu] if nu == rho else 0)
-            - vector(nu).scale(eta[mu] if mu == rho else 0))
+    return [(c, vector(a)) for c, a in (
+        (eta[nu] if nu == rho else 0, mu),
+        (-eta[mu] if mu == rho else 0, nu)) if c]
 
 
 def _expected_LL(alg, mu, nu, rho, sigma) -> Element:
     """[L_{mu nu}, L_{rho sigma}]: each index rotates as in ``_rotated``."""
-    return (_rotated(alg, lambda a: alg.lorentz(a, sigma), mu, nu, rho)
-            + _rotated(alg, lambda b: alg.lorentz(rho, b), mu, nu, sigma))
+    return linear_combination(alg.system, (
+        _rotation(alg, lambda a: alg.lorentz(a, sigma), mu, nu, rho)
+        + _rotation(alg, lambda b: alg.lorentz(rho, b), mu, nu, sigma)))
 
 
 def check_poincare_realisation(alg: SuperspaceAlgebra,
@@ -687,9 +644,9 @@ def _psi_base(alg: SuperspaceAlgebra, s: int, mu: int, nu: int,
     """4(eta_{mu nu} psi_s rho + eta_{nu rho} psi_s mu + eta_{rho mu} psi_s nu),
     symmetric in (mu, nu, rho)."""
     eta = alg.eta
-    return (alg.psi(s, rho).scale(4 * eta[mu] if mu == nu else 0)
-            + alg.psi(s, mu).scale(4 * eta[nu] if nu == rho else 0)
-            + alg.psi(s, nu).scale(4 * eta[rho] if rho == mu else 0))
+    return linear_combination(alg.system, (
+        (4 * eta[a], alg.psi(s, c)) for a, b, c in (
+            (mu, nu, rho), (nu, rho, mu), (rho, mu, nu)) if a == b))
 
 
 def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:

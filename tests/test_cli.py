@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -50,6 +51,24 @@ def test_verify_deterministic(capsys):
     main(["verify", "--suite", "engine", "--seed", "3", "--report", "json"])
     second = _strip_timings(json.loads(capsys.readouterr().out))
     assert json.dumps(first) == json.dumps(second)
+
+
+def test_verify_json_is_byte_identical_across_hash_seeds():
+    """``verify --suite all --dim 3 --report json`` in two interpreters
+    with different string-hash seeds prints the same bytes, elapsed_ms
+    masked: no report depends on set or dict iteration order."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-m", "ternalg.cli", "verify", "--suite", "all",
+             "--dim", "3", "--report", "json"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+        assert run.returncode == 0, run.stderr
+        outputs.append(re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": 0',
+                              run.stdout))
+    assert outputs[0].count('"elapsed_ms": 0') == 55
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_out_file(tmp_path, capsys):

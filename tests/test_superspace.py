@@ -364,28 +364,25 @@ def _index_generators(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_representatives_meet_every_orbit_once(d):
-    """``_representatives`` yields one slot tuple per orbit of (bracket
-    symmetry x Sym(F) x S_{d-1}) for the para, roby and closure slot
-    lists, at the group that ``_sweep`` passes it (Sym(F) only where a
-    slot holds a free key, S_{d-1} only from d = 3), against orbits found
-    by brute force: the connected components of the tuples under the
-    generators of each factor, applied to keys and to slot positions."""
+def test_first_appearance_meets_every_orbit_once(d):
+    """``_first_appearance`` yields one slot tuple per orbit of Sym(F) x
+    S_{d-1} for the para, roby and closure slot lists, at the group that
+    ``_sweep`` passes it (Sym(F) only where a slot holds a free key,
+    S_{d-1} only from d = 3; at d <= 2 closure has the trivial group,
+    whose orbits are single tuples), in product order, against orbits
+    found by brute force: the connected components of the tuples under the
+    generators of each factor."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
     free = superspace._name_symmetry(alg)
-    perms = {superspace._sorted_slots: list(itertools.permutations(range(3))),
-             superspace._ordered_12: [(0, 1, 2), (1, 0, 2)], None: []}
     thetas = [(CLS_THETA, mu) for mu in range(d)]
-    cases = [([_slot_keys(alg, kind) for kind in pattern], canon)
-             for pattern in ("NNN", "NND", "NDN", "NDD", "DDN", "DDD")
-             for canon in (superspace._sorted_slots, superspace._ordered_12)]
-    cases += [([thetas] * k, None) for k in (1, 2, 3)]
+    cases = [[_slot_keys(alg, kind) for kind in pattern]
+             for pattern in ("NNN", "NND", "NDN", "NDD", "DDN", "DDD")]
+    cases += [[thetas] * k for k in (1, 2, 3)]
     all_keys = _slot_keys(alg, "N") + _slot_keys(alg, "D")
 
-    def orbits(slots, canon, moves):
+    def orbits(slots, moves):
         """{tuple: orbit root} over every tuple of ``all_keys``, by
-        union-find under ``moves`` on keys and the slot permutations of
-        ``canon``."""
+        union-find under ``moves`` on keys."""
         root = {}
 
         def find(t):
@@ -393,19 +390,17 @@ def test_representatives_meet_every_orbit_once(d):
                 t = root[t]
             return t
         for t in itertools.product(all_keys, repeat=len(slots)):
-            images = [tuple(map(move, t)) for move in moves]
-            images += [tuple(t[i] for i in p) for p in perms[canon]]
-            for image in images:
+            for image in [tuple(map(move, t)) for move in moves]:
                 root[find(image)] = find(t)
         return {t: find(t) for t in itertools.product(*slots)}
 
-    for slots, canon in cases:
+    for slots in cases:
         names = free if any(key in free for keys in slots
                             for key in keys) else {}
         moves = _index_generators(d) + (_name_generators(alg) if names else [])
-        orbit = orbits(slots, canon, moves)
-        reps = list(superspace._representatives(slots, canon, names, d >= 3))
-        assert set(reps) <= set(orbit)
+        orbit = orbits(slots, moves)
+        reps = list(superspace._first_appearance(slots, names, d >= 3))
+        assert reps == [t for t in itertools.product(*slots) if t in reps]
         assert sorted(orbit[t] for t in reps) == sorted(set(orbit.values()))
 
 
@@ -487,8 +482,8 @@ def test_name_gate_refuses_a_rule_table_that_singles_out_a_name(
 def test_para_and_roby_form_one_bracket_per_orbit_at_d2(monkeypatch):
     """At d = 2, where S_{d-1} is trivial and Sym(F) is the only quotient,
     each para family and roby forms these many brackets ([u, v], {u, v},
-    [[u, v], w] and {u, v, w}, counted per sweep): 160 over the ten para
-    families and 25 for roby, where sweeping every tuple forms 1,133 and
+    [[u, v], w] and {u, v, w}, counted per sweep): 163 over the ten para
+    families and 27 for roby, where sweeping every tuple forms 1,133 and
     210."""
     calls = []
     for name in ("commutator", "anticommutator", "sum_of_products"):
@@ -505,7 +500,32 @@ def test_para_and_roby_form_one_bracket_per_orbit_at_d2(monkeypatch):
     monkeypatch.setattr(superspace, "_sweep", counted)
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(2)))
     _all_pass(check_parafermion_relations(alg) + [check_roby(alg)])
-    assert formed == [29, 14, 26, 12, 10, 6, 25, 22, 12, 4, 25]
+    assert formed == [30, 14, 26, 12, 10, 6, 27, 22, 12, 4, 27]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sweep_forms_each_value_once(d, monkeypatch):
+    """Under kappa = 1/3, where sweeps fall back to every tuple, each
+    ``_sweep`` call forms ``value`` at most once per canonical key of its
+    bracket symmetry across the quotient pass and the fallback: both read
+    one memo."""
+    sweep = superspace._sweep
+    formed = []
+
+    def counted(alg, slots, value, *canon):
+        keys = []
+        formed.append(keys)
+
+        def traced(t):
+            keys.append(canon[0](t)[0] if canon else t)
+            return value(t)
+        yield from sweep(alg, slots, traced, *canon)
+    monkeypatch.setattr(superspace, "_sweep", counted)
+    alg, weights = _control_algebra("kappa=1/3", d, monkeypatch)
+    reports = (check_parafermion_relations(alg) + [check_roby(alg)]
+               + check_closure(alg, weights))
+    assert not all(r.passed for r in reports) and len(formed) == 15
+    assert all(len(keys) == len(set(keys)) for keys in formed)
 
 
 def test_reversed_J_control(monkeypatch):
