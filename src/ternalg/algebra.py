@@ -586,13 +586,42 @@ def random_element(system: GeneratorSystem, rng: random.Random,
 def random_raw_terms(system: GeneratorSystem, rng: random.Random,
                      generators: Sequence[int] | None = None,
                      max_degree: int = 5, n_terms: int = 4) -> dict:
-    """Seeded random un-normalised term map; :func:`random_element` normalises it."""
+    """Seeded random un-normalised term map; :func:`random_element` normalises it.
+
+    Each term draws its degree ``rng.randint(0, max_degree)``, that many
+    letters ``rng.choice(gens)`` and the coefficient
+    ``Cyclo(rng.randint(-3, 3), rng.randint(-2, 2))``.  The draws are made
+    here by the rejection sampler behind ``randint`` and ``choice`` (CPython
+    3.10-3.13 ``Random._randbelow_with_getrandbits``): a number below n is
+    ``getrandbits(n.bit_length())``, redrawn while it is n or more.  So the
+    map, and the state ``rng`` is left in, are those of the ``randint`` and
+    ``choice`` calls, for less per draw.
+    """
     gens = list(generators) if generators is not None else list(range(system.size()))
+    if max_degree < 0 or (max_degree and not gens):
+        # with n = 0 the rejection loop would never end: getrandbits(0) is 0
+        raise ValueError("random_raw_terms needs max_degree >= 0 and a "
+                         "generator to draw words of degree > 0 from")
+    bits = rng.getrandbits
+    n_deg, n_gen = max_degree + 1, len(gens)
+    k_deg, k_gen = n_deg.bit_length(), n_gen.bit_length()
     terms: dict = {}
     for _ in range(n_terms):
-        deg = rng.randint(0, max_degree)
-        word = tuple(rng.choice(gens) for _ in range(deg))
-        coeff = Cyclo(rng.randint(-3, 3), rng.randint(-2, 2))
-        if coeff:
-            _accumulate(terms, word, coeff)
+        deg = bits(k_deg)
+        while deg >= n_deg:
+            deg = bits(k_deg)
+        word = []
+        for _ in range(deg):
+            r = bits(k_gen)
+            while r >= n_gen:
+                r = bits(k_gen)
+            word.append(gens[r])
+        a = bits(3)  # randint(-3, 3) is -3 + a number below 7
+        while a >= 7:
+            a = bits(3)
+        b = bits(3)  # randint(-2, 2) is -2 + a number below 5
+        while b >= 5:
+            b = bits(3)
+        if a != 3 or b != 2:
+            _accumulate(terms, tuple(word), Cyclo(a - 3, b - 2))
     return terms

@@ -11,7 +11,7 @@ from conftest import UncheckedSystem, cross_sector_pairing
 from ternalg import superspace
 from ternalg.algebra import (TERNARY_ORDERINGS, ConfluenceError, Element,
                              GeneratorSystem, IncompatibleSystems,
-                             anticommutator, colour3, commutator,
+                             _accumulate, anticommutator, colour3, commutator,
                              nested_action, random_element, random_raw_terms,
                              sum_of_products, sym3)
 from ternalg.colour import col3_weights
@@ -47,6 +47,54 @@ def test_normal_form_idempotent(alg2):
         raw = random_raw_terms(sys_, rng)
         nf = sys_.normalize_terms(raw)
         assert sys_.normalize_terms(nf) == nf
+
+
+def _reference_raw_terms(gens, rng, max_degree, n_terms):
+    """The randint/choice body that ``random_raw_terms`` draws the same
+    numbers as."""
+    terms = {}
+    for _ in range(n_terms):
+        deg = rng.randint(0, max_degree)
+        word = tuple(rng.choice(gens) for _ in range(deg))
+        coeff = Cyclo(rng.randint(-3, 3), rng.randint(-2, 2))
+        if coeff:
+            _accumulate(terms, word, coeff)
+    return terms
+
+
+def test_random_raw_terms_reproduces_the_randint_choice_stream(alg2):
+    """For every seed 0..49 and generator list, two generators seeded alike
+    run through every (max_degree, n_terms) in turn, one through
+    ``random_raw_terms`` and one through the randint/choice body: each call
+    gives the same term map and leaves the same generator state.  One
+    letter (n = 1) and a power of two (n = 4, 8) still reject draws."""
+    for seed in range(50):
+        for n in (1, 2, 3, 4, 6, 8):
+            gens = list(range(0, 2 * n, 2))
+            fast, ref = random.Random(seed), random.Random(seed)
+            for max_degree in range(7):
+                for n_terms in range(1, 7):
+                    got = random_raw_terms(alg2.system, fast, gens,
+                                           max_degree, n_terms)
+                    want = _reference_raw_terms(gens, ref, max_degree,
+                                                n_terms)
+                    assert got == want, (seed, n, max_degree, n_terms)
+                    assert fast.getstate() == ref.getstate()
+
+
+def test_random_raw_terms_needs_a_generator_for_letters(alg2):
+    """No generators and max_degree > 0 (or max_degree < 0) is refused
+    before the first draw; degree-0 words need no generator."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    for max_degree in (1, 4, -1):
+        with pytest.raises(ValueError):
+            random_raw_terms(alg2.system, rng, [], max_degree)
+        assert rng.getstate() == state
+    ref = random.Random(0)
+    assert (random_raw_terms(alg2.system, rng, [], 0, 5)
+            == _reference_raw_terms([], ref, 0, 5))
+    assert rng.getstate() == ref.getstate()
 
 
 def test_strategy_confluence(alg2):

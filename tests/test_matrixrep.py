@@ -7,7 +7,8 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from ternalg import suites
+from conftest import rewritten_strings
+from ternalg import matrixrep, suites
 from ternalg.algebra import Element, random_raw_terms, sym3
 from ternalg.cyclo import Cyclo, ONE
 from ternalg.matrixrep import (SparseMatrix, build_rep,
@@ -188,6 +189,67 @@ def test_random_equivalence(alg2):
     rep = build_rep(alg2, [(CLS_THETA, 0), (CLS_DEL, 0), (CLS_EPS[0], 1)])
     report = check_random_equivalence(rep, seed=0)
     assert report.passed, report.residuals[:3]
+
+
+def _samples(rep, seed):
+    """The samples of ``check_random_equivalence(rep, seed)``, drawn alike."""
+    rng = random.Random(seed)
+    gens = sorted(rep.actions)
+    return [random_raw_terms(rep.alg.system, rng, gens,
+                             max_degree=matrixrep.MAX_DEGREE, n_terms=4)
+            for _ in range(matrixrep.N_SAMPLES)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_random_equivalence_residuals_match_a_per_sample_loop(dim):
+    """Under the Jordan-Wigner corruptions that the control matrix runs
+    against oracle.random.*, the sweep reports exactly the samples that
+    ``cross_check_element`` fails one by one.  At seed 7, sample 43 holds
+    two words that fail alone under cross-sector-JW but cancel in the
+    sample, so a word-by-word verdict without the whole-sample fallback
+    would report it."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(dim)))
+    rescued = 0  # passing samples that hold a word failing alone
+    for rewrite in (lambda bit, string: 0, lambda bit, string: bit - 1):
+        Rep = rewritten_strings(rewrite)
+        failing = 0
+        for (_, names), seed in product(_oracle_subsystems(dim), (0, 7)):
+            rep = Rep(alg, names)
+            want = []
+            for k, raw in enumerate(_samples(rep, seed)):
+                if not cross_check_element(rep, raw):
+                    want.append({"indices": [k], "element":
+                                 "raw and normal-form matrices differ"})
+                elif not all(cross_check_element(rep, {w: ONE}) for w in raw):
+                    rescued += 1
+            assert check_random_equivalence(rep, seed).residuals == want
+            failing += len(want)
+        assert failing
+    assert rescued
+
+
+def test_random_equivalence_evaluates_each_distinct_word_once(alg2,
+                                                              monkeypatch):
+    """On a passing representation every sample passes word by word:
+    ``evaluate_raw`` runs once per distinct sampled word, and
+    ``cross_check_element`` only ever sees a single word."""
+    for _, names in _oracle_subsystems(2):
+        rep = build_rep(alg2, names)
+        words = {w for raw in _samples(rep, 0) for w in raw}
+        calls, checked = [], []
+        evaluate_raw = matrixrep.MatrixRep.evaluate_raw
+        cross_check = matrixrep.cross_check_element
+        with monkeypatch.context() as mp:
+            mp.setattr(matrixrep.MatrixRep, "evaluate_raw",
+                       lambda self, terms: calls.append(terms)
+                       or evaluate_raw(self, terms))
+            mp.setattr(matrixrep, "cross_check_element",
+                       lambda rep, raw: checked.append(raw)
+                       or cross_check(rep, raw))
+            assert check_random_equivalence(rep, seed=0).passed
+        assert len(calls) == len(words)
+        assert all(len(raw) == 1 for raw in checked)
+        assert sorted(w for raw in checked for w in raw) == sorted(words)
 
 
 def test_symbolic_zero_maps_to_zero_matrix(alg2):
