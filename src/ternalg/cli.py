@@ -13,6 +13,7 @@ Exit status is 0 iff everything requested passed, and 2 for bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .colour import factor_table_csv, paper_factor
@@ -37,6 +38,7 @@ A leading '-' negates the first term; put an expression that starts with
 """
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ternalg",

@@ -141,9 +141,14 @@ class StructureConstants3(Record):
     @classmethod
     def from_json(cls, text: str) -> "StructureConstants3":
         doc = json.loads(text)
-        missing = [k for k in ("dim0", "dim1", "f", "R", "Q") if k not in doc]
+        missing = [k for k in ("dim0", "dim1", "f", "R", "Q")
+                   if type(doc) is not dict or k not in doc]
         if missing:
             raise ValueError(f"structure constants lack {', '.join(missing)}")
+        for name in ("dim0", "dim1", "f", "R", "Q", "labels0", "labels1"):
+            kind, value = int if name[0] == "d" else list, doc.get(name, [])
+            if type(value) is not kind or kind is int and value < 0:
+                raise ValueError(f"{name}: invalid {kind.__name__} {value!r}")
         n0, n1 = doc["dim0"], doc["dim1"]
         f, R, Q = Table(n0, n0, n0), Table(n0, n1, n1), Table(n1, n1, n1, n0)
         for name, table in (("f", f), ("R", R), ("Q", Q)):
@@ -158,7 +163,7 @@ class StructureConstants3(Record):
                 except ZeroDivisionError:
                     raise ValueError(f"{name} entry {entry}: "
                                      "zero denominator") from None
-                except (IndexError, TypeError, ValueError) as err:
+                except (LookupError, TypeError, ValueError) as err:
                     raise ValueError(f"{name} entry {entry}: {err}") from None
         sc = cls(n0, n1, f, R, Q,
                  tuple(doc.get("labels0", ())), tuple(doc.get("labels1", ())))

@@ -22,9 +22,7 @@ for [u, v] and [[u, v], w]) and answers every other tuple with the sign:
 the ordered sweeps read their values from it, and each ``_pair_table`` is
 one.  ``roby`` is ``para.1``'s sweep reported on its sorted triples.
 Every composite symbol (J, L, V, delta-x) is one ``sum_of_products``
-call over its product pairs.  ``colour_action`` applies the leading V_i
-once to the weighted sum of the two nested actions it leads (ad_V is
-linear).
+call over its product pairs.
 
 Symmetry quotient.  Two groups act on the slot keys by automorphisms of
 the rule table: Sym(F), which permutes the 1 + 3d free keys F (the scalar
@@ -35,25 +33,24 @@ image does.  ``_sweep`` runs ``para``, ``roby``, ``closure.leib`` and
 ``closure.annihilate`` (degrees 1..3) through one ``_orbit_table`` of the
 bracket symmetry: it reads one tuple per orbit of Sym(F) x S_{d-1},
 enumerated directly with the free keys, and the spatial indices of the
-other keys, numbered in order of first appearance, and passes the check
-if all are zero; if any is nonzero it sweeps every tuple through the same
+other keys, numbered in order of first appearance, and passes the check if
+all are zero; if any is nonzero it sweeps every tuple through the same
 memo, so residual lists do not change and no value is formed twice.  Each
-group is verified, not assumed, once per algebra on first use, on its two
-generators lifted to generator ids: ``_name_symmetry`` checks that
-(f_0 f_1) and the cycle of F preserve every swap sign, contraction and
-square rule, and ``_spatial_symmetry`` that (1 2) and the cycle
-(1 ... d-1) do and also fix each V_i.  Only a group that its gate passes
-is used: Sym(F) only where a slot holds a free key (the para and roby
-slots, never the closure ones, whose values read V), S_{d-1} only from
-d = 3; where neither is live the first pass reads every tuple.  The
-right-hand sides read keys only through Kronecker deltas; a test pins
-their covariance.
+group is verified, not assumed, once per algebra on its two generators
+(``_name_symmetry``, ``_spatial_symmetry``; S_{d-1} must also fix each
+V_i).  Only a group that its gate passes is used: Sym(F) only where a slot
+holds a free key (the para and roby slots, never the closure ones, whose
+values read V), S_{d-1} only from d = 3; where neither is live the first
+pass reads every tuple.  The right-hand sides read keys only through
+Kronecker deltas; a test pins their covariance.
 ``psi.bracket``, ``poincare`` and ``trans`` sweep every tuple.  Each bracket
 has one producer: ``trans`` and ``check_closure`` share the rows of
-``ad_V``, ``poincare.*`` and ``order3.superspace`` one ``poincare_brackets``
-table, and every ``_pair_table`` (the para, roby and psi sweeps, the
-Poincare job, delta-x and the quartic shapes) forms each unordered pair of
-keys once, answering the reversed pair from it.
+``ad_V``; the closure checks read each [V_i, [V_j, [V_k, t]]] from one
+``nested_actions`` table per target t; ``poincare.*`` and
+``order3.superspace`` share one ``poincare_brackets`` table; and every
+``_pair_table`` (the para, roby and psi sweeps, the Poincare job, delta-x
+and the quartic shapes) forms each unordered pair of keys once, answering
+the reversed pair from it.
 
 Sign conventions
 ----------------
@@ -756,25 +753,28 @@ REALISED_QUARTIC_COEFFS = {
 DEGREE4_SAMPLES = 8  # theta monomials that ``closure.annihilate`` draws
 
 
-def colour_action(alg: SuperspaceAlgebra, weights, target: Element) -> Element:
-    """Weighted sum of the six nested-commutator actions of (V1, V2, V3).
+def _nested(alg, memo, labels):
+    if labels not in memo:
+        memo[labels] = alg.ad_V(labels[0], _nested(alg, memo, labels[1:]))
+    return memo[labels]
 
-    Weight order follows the ternary-bracket ordering convention
-    (123, 231, 312, 132, 213, 321); nesting is [V_p1, [V_p2, [V_p3, target]]].
-    Each ordering's innermost [V_p3, target] is one of three, formed once per
-    call.  ad_V is linear, so the two orderings (i, j, k) and (i, k, j) that
-    share the leading V_i are summed before it is applied: 12 ad_V calls
-    instead of 15.
-    """
-    innermost = [alg.ad_V(k + 1, target) for k in range(3)]
-    leading = []
-    for n, (i, j, k) in enumerate(TERNARY_ORDERINGS[:3]):
-        # ordering n + 3 is (i, k, j)
-        inner = linear_combination(alg.system, (
-            (weights[n], alg.ad_V(j + 1, innermost[k])),
-            (weights[n + 3], alg.ad_V(k + 1, innermost[j]))))
-        leading.append((1, alg.ad_V(i + 1, inner)))
-    return linear_combination(alg.system, leading)
+
+def nested_actions(alg: SuperspaceAlgebra, target: Element):
+    """``act(labels)`` = [V_l1, [V_l2, [..., target]]], act(()) = target;
+    each is one ``ad_V`` on its inner action, formed once per ``act``."""
+    return functools.partial(_nested, alg, {(): target})
+
+
+def colour_action(alg: SuperspaceAlgebra, weights, act) -> Element:
+    """Sum of w_p act(p) (``nested_actions``) over the orderings p in the
+    ternary-bracket convention (123, 231, 312, 132, 213, 321).  ad_V is
+    linear, so (i, j, k) and (i, k, j) are summed before their leading V_i
+    is applied: 12 ad_V calls on a fresh ``act`` instead of 15."""
+    return linear_combination(alg.system, [
+        (1, alg.ad_V(i + 1, linear_combination(alg.system, (
+            (weights[n], act((j + 1, k + 1))),
+            (weights[n + 3], act((k + 1, j + 1)))))))
+        for n, (i, j, k) in enumerate(TERNARY_ORDERINGS[:3])])
 
 
 def _expected_leib(alg, a1, a2, a3) -> Element:
@@ -793,21 +793,20 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
     (c) the colour bracket on x^alpha decomposes over the six quartic
     shapes with coefficient multiset {-1, -1, -q, -q, -q^2, -q^2};
     (d) that element is not star-fixed.  (a) and degrees 1..3 of (b) are
-    reduced once per S_{d-1} orbit of index tuples first (``_sweep``).
+    reduced once per S_{d-1} orbit first (``_sweep``); every nested action on
+    a theta monomial comes from one ``nested_actions`` per tuple.
     """
     d = alg.dimension
     reports = []
     thetas = [(CLS_THETA, mu) for mu in range(d)]
-
-    def monomial(t):  # theta^mu1 ... theta^muk at slot keys (CLS_THETA, mu)
-        return functools.reduce(Element.__mul__, map(alg._named.__getitem__, t))
+    acts = _orbit_table(lambda t: nested_actions(alg, functools.reduce(
+        Element.__mul__, map(alg._named.__getitem__, t))), _identity)
 
     def leib(t):
-        lhs = alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, monomial(t))))
-        return lhs - _expected_leib(alg, *(mu for _, mu in t))
+        return acts(t)((1, 2, 3)) - _expected_leib(alg, *(mu for _, mu in t))
 
     def annihilated(t):
-        return colour_action(alg, col3_weights, monomial(t))
+        return colour_action(alg, col3_weights, acts(t))
 
     with CheckReport("closure.leib",
                      "[V_1,[V_2,[V_3, theta^a1 theta^a2 theta^a3]]] equals the "
@@ -830,7 +829,7 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
                           for _ in range(DEGREE4_SAMPLES)})
         for tup in tuples4:
             rep.expect_zero((4,) + tup,
-                            annihilated([(CLS_THETA, mu) for mu in tup]))
+                            annihilated(tuple((CLS_THETA, mu) for mu in tup)))
         rep.notes = f"degree-4 index tuples sampled with seed {seed}: {tuples4}"
     reports.append(rep)
 
@@ -840,7 +839,8 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
                      "{-1,-1,-q,-q,-q^2,-q^2}") as rep:
         comm = _pair_table(alg._named.__getitem__, -1)
         for alpha in range(d):
-            a_alpha = colour_action(alg, col3_weights, alg.x(alpha))
+            a_alpha = colour_action(alg, col3_weights,
+                                    nested_actions(alg, alg.x(alpha)))
             # shape (j, k, l): [theta, eps_j^mu][eps_k^alpha, eps_l_mu] over mu
             recomposed = sum_of_products([
                 (comm((CLS_THETA_SC, 0), (CLS_EPS[j - 1], mu)),
@@ -865,10 +865,8 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
         if not probes:
             rep.notes = f"probe (0, 0, 1) skipped: it needs theta^1, and d = {d}"
         for probe in probes:
-            target = monomial([(CLS_THETA, mu) for mu in probe])
-            base = alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, target)))
-            for i, j, k in itertools.permutations((1, 2, 3)):
-                res = alg.ad_V(i, alg.ad_V(j, alg.ad_V(k, target))) - base
-                rep.expect_zero(probe, res)
+            act = acts(tuple((CLS_THETA, mu) for mu in probe))
+            for labels in itertools.permutations((1, 2, 3)):
+                rep.expect_zero(probe, act(labels) - act((1, 2, 3)))
     reports.append(rep)
     return reports

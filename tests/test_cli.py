@@ -24,6 +24,10 @@ def _strip_timings(doc: dict) -> dict:
     return doc
 
 
+def _mask_timings(text: str) -> str:
+    return re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": 0', text)
+
+
 def test_verify_text_pass(capsys):
     code = main(["verify", "--suite", "colour"])
     out = capsys.readouterr().out
@@ -65,8 +69,7 @@ def test_verify_json_is_byte_identical_across_hash_seeds():
              "--dim", "3", "--report", "json"], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
         assert run.returncode == 0, run.stderr
-        outputs.append(re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": 0',
-                              run.stdout))
+        outputs.append(_mask_timings(run.stdout))
     assert outputs[0].count('"elapsed_ms": 0') == 55
     assert outputs[0] == outputs[1]
 
@@ -266,6 +269,35 @@ def test_bad_dim_rejected_before_any_work(verb, dim, monkeypatch, capsys):
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
+
+
+def test_one_process_runs_each_verb_as_a_fresh_process(capsys):
+    """``main`` builds its parser once, on its first call, and reuses it: one
+    process that runs ``verify``, then ``eval``, then a bad ``--suite``
+    gets from each the exit code, stdout and stderr (elapsed_ms masked)
+    that a fresh ``python -m ternalg.cli`` gets, and the bad suite exits
+    with code 2."""
+    import ternalg.cli as cli
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    results = []
+    for argv in (["verify", "--suite", "engine", "--dim", "2",
+                  "--report", "json"],
+                 ["eval", "--dim", "2", "[theta^0, d_0]"],
+                 ["verify", "--suite", "bogus"]):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ternalg.cli", *argv],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": str(src)})
+        results.append(code)
+        assert (code, _mask_timings(got.out), got.err) == (
+            fresh.returncode, _mask_timings(fresh.stdout), fresh.stderr)
+    assert results == [0, 0, 2]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_suite_spec_validation():

@@ -319,20 +319,41 @@ def _append(table, entry):
     return corrupt
 
 
+def _drop(key):
+    def corrupt(doc):
+        del doc[key]
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_append("f", [0, 1, 2, 0.1]), "f entry [0, 1, 2, 0.1]"),   # no floats
     (_append("R", [0, 0, 0, True]), "R entry [0, 0, 0, True]"),  # not 1
     (_append("R", [0, 0, 0, "1/0"]), "R entry [0, 0, 0, '1/0']"),
     (_append("Q", [0, 0, 0, 0, "abc"]), "Q entry [0, 0, 0, 0, 'abc']"),
     (lambda doc: doc.update(labels0=doc["labels0"][:1]), "labels0"),
-    (lambda doc: doc.pop("R"), "lack R"),
+    (_drop("R"), "lack R"),
+    (lambda doc: 5, "lack dim0, dim1, f, R, Q"),
+    (lambda doc: "f R Q", "lack dim0, dim1, f, R, Q"),
+    (lambda doc: doc.update(dim0="2"), "dim0: invalid int '2'"),
+    (lambda doc: doc.update(dim1=2.0), "dim1: invalid int 2.0"),
+    (lambda doc: doc.update(dim1=-1), "dim1: invalid int -1"),
+    (lambda doc: doc.update(dim0=True), "dim0: invalid int True"),
+    (lambda doc: doc.update(f=5), "f: invalid list 5"),
+    (lambda doc: doc.update(Q={}), "Q: invalid list {}"),
+    (lambda doc: doc.update(labels0="XYZ"), "labels0: invalid list 'XYZ'"),
+    (_append("f", {"-1": "1"}), "f entry {'-1': '1'}"),
 ], ids=["float", "bool", "zero-denominator", "not-a-number", "short-labels",
-        "missing-table"])
+        "missing-table", "number-document", "string-document", "string-dim",
+        "float-dim", "negative-dim", "bool-dim", "number-table",
+        "object-table", "string-labels", "object-entry"])
 def test_json_rejects_bad_value(corrupt, message):
     """Every bad document raises one ValueError that names the table and
-    the entry, at load time rather than in a later check."""
+    the entry, or the field, at load time rather than in a later check.
+    ``corrupt`` edits the document in place or returns a replacement."""
     doc = json.loads(cubic_poincare(MetricSignature.minkowski(2)).to_json())
-    corrupt(doc)
+    replacement = corrupt(doc)
+    if replacement is not None:
+        doc = replacement
     with pytest.raises(ValueError) as err:
         StructureConstants3.from_json(json.dumps(doc))
     assert type(err.value) is ValueError

@@ -1,6 +1,7 @@
 """Parafermionic relation families, realised symmetry generators and the
 transformation checks, at the small dimension where everything is fast."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -29,7 +30,8 @@ from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 check_closure, check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
                                 check_roby, check_superspace_transformation,
-                                colour_action, poincare_brackets)
+                                colour_action, nested_actions,
+                                poincare_brackets)
 
 
 def _all_pass(reports):
@@ -274,8 +276,8 @@ def _ordered_closure_residuals(alg, weights):
         target = alg.theta(idx[0])
         for mu in idx[1:]:
             target = target * alg.theta(mu)
-        annihilate.expect_zero((len(idx),) + idx,
-                               colour_action(alg, weights, target))
+        annihilate.expect_zero((len(idx),) + idx, colour_action(
+            alg, weights, nested_actions(alg, target)))
     return leib.residuals, annihilate.residuals
 
 
@@ -808,7 +810,7 @@ def test_colour_action_matches_nested_sum(alg2):
             for (i, j, k), w in zip(TERNARY_ORDERINGS, weights):
                 ops = [alg2.V(i + 1), alg2.V(j + 1), alg2.V(k + 1)]
                 want = want + nested_action(ops, target).scale(w)
-            got = colour_action(alg2, weights, target)
+            got = colour_action(alg2, weights, nested_actions(alg2, target))
             assert got == want, str(target)
             assert all(got.terms.values())
             nonzero += bool(got)
@@ -816,6 +818,60 @@ def test_colour_action_matches_nested_sum(alg2):
     # paper weights kill degree 3 too; so the comparison is carried by
     # x^alpha (2 per weight set) and by 4 degree-3 monomials per random set
     assert nonzero == 2 * 3 + 4 * 2
+
+
+@pytest.mark.parametrize("d, ad_v_calls", [(2, 277), (3, 396), (5, 450)])
+def test_closure_forms_each_nested_action_once(d, ad_v_calls, monkeypatch):
+    """One ``check_closure`` call forms each nested action
+    [V_l1, [V_l2, [..., t]]] on each target t once: one ``nested_actions``
+    per theta tuple serves ``closure.leib``, ``.annihilate`` and
+    ``.symmetric``, and ``colour_action`` reads its inner and middle actions
+    from it.  The ``ad_V`` totals are pinned (309/456/528 when each check
+    nested its own).  Each ``ad_V`` call is traced back through the outputs
+    of earlier calls to the element it started from: no call that started
+    from a ``nested_actions`` target repeats a (target, labels) pair, and
+    no nonzero target value gets a second ``nested_actions`` (zero theta
+    monomials, such as theta^0 theta^0 theta^0, are equal across tuples)."""
+    ad_V, real_nested = superspace.SuperspaceAlgebra.ad_V, nested_actions
+    origin, targets, values, calls = {}, {}, [], []
+    kept = []  # every traced element stays alive, so no id is reused
+
+    def traced_ad_V(self, i, element):
+        out = ad_V(self, i, element)
+        start, labels = origin.get(id(element), (element, ()))
+        origin[id(out)] = start, (i,) + labels
+        kept.extend((element, out))
+        calls.append((targets.get(id(start)), (i,) + labels))
+        return out
+
+    def traced_nested(alg, target):
+        targets[id(target)] = len(targets)
+        values.extend([frozenset(target.terms.items())] if target else [])
+        kept.append(target)
+        return real_nested(alg, target)
+
+    monkeypatch.setattr(superspace.SuperspaceAlgebra, "ad_V", traced_ad_V)
+    monkeypatch.setattr(superspace, "nested_actions", traced_nested)
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    _all_pass(check_closure(alg, col3_weights()))
+    assert len(calls) == ad_v_calls
+    formed = [call for call in calls if call[0] is not None]
+    assert formed and len(set(formed)) == len(formed)
+    assert values and len(set(values)) == len(values)
+
+
+def test_closure_frees_its_nested_actions_when_it_returns():
+    """The nested-action tables live for one ``check_closure`` call: no
+    reference cycle holds them (or anything else the call formed) until the
+    next full collection."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
+    gc.collect()
+    gc.disable()
+    try:
+        _all_pass(check_closure(alg, col3_weights()))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _spatial_generators(d):
@@ -993,7 +1049,8 @@ def test_composite_symbols_match_term_by_term_sums(d, kappa):
             assert alg.delta_x(i, alpha) == delta_x(i, alpha)
     want = []
     for alpha in range(d):
-        diff = colour_action(alg, col3_weights(), alg.x(alpha))
+        diff = colour_action(alg, col3_weights(),
+                             nested_actions(alg, alg.x(alpha)))
         for (j, k, l), coeff in REALISED_QUARTIC_COEFFS.items():
             shape = zero
             for mu in range(d):
