@@ -481,9 +481,10 @@ class Element:
 
 def sum_of_products(pairs: Sequence, sign: int = 0) -> Element:
     """The sum of x * y + sign * y * x over the (x, y) pairs, accumulated
-    into one term map: the one loop that multiplies two elements.  For
-    sign +-1 a pair of terms with no contraction across it takes one
-    ``times_word`` pass or none (graded brackets, module docstring)."""
+    into one term map: the one loop that multiplies two elements.  ``sign``
+    must be -1, 0 or 1: only its sign is read.  For sign +-1 a pair of
+    terms with no contraction across it takes one ``times_word`` pass or
+    none (graded brackets, module docstring)."""
     first = pairs[0][0]
     system = first.system
     times_word, word_keys = system.times_word, system.word_keys

@@ -287,7 +287,7 @@ SUITES = {
                    check_superspace_transformation(alg)
                    + [check_psi_bracket(alg)]),
     "closure": (True, lambda spec, metric, alg: check_closure(
-        alg, colour.col3_weights(), seed=spec.seed)),
+        alg, colour.col3_weights())),
     "oracle": (True, lambda spec, metric, alg:
                check_oracle(alg, seed=spec.seed)),
 }

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from fractions import Fraction
 
 from .algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
@@ -750,9 +749,6 @@ REALISED_QUARTIC_COEFFS = {
     (1, 2, 3): -ONE, (3, 2, 1): -ONE,
 }
 
-DEGREE4_SAMPLES = 8  # theta monomials that ``closure.annihilate`` draws
-
-
 def _nested(alg, memo, labels):
     if labels not in memo:
         memo[labels] = alg.ad_V(labels[0], _nested(alg, memo, labels[1:]))
@@ -783,18 +779,18 @@ def _expected_leib(alg, a1, a2, a3) -> Element:
                             for i, j, k in itertools.permutations((1, 2, 3))])
 
 
-def check_closure(alg: SuperspaceAlgebra, col3_weights,
-                  seed: int = 0) -> list[CheckReport]:
+def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
     """Closure of the coloured algebra on the superspace.
 
     (a) the triple nested action on theta^a theta^b theta^c equals the
     six-term symmetric eps product; (b) the colour bracket annihilates
-    theta monomials of degree 1..4 (degree 4 on a seeded index sample);
-    (c) the colour bracket on x^alpha decomposes over the six quartic
-    shapes with coefficient multiset {-1, -1, -q, -q, -q^2, -q^2};
-    (d) that element is not star-fixed.  (a) and degrees 1..3 of (b) are
-    reduced once per S_{d-1} orbit first (``_sweep``); every nested action on
-    a theta monomial comes from one ``nested_actions`` per tuple.
+    theta monomials of every degree, swept at degrees 1..3; (c) the colour
+    bracket on x^alpha decomposes over the six quartic shapes with
+    coefficient multiset {-1, -1, -q, -q, -q^2, -q^2}; (d) that element is
+    not star-fixed; (e) [V_j, [V_k, theta^mu]] = 0 (the lemma), and three
+    probe monomials' nested actions are symmetric in the V labels.  (a) and
+    (b) are reduced once per S_{d-1} orbit first (``_sweep``); every nested
+    action on a theta monomial comes from one ``nested_actions`` per tuple.
     """
     d = alg.dimension
     reports = []
@@ -817,20 +813,15 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
 
     with CheckReport("closure.annihilate",
                      "the colour bracket of (V_1, V_2, V_3) annihilates "
-                     "theta monomials of degree 1..4") as rep:
+                     "theta monomials of every degree") as rep:
         # Degrees 1 and 2 are zero for any weights: three nested ad_V need
         # three theta letters.  They stay as part of the paper's claim and the
         # report; test_colour_action_matches_nested_sum pins that they vanish.
         for degree in (1, 2, 3):
             for t, v in _sweep(alg, [thetas] * degree, annihilated):
                 rep.expect_zero((degree,) + tuple(mu for _, mu in t), v)
-        rng = random.Random(seed)
-        tuples4 = sorted({tuple(rng.randrange(d) for _ in range(4))
-                          for _ in range(DEGREE4_SAMPLES)})
-        for tup in tuples4:
-            rep.expect_zero((4,) + tup,
-                            annihilated(tuple((CLS_THETA, mu) for mu in tup)))
-        rep.notes = f"degree-4 index tuples sampled with seed {seed}: {tuples4}"
+        rep.notes = ("degree >= 4 is (sum of the weights) times one nested "
+                     "action, zero by closure.symmetric's lemma and degree 3")
     reports.append(rep)
 
     with CheckReport("closure.deltax",
@@ -868,5 +859,11 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights,
             act = acts(tuple((CLS_THETA, mu) for mu in probe))
             for labels in itertools.permutations((1, 2, 3)):
                 rep.expect_zero(probe, act(labels) - act((1, 2, 3)))
+        # ad_V is a derivation, so with these zero every act(p) on a theta
+        # monomial is the same sum, and (b) is (sum of weights) act((1, 2, 3))
+        for j, k in itertools.product((1, 2, 3), repeat=2):
+            for mu in range(d):
+                rep.expect_zero(("lemma", j, k, mu),
+                                acts(((CLS_THETA, mu),))((j, k)))
     reports.append(rep)
     return reports

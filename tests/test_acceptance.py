@@ -29,7 +29,7 @@ def _failures(reports):
 
 @pytest.fixture(scope="module")
 def closure_reports(alg4):
-    return check_closure(alg4, col3_weights(), seed=0)
+    return check_closure(alg4, col3_weights())
 
 
 def test_criterion_1_parafermion_relations(alg4):

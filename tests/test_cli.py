@@ -57,6 +57,20 @@ def test_verify_deterministic(capsys):
     assert json.dumps(first) == json.dumps(second)
 
 
+def test_closure_report_does_not_depend_on_the_seed(capsys):
+    """``closure`` draws no sample: ``verify --suite closure --dim 3`` at
+    seeds 0 and 7 gives the same JSON apart from ``config.seed`` and the
+    timings."""
+    docs = []
+    for seed in ("0", "7"):
+        assert main(["verify", "--suite", "closure", "--dim", "3", "--seed",
+                     seed, "--report", "json"]) == 0
+        doc = _strip_timings(json.loads(capsys.readouterr().out))
+        assert doc["config"].pop("seed") == int(seed)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_verify_json_is_byte_identical_across_hash_seeds():
     """``verify --suite all --dim 3 --report json`` in two interpreters
     with different string-hash seeds prints the same bytes, elapsed_ms
