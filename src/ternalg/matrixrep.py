@@ -32,19 +32,16 @@ equal shape (mask, value, F, S & ~mask) are one such permutation, so their
 scalars are summed first: a raw word and its swap-only rewrites cancel
 before any column is touched.  Each shape with a nonzero sum then writes
 every live column.  No matrix product is formed, and the empty word is the
-identity.  Every check here asks one question: does a raw word map have
-the zero image?  The rule-table check asks it of u v - s v u - c for each
-rewrite rule u v -> s v u + c and of each square g g; the random sweep asks
-it of raw - nf, a raw word map merged with its normal form (a word in both
-cancels before it is evaluated), which by linearity is raw == nf.
+identity.
 
-Normal forming is linear too (each word is normal-formed alone and scaled
-by its coefficient), so raw - nf(raw) is the sum over the words w of raw
-of c_w (w - nf(w)).  The random sweep therefore first asks the question of
-each distinct sampled word once, w - nf(w), and passes a sample all of
-whose words have the zero image.  A sample holding a word that fails is
-decided as a whole, by raw - nf(raw), since failing words may cancel; so
-the residuals are those of asking every sample as a whole.
+Every check here asks one question: does a raw word map have the zero
+image?  The rule-table check asks it of u v - s v u - c for each
+rewrite rule u v -> s v u + c and of each square g g; the random sweep asks
+it of w - nf(w) for each distinct sampled word w, merged with its normal
+form (a word in both cancels before it is evaluated).  Normal forming is
+linear too (each word is normal-formed alone and scaled by its
+coefficient), so a sample's raw - nf(raw) is the sum over its words of
+c_w (w - nf(w)): it has the zero image whenever each of its words does.
 
 Only one direction of faithfulness is used: a symbolic zero must map to the
 zero matrix.  The converse is not claimed (the parafermionic realisation is
@@ -226,32 +223,26 @@ N_SAMPLES = 200  # random elements per ``check_random_equivalence`` sweep
 def check_random_equivalence(rep: MatrixRep, seed: int = 0) -> CheckReport:
     """Seeded sweep: raw and normal-form matrix evaluations agree.
 
-    Evaluation and normal forming are both linear, so a sample's
-    raw - nf(raw) is the sum over its words w of c_w (w - nf(w)).  A
-    sample passes as soon as every word in it has w - nf(w) with the zero
-    image, and each distinct word is asked that once per call (``passes``).
-    Otherwise :func:`cross_check_element` decides the whole sample, as it
-    decides every sample without this shortcut, so the residuals are the
-    same either way.
+    Each distinct word of the samples is asked once, in order of first
+    appearance, whether w - nf(w) has the zero image; a word that fails
+    is one residual, indexed by the first sample k that holds it and the
+    rendered word.
     """
+    system = rep.alg.system
     gens = sorted(rep.actions)
     rng = random.Random(seed)
-    passes = {}  # word -> w - nf(w) has the zero image; lives for this call
-
-    def word_passes(word):
-        ok = passes.get(word)
-        if ok is None:
-            ok = passes[word] = cross_check_element(rep, {word: ONE})
-        return ok
-
+    asked = set()
     with CheckReport(
             "oracle.random",
             f"{N_SAMPLES} seeded random elements of degree <= {MAX_DEGREE}: "
             "raw-word and normal-form matrix evaluations agree") as report:
         for k in range(N_SAMPLES):
-            raw = random_raw_terms(rep.alg.system, rng, gens,
-                                   max_degree=MAX_DEGREE, n_terms=4)
-            if not (all(map(word_passes, raw))
-                    or cross_check_element(rep, raw)):
-                report.add_residual((k,), "raw and normal-form matrices differ")
+            for word in random_raw_terms(system, rng, gens,
+                                         max_degree=MAX_DEGREE, n_terms=4):
+                if word not in asked:
+                    asked.add(word)
+                    if not cross_check_element(rep, {word: ONE}):
+                        report.add_residual(
+                            (k, system.render_word(word)),
+                            "raw and normal-form matrices differ")
     return report

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import random
 import textwrap
 from fractions import Fraction
 
@@ -166,6 +167,28 @@ def rewritten_strings(rewrite):
                             for gid, (bit, need, string, k)
                             in self.actions.items()}
     return Rep
+
+
+@pytest.fixture
+def reference_kernel(monkeypatch):
+    """Call it to normal-form every product for the rest of the test with
+    the one-step rewriter ``reduce_terms``, by ``strategy`` ("leftmost",
+    "rightmost" or "random", seeded), in place of the kernel
+    ``times_word``, and to send every bracket pair down the two-pass path
+    in place of the graded shortcut: every pair of words reads as sharing
+    a contraction."""
+    def use(strategy="leftmost"):
+        rng = random.Random(0)
+
+        def times_word(self, word, coeff, right, out):
+            for w, c in self.reduce_terms({word + right: coeff}, strategy,
+                                          rng=rng).items():
+                algebra._accumulate(out, w, c)
+
+        monkeypatch.setattr(GeneratorSystem, "times_word", times_word)
+        monkeypatch.setattr(GeneratorSystem, "word_keys",
+                            lambda self, word: (-1, 0, -1, 0))
+    return use
 
 
 @pytest.fixture(scope="session")

@@ -201,55 +201,73 @@ def _samples(rep, seed):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_random_equivalence_residuals_match_a_per_sample_loop(dim):
+def test_random_equivalence_residuals_match_a_per_word_loop(dim):
     """Under the Jordan-Wigner corruptions that the control matrix runs
-    against oracle.random.*, the sweep reports exactly the samples that
-    ``cross_check_element`` fails one by one.  At seed 7, sample 43 holds
-    two words that fail alone under cross-sector-JW but cancel in the
-    sample, so a word-by-word verdict without the whole-sample fallback
-    would report it."""
+    against oracle.random.*, the sweep reports exactly the distinct sampled
+    words that ``cross_check_element`` fails one by one, each at the first
+    sample that holds it.  That is at least as strict as asking each sample
+    as a whole: every sample that fails as a whole holds a reported word,
+    and a word that fails alone is reported also where it cancels inside a
+    sample that passes as a whole (at seed 7, sample 43 holds two such
+    words under cross-sector-JW)."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(dim)))
-    rescued = 0  # passing samples that hold a word failing alone
+    render = alg.system.render_word
+    cancelled = 0  # samples passing as a whole that hold a failing word
     for rewrite in (lambda bit, string: 0, lambda bit, string: bit - 1):
         Rep = rewritten_strings(rewrite)
         failing = 0
         for (_, names), seed in product(_oracle_subsystems(dim), (0, 7)):
             rep = Rep(alg, names)
-            want = []
-            for k, raw in enumerate(_samples(rep, seed)):
+            samples = _samples(rep, seed)
+            fails, want = {}, []  # word -> it fails alone
+            for k, raw in enumerate(samples):
+                for w in raw:
+                    if w not in fails:
+                        fails[w] = not cross_check_element(rep, {w: ONE})
+                        if fails[w]:
+                            want.append({"indices": [k, render(w)], "element":
+                                         "raw and normal-form matrices differ"})
+            residuals = check_random_equivalence(rep, seed).residuals
+            assert residuals == want
+            reported = {r["indices"][1] for r in residuals}
+            for raw in samples:
+                bad = {render(w) for w in raw if fails[w]}
+                assert bad <= reported
                 if not cross_check_element(rep, raw):
-                    want.append({"indices": [k], "element":
-                                 "raw and normal-form matrices differ"})
-                elif not all(cross_check_element(rep, {w: ONE}) for w in raw):
-                    rescued += 1
-            assert check_random_equivalence(rep, seed).residuals == want
+                    assert bad
+                elif bad:
+                    cancelled += 1
             failing += len(want)
         assert failing
-    assert rescued
+    assert cancelled
 
 
 def test_random_equivalence_evaluates_each_distinct_word_once(alg2,
                                                               monkeypatch):
-    """On a passing representation every sample passes word by word:
-    ``evaluate_raw`` runs once per distinct sampled word, and
-    ``cross_check_element`` only ever sees a single word."""
-    for _, names in _oracle_subsystems(2):
-        rep = build_rep(alg2, names)
-        words = {w for raw in _samples(rep, 0) for w in raw}
-        calls, checked = [], []
-        evaluate_raw = matrixrep.MatrixRep.evaluate_raw
-        cross_check = matrixrep.cross_check_element
-        with monkeypatch.context() as mp:
-            mp.setattr(matrixrep.MatrixRep, "evaluate_raw",
-                       lambda self, terms: calls.append(terms)
-                       or evaluate_raw(self, terms))
-            mp.setattr(matrixrep, "cross_check_element",
-                       lambda rep, raw: checked.append(raw)
-                       or cross_check(rep, raw))
-            assert check_random_equivalence(rep, seed=0).passed
-        assert len(calls) == len(words)
-        assert all(len(raw) == 1 for raw in checked)
-        assert sorted(w for raw in checked for w in raw) == sorted(words)
+    """On a passing representation and under the cross-sector-JW
+    corruption alike, ``evaluate_raw`` runs once per distinct sampled word
+    and ``cross_check_element`` only ever sees a single word: a failing
+    word is never asked again inside a whole sample."""
+    evaluate_raw = matrixrep.MatrixRep.evaluate_raw
+    cross_check = matrixrep.cross_check_element
+    for Rep, passes in ((matrixrep.MatrixRep, True),
+                        (rewritten_strings(lambda bit, string: bit - 1),
+                         False)):
+        for _, names in _oracle_subsystems(2):
+            rep = Rep(alg2, names)
+            words = {w for raw in _samples(rep, 0) for w in raw}
+            calls, checked = [], []
+            with monkeypatch.context() as mp:
+                mp.setattr(matrixrep.MatrixRep, "evaluate_raw",
+                           lambda self, terms: calls.append(terms)
+                           or evaluate_raw(self, terms))
+                mp.setattr(matrixrep, "cross_check_element",
+                           lambda rep, raw: checked.append(raw)
+                           or cross_check(rep, raw))
+                assert check_random_equivalence(rep, seed=0).passed == passes
+            assert len(calls) == len(words)
+            assert all(len(raw) == 1 for raw in checked)
+            assert sorted(w for raw in checked for w in raw) == sorted(words)
 
 
 def test_symbolic_zero_maps_to_zero_matrix(alg2):

@@ -620,13 +620,18 @@ def test_unit_pairing_controls(name, rewrite, at_d2, at_d3, monkeypatch,
                    for r in reports["trans.deltax"].residuals) == 6
 
 
-@pytest.mark.parametrize("d, n_fail", [(2, 4), (3, 18)])
-def test_closure_annihilate_sees_only_the_weight_sum(d, n_fail):
+# d -> residuals of ``closure.annihilate`` under a weight set whose sum is
+# not zero
+ANNIHILATE_FAILS = {2: 4, 3: 18}
+
+
+@pytest.mark.parametrize("d", sorted(ANNIHILATE_FAILS))
+def test_closure_annihilate_sees_only_the_weight_sum(d):
     """``closure.annihilate`` passes under three weight variants whose sum
     is 0 (q and q^2 swapped, w_0 and w_1 swapped, the weights rotated by
-    one) and fails, with ``n_fail`` residuals, under unit weights and under
-    w_5 = 0; ``closure.deltax`` fails all five.  On theta monomials the
-    three nested actions are symmetric in the V labels
+    one) and fails, with ``ANNIHILATE_FAILS[d]`` residuals, under unit
+    weights and under w_5 = 0; ``closure.deltax`` fails all five.  On
+    theta monomials the three nested actions are symmetric in the V labels
     (``closure.symmetric``), so the colour bracket there is (sum of the
     weights) times one nested action: the check tests sum(w) =
     2(1 + q + q^2) = 0."""
@@ -641,7 +646,7 @@ def test_closure_annihilate_sees_only_the_weight_sum(d, n_fail):
                   for r in check_closure(alg, weights) if not r.passed}
         assert failed.pop("closure.deltax")
         assert failed == ({} if weight_sum == ZERO
-                          else {"closure.annihilate": n_fail})
+                          else {"closure.annihilate": ANNIHILATE_FAILS[d]})
 
 
 def _lemma_rows(reports):
@@ -845,8 +850,12 @@ def test_colour_action_matches_nested_sum(alg2):
     assert nonzero == 2 * 3 + 4 * 2
 
 
-@pytest.mark.parametrize("d, ad_v_calls", [(2, 211), (3, 330), (5, 396)])
-def test_closure_forms_each_nested_action_once(d, ad_v_calls, monkeypatch):
+# d -> ``ad_V`` calls of one ``check_closure`` call
+CLOSURE_AD_V_CALLS = {2: 211, 3: 330, 5: 396}
+
+
+@pytest.mark.parametrize("d", sorted(CLOSURE_AD_V_CALLS))
+def test_closure_forms_each_nested_action_once(d, monkeypatch):
     """One ``check_closure`` call forms each nested action
     [V_l1, [V_l2, [..., t]]] on each target t once: one ``nested_actions``
     per theta tuple serves ``closure.leib``, ``.annihilate`` and
@@ -880,7 +889,7 @@ def test_closure_forms_each_nested_action_once(d, ad_v_calls, monkeypatch):
     monkeypatch.setattr(superspace, "nested_actions", traced_nested)
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
     _all_pass(check_closure(alg, col3_weights()))
-    assert len(calls) == ad_v_calls
+    assert len(calls) == CLOSURE_AD_V_CALLS[d]
     formed = [call for call in calls if call[0] is not None]
     assert formed and len(set(formed)) == len(formed)
     assert values and len(set(values)) == len(values)
