@@ -105,7 +105,7 @@ class StructureConstants3(Record):
                 raise ValueError(f"{name} has {len(labels)} labels, "
                                  f"expected {n}")
 
-    # -- storage invariants (re-validated defensively on load) ----------
+    # -- storage invariants --------------------------------------------
 
     def validate_symmetries(self) -> list:
         """Broken f antisymmetry and Q symmetry (first i per odd triple), in
@@ -126,7 +126,7 @@ class StructureConstants3(Record):
                 bad.append(("Q-sym",) + idx)
         return bad
 
-    # -- JSON interchange ------------------------------------------------
+    # -- JSON export (ternalg reads none back) -------------------------
 
     def to_json(self) -> str:
         def sparse(table):
@@ -137,40 +137,6 @@ class StructureConstants3(Record):
             "labels0": list(self.labels0), "labels1": list(self.labels1),
             "f": sparse(self.f), "R": sparse(self.R), "Q": sparse(self.Q),
         }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StructureConstants3":
-        doc = json.loads(text)
-        missing = [k for k in ("dim0", "dim1", "f", "R", "Q")
-                   if type(doc) is not dict or k not in doc]
-        if missing:
-            raise ValueError(f"structure constants lack {', '.join(missing)}")
-        for name in ("dim0", "dim1", "f", "R", "Q", "labels0", "labels1"):
-            kind, value = int if name[0] == "d" else list, doc.get(name, [])
-            if type(value) is not kind or kind is int and value < 0:
-                raise ValueError(f"{name}: invalid {kind.__name__} {value!r}")
-        n0, n1 = doc["dim0"], doc["dim1"]
-        f, R, Q = Table(n0, n0, n0), Table(n0, n1, n1), Table(n1, n1, n1, n0)
-        for name, table in (("f", f), ("R", R), ("Q", Q)):
-            for entry in doc[name]:
-                # exact values only: a JSON float or bool is not a rational
-                try:
-                    value = entry[-1]
-                    if type(value) not in (str, int):
-                        raise ValueError(f"value {value!r} is not a string "
-                                         "or an integer")
-                    table[tuple(entry[:-1])] = value
-                except ZeroDivisionError:
-                    raise ValueError(f"{name} entry {entry}: "
-                                     "zero denominator") from None
-                except (LookupError, TypeError, ValueError) as err:
-                    raise ValueError(f"{name} entry {entry}: {err}") from None
-        sc = cls(n0, n1, f, R, Q,
-                 tuple(doc.get("labels0", ())), tuple(doc.get("labels1", ())))
-        bad = sc.validate_symmetries()
-        if bad:
-            raise ValueError(f"loaded tables break storage symmetries: {bad[:3]}")
-        return sc
 
 
 def _rows(table) -> dict:

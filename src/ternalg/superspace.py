@@ -377,16 +377,16 @@ def _is_automorphism(alg, move, fixes_V) -> bool:
     """Whether the layout-key map ``move``, lifted to generator ids sector
     by sector through ``components``, maps the rule table onto itself
     (``GeneratorSystem.preserves_rules``) and, if ``fixes_V``, each V_i to
-    itself."""
+    itself.  Each mapped term map is compared with V_i's, which is normal,
+    so equal maps are equal elements, and a mismatch can only refuse."""
     system = alg.system
     image = [0] * system.size()
     for key, ids in alg.components.items():
         for g, h in zip(ids, alg.components[move(key)]):
             image[g] = h
     return system.preserves_rules(image) and (not fixes_V or all(
-        Element(system, {tuple(image[g] for g in w): c
-                         for w, c in alg.V(i).terms.items()}) == alg.V(i)
-        for i in (1, 2, 3)))
+        {tuple(image[g] for g in w): c for w, c in terms.items()} == terms
+        for terms in (alg.V(i).terms for i in (1, 2, 3))))
 
 
 def _spatial_symmetry(alg) -> bool:

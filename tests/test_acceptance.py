@@ -120,7 +120,8 @@ def test_criterion_5_superspace_transformation(alg4):
 def test_criterion_6_closure(closure_reports):
     record_criterion(
         6, "triple action reproduces the symmetric eps product; colour "
-           "bracket annihilates theta monomials of degree 1-4 and yields "
+           "bracket annihilates theta monomials of every degree (swept "
+           "at 1-3, settled above by the derivation lemma) and yields "
            "the quartic multiset {-1,-1,-q,-q,-q^2,-q^2} on x",
         not _failures(closure_reports),
         str(_failures(closure_reports)) if _failures(closure_reports) else "")

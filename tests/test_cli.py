@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from ternalg.cli import main
-from ternalg.order3 import StructureConstants3
+from ternalg.order3 import cubic_poincare
 from ternalg.report import emit_json
 from ternalg.suites import SUITE_IDS, SuiteSpec, run_suite
+from ternalg.superspace import MetricSignature
 
 
 def _strip_timings(doc: dict) -> dict:
@@ -273,12 +274,22 @@ def test_dump_factor(capsys):
 
 
 def test_export_sc(tmp_path, capsys):
+    """The written document holds the cubic Poincare tables exactly: each
+    entry is an index tuple and its value, an exact rational in a string,
+    and the entries of each table are its nonzeros."""
     target = tmp_path / "sc.json"
     assert main(["export-sc", "--instance", "cubic-poincare", "--dim", "3",
                  "--out", str(target)]) == 0
     capsys.readouterr()
-    sc = StructureConstants3.from_json(target.read_text())
-    assert sc.dim0 == 6 and sc.dim1 == 3
+    doc = json.loads(target.read_text())
+    sc = cubic_poincare(MetricSignature.minkowski(3))
+    assert (doc["dim0"], doc["dim1"]) == (sc.dim0, sc.dim1) == (6, 3)
+    assert (doc["labels0"], doc["labels1"]) == (list(sc.labels0),
+                                                list(sc.labels1))
+    for name, table in (("f", sc.f), ("R", sc.R), ("Q", sc.Q)):
+        entries = {tuple(entry[:-1]): Fraction(entry[-1])
+                   for entry in doc[name]}
+        assert entries == table and len(doc[name]) == len(table)
 
 
 @pytest.mark.parametrize("dim", ["0", "11"])

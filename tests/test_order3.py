@@ -1,8 +1,7 @@
-"""Structure-constant tables: axioms, the built-in instance, corruption
-detection and JSON interchange."""
+"""Structure-constant tables: axioms, the built-in instance and corruption
+detection."""
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -93,22 +92,6 @@ def test_broken_fi_is_localized():
     assert not reports["order3.fi"].passed
     for res in reports["order3.fi"].residuals:
         assert {0, 1} & set(res["indices"][:4])
-
-
-def test_json_round_trip():
-    sc = cubic_poincare(MetricSignature.minkowski(3))
-    again = StructureConstants3.from_json(sc.to_json())
-    assert again.f == sc.f
-    assert again.R == sc.R
-    assert again.Q == sc.Q
-    assert again.labels0 == sc.labels0
-
-
-def test_json_rejects_broken_symmetry():
-    sc = _corrupt(cubic_poincare(MetricSignature.minkowski(2)))
-    sc.Q[0, 0, 1, 0] += Fraction(1)
-    with pytest.raises(ValueError):
-        StructureConstants3.from_json(sc.to_json())
 
 
 def test_superspace_cross_check(alg2):
@@ -298,63 +281,3 @@ def test_table_copy_is_independent():
     assert type(c) is Table and c.shape == t.shape and c == t
     c[0, 1] = 0
     assert t[0, 1] == 1
-
-
-@pytest.mark.parametrize("table, entry", [
-    ("f", [-1, 0, 0, "1"]),      # negative: no wrap-around to the last index
-    ("R", [0, 2, 0, "1"]),       # out of range: R is 3 x 2 x 2 at d = 2
-    ("Q", [0, 1, "1"]),          # short: no broadcast across a whole row
-])
-def test_json_rejects_bad_index(table, entry):
-    doc = json.loads(cubic_poincare(MetricSignature.minkowski(2)).to_json())
-    doc[table].append(entry)
-    with pytest.raises(ValueError) as err:
-        StructureConstants3.from_json(json.dumps(doc))
-    assert f"{table} entry {entry}" in str(err.value)
-
-
-def _append(table, entry):
-    def corrupt(doc):
-        doc[table].append(entry)
-    return corrupt
-
-
-def _drop(key):
-    def corrupt(doc):
-        del doc[key]
-    return corrupt
-
-
-@pytest.mark.parametrize("corrupt, message", [
-    (_append("f", [0, 1, 2, 0.1]), "f entry [0, 1, 2, 0.1]"),   # no floats
-    (_append("R", [0, 0, 0, True]), "R entry [0, 0, 0, True]"),  # not 1
-    (_append("R", [0, 0, 0, "1/0"]), "R entry [0, 0, 0, '1/0']"),
-    (_append("Q", [0, 0, 0, 0, "abc"]), "Q entry [0, 0, 0, 0, 'abc']"),
-    (lambda doc: doc.update(labels0=doc["labels0"][:1]), "labels0"),
-    (_drop("R"), "lack R"),
-    (lambda doc: 5, "lack dim0, dim1, f, R, Q"),
-    (lambda doc: "f R Q", "lack dim0, dim1, f, R, Q"),
-    (lambda doc: doc.update(dim0="2"), "dim0: invalid int '2'"),
-    (lambda doc: doc.update(dim1=2.0), "dim1: invalid int 2.0"),
-    (lambda doc: doc.update(dim1=-1), "dim1: invalid int -1"),
-    (lambda doc: doc.update(dim0=True), "dim0: invalid int True"),
-    (lambda doc: doc.update(f=5), "f: invalid list 5"),
-    (lambda doc: doc.update(Q={}), "Q: invalid list {}"),
-    (lambda doc: doc.update(labels0="XYZ"), "labels0: invalid list 'XYZ'"),
-    (_append("f", {"-1": "1"}), "f entry {'-1': '1'}"),
-], ids=["float", "bool", "zero-denominator", "not-a-number", "short-labels",
-        "missing-table", "number-document", "string-document", "string-dim",
-        "float-dim", "negative-dim", "bool-dim", "number-table",
-        "object-table", "string-labels", "object-entry"])
-def test_json_rejects_bad_value(corrupt, message):
-    """Every bad document raises one ValueError that names the table and
-    the entry, or the field, at load time rather than in a later check.
-    ``corrupt`` edits the document in place or returns a replacement."""
-    doc = json.loads(cubic_poincare(MetricSignature.minkowski(2)).to_json())
-    replacement = corrupt(doc)
-    if replacement is not None:
-        doc = replacement
-    with pytest.raises(ValueError) as err:
-        StructureConstants3.from_json(json.dumps(doc))
-    assert type(err.value) is ValueError
-    assert message in str(err.value)

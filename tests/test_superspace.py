@@ -173,23 +173,32 @@ def _ordered_psi_bracket(alg):
     return rep.residuals, notes
 
 
-@pytest.mark.parametrize("d, kappa, sectors, n_para, n_psi", [
-    (2, Fraction(1, 2), (0, 1), 0, 0),
-    (3, Fraction(1, 2), (0, 1), 0, 0),
-    (2, Fraction(1, 3), (0, 1), 98, 16),
-    (3, Fraction(1, 3), (0, 1), 222, 42),
-    (2, Fraction(1, 2), (0, 1, 2), 935, 16),
-    (4, Fraction(1, 2), (0, 1), 0, 0),
-    (4, Fraction(1, 3), (0, 1), 396, 80),
-    (3, Fraction(1, 2), (0, 1, 2), 2848, 54),
-    (4, Fraction(1, 2), (0, 1, 2), 6405, 128),
-])
-def test_orbit_sweeps_match_ordered_reference(d, kappa, sectors, n_para,
-                                              n_psi, monkeypatch):
+# (d, kappa, Green sectors): (para residuals, psi residuals)
+ORBIT_SWEEP_RESIDUALS = {
+    (2, Fraction(1, 2), (0, 1)): (0, 0),
+    (3, Fraction(1, 2), (0, 1)): (0, 0),
+    (2, Fraction(1, 3), (0, 1)): (98, 16),
+    (3, Fraction(1, 3), (0, 1)): (222, 42),
+    (2, Fraction(1, 2), (0, 1, 2)): (935, 16),
+    (4, Fraction(1, 2), (0, 1)): (0, 0),
+    (4, Fraction(1, 3), (0, 1)): (396, 80),
+    (3, Fraction(1, 2), (0, 1, 2)): (2848, 54),
+    (4, Fraction(1, 2), (0, 1, 2)): (6405, 128),
+}
+
+
+@pytest.mark.parametrize("d, kappa, sectors", list(ORBIT_SWEEP_RESIDUALS),
+                         ids=[f"{d}-kappa{k.numerator}_{k.denominator}"
+                              f"-p{len(s)}" for d, k, s in
+                              ORBIT_SWEEP_RESIDUALS])
+def test_orbit_sweeps_match_ordered_reference(d, kappa, sectors,
+                                              monkeypatch):
     """Reducing once per symmetry orbit (and, from d = 3, once per orbit of
     S_{d-1} first) reports, tuple for tuple and in the same order, what the
     ordered sweep reports: on passing algebras and on two corruptions (a
-    wrong pairing, three Green sectors)."""
+    wrong pairing, three Green sectors), with the residual counts pinned in
+    ``ORBIT_SWEEP_RESIDUALS``."""
+    n_para, n_psi = ORBIT_SWEEP_RESIDUALS[d, kappa, sectors]
     monkeypatch.setattr(superspace, "GREEN_SECTORS", sectors)
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
                                  pairing_kappa=kappa))
@@ -439,6 +448,27 @@ def test_spatial_gate_checks_V():
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
     alg._cache[("V", 1)] = alg.V(1) - commutator(alg.eps(1, 2), alg.d(2))
     assert not superspace._spatial_symmetry(alg)
+
+
+@pytest.mark.parametrize("name", ["none", "kappa=1/3", "p=3", "non-confluent",
+                                  "unit-weights", "spatial-kappa",
+                                  "last-index"])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_spatial_gate_matches_a_normal_forming_reference(d, name,
+                                                         monkeypatch):
+    """The gate compares each mapped V_i term map with V_i's as it stands.
+    On the default algebra and under every control, each generator of
+    S_{d-1} gets the verdict of the reference that normal-forms the image
+    of V_i before it compares (``_key_action``), with the rule table
+    checked as before."""
+    alg, _ = _control_algebra(name, d, monkeypatch)
+    for sigma in _spatial_generators(d):
+        def move(key, sigma=sigma):
+            return key[0], sigma[key[1]]
+        act = _key_action(alg, move)
+        assert superspace._is_automorphism(alg, move, True) is (
+            superspace._is_automorphism(alg, move, False)
+            and all(act(alg.V(i)) == alg.V(i) for i in (1, 2, 3)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
