@@ -14,43 +14,35 @@ theorems checked by reduction.
 generator ids, and ``_label`` the one spelling of names; the matrix oracle,
 the suites and the DSL read both instead of re-deriving them.
 
-The sweeps ``para``, ``roby`` and ``psi.bracket`` take each slot as a
-layout key ((cls, mu), or (s, mu) for psi_s mu).  One memo,
-``_orbit_table``, forms a value once per orbit of a signed slot symmetry
-(``_sorted_slots`` for {u, v} and {u, v, w}, ``_ordered_12`` with a sign
-for [u, v] and [[u, v], w]) and answers every other tuple with the sign:
-the ordered sweeps read their values from it, and each ``_pair_table`` is
-one.  ``roby`` is ``para.1``'s sweep reported on its sorted triples.
-Every composite symbol (J, L, V, delta-x) is one ``sum_of_products``
-call over its product pairs.
+The relation checks read their slot tuples through one ``_sweep``.  A slot
+key is a tag followed by indices: a layout key (cls, mu) for ``para``,
+``roby`` and the closure sweeps, (s, mu) for psi_s mu, a
+``poincare_brackets`` accessor key with its index pair sorted
+(("lorentz", mu, nu), ("P", rho), ...) for ``poincare``, and the
+index-only (None, alpha) for ``trans``.  One memo, ``_orbit_table``, forms
+a value once per orbit of a signed slot symmetry (``_sorted_slots`` for
+{u, v} and {u, v, w}, ``_ordered_12`` with a sign for [u, v] and
+[[u, v], w]); each ``_pair_table`` is one.  ``roby`` is ``para.1``'s sweep
+reported on its sorted triples.  Every composite symbol (J, L, V,
+delta-x) is one ``sum_of_products`` call over its product pairs.
 
 Symmetry quotient.  Two groups act on the slot keys by automorphisms of
 the rule table: Sym(F), which permutes the 1 + 3d free keys F (the scalar
 theta and every eps_i^mu, which contract with nothing and share one
 sector-sign structure), and S_{d-1}, which permutes the spatial indices
 1..d-1 and fixes eta and V_1..V_3.  A relation instance vanishes iff its
-image does.  ``_sweep`` runs ``para``, ``roby``, ``closure.leib`` and
-``closure.annihilate`` (degrees 1..3) through one ``_orbit_table`` of the
-bracket symmetry: it reads one tuple per orbit of Sym(F) x S_{d-1},
-enumerated directly with the free keys, and the spatial indices of the
-other keys, numbered in order of first appearance, and passes the check if
-all are zero; if any is nonzero it sweeps every tuple through the same
-memo, so residual lists do not change and no value is formed twice.  Each
-group is verified, not assumed, once per algebra on its two generators
-(``_name_symmetry``, ``_spatial_symmetry``; S_{d-1} must also fix each
-V_i).  Only a group that its gate passes is used: Sym(F) only where a slot
-holds a free key (the para and roby slots, never the closure ones, whose
-values read V), S_{d-1} only from d = 3; where neither is live the first
-pass reads every tuple.  The right-hand sides read keys only through
-Kronecker deltas; a test pins their covariance.
-``psi.bracket``, ``poincare`` and ``trans`` sweep every tuple.  Each bracket
-has one producer: ``trans`` and ``check_closure`` share the rows of
-``ad_V``; the closure checks read each [V_i, [V_j, [V_k, t]]] from one
-``nested_actions`` table per target t; ``poincare.*`` and
-``order3.superspace`` share one ``poincare_brackets`` table; and every
-``_pair_table`` (the para, roby and psi sweeps, the Poincare job, delta-x
-and the quartic shapes) forms each unordered pair of keys once, answering
-the reversed pair from it.
+image does, so ``_sweep`` reads one tuple per orbit first and every tuple,
+through the same memo, only if one is nonzero.  Each group is verified
+once per algebra on its two generators (``_name_symmetry``,
+``_spatial_symmetry``).  Three loops stay outside ``_sweep``, each with
+its reason: ``trans.deltax``, ``closure.deltax`` and
+``closure.symmetric``.  Each bracket has one producer: ``trans`` and
+``check_closure`` share the rows of ``ad_V``; the closure checks read each
+[V_i, [V_j, [V_k, t]]] from one ``nested_actions`` table per target t;
+``poincare.*`` and ``order3.superspace`` share one ``poincare_brackets``
+table; and every ``_pair_table`` (the para, roby and psi sweeps, the
+Poincare job, delta-x and the quartic shapes) forms each unordered pair of
+keys once, answering the reversed pair from it.
 
 Sign conventions
 ----------------
@@ -422,15 +414,23 @@ def _name_symmetry(alg) -> dict:
     return alg._cache[key]
 
 
+def _indices(t):
+    """The indices of a slot tuple: every entry after each key's tag."""
+    return tuple(mu for key in t for mu in key[1:])
+
+
 def _first_appearance(slots, free, spatial, prefix=(), seen=0, top=0):
     """The tuples of ``product(*slots)``, in product order, whose free keys
     (``free`` maps each to its place n in F) are F_0, F_1, ... in order of
-    first appearance and, if ``spatial``, whose other keys' spatial indices
-    (mu >= 1 of (cls, mu)) are 1, 2, ... in order of first appearance: a
-    restricted-growth string, one tuple per orbit of the live group (Sym(F)
-    x S_{d-1}, either one, or the trivial group, whose orbits are single
-    tuples), since every slot list holds each of its classes at every
-    index and all of F or none of it."""
+    first appearance and, if ``spatial``, whose spatial indices (each
+    mu >= 1 after a non-free key's tag, read in order) are 1, 2, ... in
+    order of first appearance: restricted-growth strings, one tuple per
+    orbit of the live group (Sym(F) x S_{d-1}, either one, or the trivial
+    group), since every slot list holds each of its tags at every index and
+    all of F or none of it.  A pair key (tag, mu, nu), mu < nu, is closed
+    under S_{d-1} once each image pair is re-sorted: if its value changes
+    only sign with the order of the pair, each orbit holds at least one
+    yielded tuple (its least in product order)."""
     n = len(prefix)
     if n == len(slots):
         yield prefix
@@ -438,15 +438,17 @@ def _first_appearance(slots, free, spatial, prefix=(), seen=0, top=0):
     for key in slots[n]:
         rank = free.get(key)
         if rank is None:
-            if spatial and key[1] > top + 1:
-                continue
-            counts = seen, max(top, key[1])
-        elif rank > seen:
-            continue
-        else:
-            counts = max(seen, rank + 1), top
-        yield from _first_appearance(slots, free, spatial, prefix + (key,),
-                                     *counts)
+            grown = top
+            for mu in key[1:] if spatial else ():
+                if mu > grown + 1:
+                    break
+                grown = max(grown, mu)
+            else:
+                yield from _first_appearance(slots, free, spatial,
+                                             prefix + (key,), seen, grown)
+        elif rank <= seen:
+            yield from _first_appearance(slots, free, spatial, prefix + (key,),
+                                         max(seen, rank + 1), top)
 
 
 def _sweep(alg, slots, value, canon=_identity):
@@ -459,12 +461,12 @@ def _sweep(alg, slots, value, canon=_identity):
     ``_name_symmetry`` verifies it and a slot holds a free key, times
     S_{d-1} if ``_spatial_symmetry`` does (never at d <= 2); with neither,
     at every tuple.  If all are zero nothing is yielded.  That verdict
-    rests on ``value`` having both symmetries: the gates verify the
-    left-hand sides', and ``test_expected_sides_have_the_bracket_symmetry``
-    pins the right-hand sides' covariance.  Sym(F) does not fix V_i, which
-    the closure values read; it is sound there only because no closure
-    slot holds a free key.  Otherwise every tuple is swept through the
-    same memo; these residual lists rest on neither symmetry.
+    rests on ``value`` having both symmetries: the gates verify the rule
+    table and V_i, and tests pin the covariance of the composites and the
+    right-hand sides that values read.  Sym(F) does not fix V_i, which the
+    closure and trans values read; no slot of theirs holds a free key.
+    Otherwise every tuple is swept through the same memo; these residual
+    lists rest on neither symmetry.
     """
     free = _name_symmetry(alg) if any(
         key[0] in CLS_FREE for keys in slots for key in keys) else {}
@@ -474,6 +476,12 @@ def _sweep(alg, slots, value, canon=_identity):
         return
     for t in itertools.product(*slots):
         yield t, lookup(t)
+
+
+def _expect_swept(rep, alg, slots, value, prefix=(), canon=_identity):
+    """``rep.expect_zero`` on ``_sweep``, at ``prefix`` + ``_indices(t)``."""
+    for t, v in _sweep(alg, slots, value, canon):
+        rep.expect_zero(prefix + _indices(t), v)
 
 
 def _pair_table(element, sign):
@@ -593,45 +601,39 @@ def _expected_LL(alg, mu, nu, rho, sigma) -> Element:
 def check_poincare_realisation(alg: SuperspaceAlgebra,
                                comm) -> list[CheckReport]:
     """Brackets of the realised L, P, J against the cubic Poincare table,
-    each read from ``comm`` (``poincare_brackets``)."""
+    each read from ``comm`` (``poincare_brackets``) through ``_sweep``, at
+    its accessor keys with each index pair sorted; ("P", mu, nu) is the
+    pair [P_mu, P_nu]."""
     d = alg.dimension
     pairs = list(itertools.combinations(range(d), 2))
+    L, J, PP = ([(tag, *p) for p in pairs] for tag in ("lorentz", "J", "P"))
+    P, theta_lower, theta = ([(tag, rho) for rho in range(d)]
+                             for tag in ("P", "theta_lower", "theta"))
 
-    with CheckReport("poincare.LL",
-                     "[L_{mu nu}, L_{rho sigma}] = eta_{nu sigma} L_{rho mu}"
-                     " - eta_{mu sigma} L_{rho nu} + eta_{nu rho} L_{mu sigma}"
-                     " - eta_{mu rho} L_{nu sigma}") as rep:
-        for (mu, nu), (rho, sigma) in itertools.product(pairs, repeat=2):
-            rep.expect_zero((mu, nu, rho, sigma),
-                            comm(("lorentz", mu, nu), ("lorentz", rho, sigma))
-                            - _expected_LL(alg, mu, nu, rho, sigma))
-    reports = [rep]
+    def against(rhs, *args):
+        return lambda t: comm(*t) - rhs(alg, *args, *_indices(t))
 
-    for check_id, relation, op, vector in (
+    reports = []
+    for check_id, relation, sweeps in (
+            ("poincare.LL", "[L_{mu nu}, L_{rho sigma}] = eta_{nu sigma} "
+             "L_{rho mu} - eta_{mu sigma} L_{rho nu} + eta_{nu rho} "
+             "L_{mu sigma} - eta_{mu rho} L_{nu sigma}",
+             [([L, L], against(_expected_LL))]),
             ("poincare.LP", "[L_{mu nu}, P_rho] = eta_{nu rho} P_mu"
-             " - eta_{mu rho} P_nu", "lorentz", "P"),
+             " - eta_{mu rho} P_nu", [([L, P], against(_rotated, alg.P))]),
             ("poincare.Jtheta", "[J_{mu nu}, theta_rho] = eta_{nu rho} "
-             "theta_mu - eta_{mu rho} theta_nu", "J", "theta_lower")):
+             "theta_mu - eta_{mu rho} theta_nu",
+             [([J, theta_lower], against(_rotated, alg.theta_lower))]),
+            ("poincare.PP", "[P_mu, P_nu] = 0",
+             [([PP], lambda t: comm(("P", t[0][1]), ("P", t[0][2])))]),
+            ("poincare.Ptheta",
+             "[P_mu, theta^nu] = 0 and [J_{mu nu}, theta] = 0",
+             [([P, theta], lambda t: comm(*t), ("P",)),
+              ([J, [("theta_scalar",)]], lambda t: comm(*t), ("J-scalar",))])):
         with CheckReport(check_id, relation) as rep:
-            for (mu, nu), rho in itertools.product(pairs, range(d)):
-                rhs = _rotated(alg, getattr(alg, vector), mu, nu, rho)
-                rep.expect_zero((mu, nu, rho),
-                                comm((op, mu, nu), (vector, rho)) - rhs)
+            for sweep in sweeps:
+                _expect_swept(rep, alg, *sweep)
         reports.append(rep)
-
-    with CheckReport("poincare.PP", "[P_mu, P_nu] = 0") as rep:
-        for mu, nu in pairs:
-            rep.expect_zero((mu, nu), comm(("P", mu), ("P", nu)))
-    reports.append(rep)
-
-    with CheckReport("poincare.Ptheta",
-                     "[P_mu, theta^nu] = 0 and [J_{mu nu}, theta] = 0") as rep:
-        for mu, nu in itertools.product(range(d), repeat=2):
-            rep.expect_zero(("P", mu, nu), comm(("P", mu), ("theta", nu)))
-        for mu, nu in pairs:
-            rep.expect_zero(("J-scalar", mu, nu),
-                            comm(("J", mu, nu), ("theta_scalar",)))
-    reports.append(rep)
     return reports
 
 
@@ -650,9 +652,9 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
 
     The overall sign is computed, asserted uniform over all index tuples and
     both values of s, and compared against the tabulated reference sign -1
-    ("-/+ 4(...)"); the comparison is reported, not asserted.  The bracket
-    is formed once per orbit of its slot keys (s, mu); every ordered tuple
-    is still compared and reported.  The mixed bracket
+    ("-/+ 4(...)"); the comparison is reported, not asserted.  The global
+    sign is the first match in sweep order, and each residual text is
+    formed once per sorted triple of slot keys (s, mu).  The mixed bracket
     {psi_+, psi_+, psi_-} is computed and reported as well when d >= 2.
     """
     d = alg.dimension
@@ -660,28 +662,32 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
                      "{psi_s mu, psi_s nu, psi_s rho} proportional to "
                      "4(eta_{mu nu} psi_s rho + eta_{nu rho} psi_s mu "
                      "+ eta_{rho mu} psi_s nu)") as rep:
-        global_sign = None
         psis = {(s, mu): alg.psi(s, mu) for s in (1, -1) for mu in range(d)}
         bracket = _orbit_table(_sym_bracket(psis), _sorted_slots)
-        for s, (mu, nu, rho) in itertools.product(
-                (1, -1), itertools.product(range(d), repeat=3)):
-            lhs = bracket(((s, mu), (s, nu), (s, rho)))
-            base = _psi_base(alg, s, mu, nu, rho)
-            if not base:
-                rep.expect_zero((s, mu, nu, rho), lhs)
-                continue
-            for candidate in (1, -1):
-                if lhs - base.scale(candidate * s):
-                    continue
-                if global_sign is None:
-                    global_sign = candidate
-                elif global_sign != candidate:
-                    rep.add_residual((s, mu, nu, rho),
-                                     f"sign flips to {candidate:+d}")
-                break
-            else:
-                rep.add_residual((s, mu, nu, rho),
-                                 str(lhs - base) + " (no uniform sign)")
+        slots = {s: [[(s, mu) for mu in range(d)]] * 3 for s in (1, -1)}
+
+        def base(t):
+            return _psi_base(alg, t[0][0], *_indices(t))
+
+        def match(t):
+            """The c with bracket = c * s * base; 0 if none (or base is 0)."""
+            b = base(t)
+            return next((c for c in (1, -1)
+                         if b and not bracket(t) - b.scale(c * t[0][0])), 0)
+        match = _orbit_table(match, _sorted_slots)
+        global_sign = next((c for s in (1, -1) for _, c in
+                            _sweep(alg, slots[s], match, _sorted_slots) if c),
+                           None)
+
+        def residual(t):
+            c = match(t)
+            if c:
+                return "" if c == global_sign else f"sign flips to {c:+d}"
+            b = base(t)
+            diff = bracket(t) - b
+            return f"{diff} (no uniform sign)" if b else str(diff or "")
+        for s in (1, -1):
+            _expect_swept(rep, alg, slots[s], residual, (s,), _sorted_slots)
         sign_txt = "undetermined" if global_sign is None else f"{global_sign:+d}"
         rep.notes = (f"computed global sign {sign_txt} "
                      f"(i.e. bracket = sign * s * 4(...)); "
@@ -702,24 +708,27 @@ def check_superspace_transformation(alg: SuperspaceAlgebra) -> list[CheckReport]
     of the coordinate shifts.  Every [V_i, g] is read from the rows of
     ``ad_V``, which the closure suite reuses."""
     d = alg.dimension
+    alphas, V = [[(None, a) for a in range(d)]], [(1,), (2,), (3,)]
     reports = []
-    for check_id, relation, target, image in (
-            ("trans.theta", "[V, theta^alpha] = eps^alpha", alg.theta, alg.eps),
+    for check_id, relation, families, value in (
+            ("trans.theta", "[V, theta^alpha] = eps^alpha", V,
+             lambda i, a: alg.ad_V(i, alg.theta(a)) - alg.eps(i, a)),
             ("trans.x", "[V, x^alpha] = [theta, theta^mu][eps^alpha, theta_mu]",
-             alg.x, alg.delta_x)):
+             V, lambda i, a: alg.ad_V(i, alg.x(a)) - alg.delta_x(i, a)),
+            ("trans.eps", "[V_i, eps_j^alpha] = 0",
+             itertools.product((1, 2, 3), repeat=2),
+             lambda i, j, a: alg.ad_V(i, alg.eps(j, a)))):
         with CheckReport(check_id, relation) as rep:
-            for i, a in itertools.product((1, 2, 3), range(d)):
-                rep.expect_zero((i, a), alg.ad_V(i, target(a)) - image(i, a))
+            for labels in families:
+                _expect_swept(rep, alg, alphas,
+                              lambda t: value(*labels, *_indices(t)), labels)
         reports.append(rep)
-
-    with CheckReport("trans.eps", "[V_i, eps_j^alpha] = 0") as rep:
-        for i, j, a in itertools.product((1, 2, 3), (1, 2, 3), range(d)):
-            rep.expect_zero((i, j, a), alg.ad_V(i, alg.eps(j, a)))
-    reports.append(rep)
 
     with CheckReport("trans.deltax",
                      "delta-x is star-fixed, commutes with itself and with "
                      "every theta/eps generator") as rep:
+        # a loop of its own: the "gen" rows hold free keys, and delta-x
+        # reads eps_1, which Sym(F) moves
         dx = [alg.delta_x(1, a) for a in range(d)]
         dxdx = _pair_table(dx.__getitem__, -1)
         for a in range(d):
@@ -799,7 +808,7 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
         Element.__mul__, map(alg._named.__getitem__, t))), _identity)
 
     def leib(t):
-        return acts(t)((1, 2, 3)) - _expected_leib(alg, *(mu for _, mu in t))
+        return acts(t)((1, 2, 3)) - _expected_leib(alg, *_indices(t))
 
     def annihilated(t):
         return colour_action(alg, col3_weights, acts(t))
@@ -807,8 +816,7 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
     with CheckReport("closure.leib",
                      "[V_1,[V_2,[V_3, theta^a1 theta^a2 theta^a3]]] equals the "
                      "symmetric sum of eps_i^a1 eps_j^a2 eps_k^a3") as rep:
-        for t, v in _sweep(alg, [thetas] * 3, leib):
-            rep.expect_zero(tuple(mu for _, mu in t), v)
+        _expect_swept(rep, alg, [thetas] * 3, leib)
     reports.append(rep)
 
     with CheckReport("closure.annihilate",
@@ -818,8 +826,7 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
         # three theta letters.  They stay as part of the paper's claim and the
         # report; test_colour_action_matches_nested_sum pins that they vanish.
         for degree in (1, 2, 3):
-            for t, v in _sweep(alg, [thetas] * degree, annihilated):
-                rep.expect_zero((degree,) + tuple(mu for _, mu in t), v)
+            _expect_swept(rep, alg, [thetas] * degree, annihilated, (degree,))
         rep.notes = ("degree >= 4 is (sum of the weights) times one nested "
                      "action, zero by closure.symmetric's lemma and degree 3")
     reports.append(rep)
@@ -829,6 +836,7 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
                      "[theta,eps][eps,eps] shapes with coefficient multiset "
                      "{-1,-1,-q,-q,-q^2,-q^2}") as rep:
         comm = _pair_table(alg._named.__getitem__, -1)
+        # a loop of its own: one alpha carries two residual kinds, in order
         for alpha in range(d):
             a_alpha = colour_action(alg, col3_weights,
                                     nested_actions(alg, alg.x(alpha)))
@@ -852,6 +860,7 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
     with CheckReport("closure.symmetric",
                      "the triple nested action on a theta monomial is "
                      "symmetric under permuting the V labels") as rep:
+        # a loop of its own: fixed probes, then the lemma rows
         probes = [p for p in ((0, 0, 1), (0, 1, 2), (1, 2, 3)) if max(p) < d]
         if not probes:
             rep.notes = f"probe (0, 0, 1) skipped: it needs theta^1, and d = {d}"

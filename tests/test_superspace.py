@@ -223,28 +223,35 @@ def _ordered_roby_residuals(alg):
     return rep.residuals
 
 
-@pytest.mark.parametrize("d, kappa, sectors, n_roby", [
-    (2, Fraction(1, 2), (0, 1), 0),
-    (3, Fraction(1, 2), (0, 1), 0),
-    (2, Fraction(1, 3), (0, 1), 0),
-    (2, Fraction(1, 2), (0, 1, 2), 165),
-    (4, Fraction(1, 2), (0, 1), 0),
-    (4, Fraction(1, 3), (0, 1), 0),
-    (3, Fraction(1, 2), (0, 1, 2), 455),
-    (4, Fraction(1, 2), (0, 1, 2), 969),
-])
-def test_roby_pair_table_matches_ordered_reference(d, kappa, sectors, n_roby,
+# (d, kappa, Green sectors): roby residuals
+ROBY_RESIDUALS = {
+    (2, Fraction(1, 2), (0, 1)): 0,
+    (3, Fraction(1, 2), (0, 1)): 0,
+    (2, Fraction(1, 3), (0, 1)): 0,
+    (2, Fraction(1, 2), (0, 1, 2)): 165,
+    (4, Fraction(1, 2), (0, 1)): 0,
+    (4, Fraction(1, 3), (0, 1)): 0,
+    (3, Fraction(1, 2), (0, 1, 2)): 455,
+    (4, Fraction(1, 2), (0, 1, 2)): 969,
+}
+
+
+@pytest.mark.parametrize("d, kappa, sectors", list(ROBY_RESIDUALS),
+                         ids=[f"{d}-kappa{k.numerator}_{k.denominator}"
+                              f"-p{len(s)}" for d, k, s in ROBY_RESIDUALS])
+def test_roby_pair_table_matches_ordered_reference(d, kappa, sectors,
                                                    monkeypatch):
     """Forming each {u, v} once per call (and, from d = 3, reducing once
     per orbit of S_{d-1} first) reports, triple for triple, what ``sym3``
     per triple reports: on passing algebras, on a wrong pairing and with
-    three Green sectors, where every triple fails."""
+    three Green sectors, where every triple fails; the residual counts are
+    pinned in ``ROBY_RESIDUALS``."""
     monkeypatch.setattr(superspace, "GREEN_SECTORS", sectors)
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d),
                                  pairing_kappa=kappa))
     got = check_roby(alg).residuals
     assert got == _ordered_roby_residuals(alg)
-    assert len(got) == n_roby
+    assert len(got) == ROBY_RESIDUALS[d, kappa, sectors]
 
 
 @pytest.mark.parametrize("d, n_roby", [(2, 165), (3, 455)])
@@ -370,15 +377,57 @@ def _index_generators(d):
             for sigma in (_spatial_generators(d) if d >= 3 else ())]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def _orbit_roots(universe, slots, moves):
+    """{tuple: orbit root} over ``product(*slots)``, by union-find under
+    ``moves`` on keys over every tuple of ``product(*universe)``."""
+    root = {}
+
+    def find(t):
+        while root.setdefault(t, t) != t:
+            t = root[t]
+        return t
+    for t in itertools.product(*universe):
+        for image in [tuple(map(move, t)) for move in moves]:
+            root[find(image)] = find(t)
+    return {t: find(t) for t in itertools.product(*slots)}
+
+
+def _sorted_index_moves(d):
+    """The generators of S_{d-1} on tagged slot keys: every index after the
+    tag is mapped, and an index pair is re-sorted."""
+    def move(key, sigma):
+        indices = [sigma[mu] for mu in key[1:]]
+        return key[0], *(sorted(indices) if len(indices) == 2 else indices)
+    return [lambda key, sigma=sigma: move(key, sigma)
+            for sigma in _spatial_generators(d)]
+
+
+def _tagged_slot_lists(d):
+    """name -> slot lists of the poincare, psi and trans sweeps at d."""
+    pairs = list(itertools.combinations(range(d), 2))
+    L, J, PP = ([(tag, *p) for p in pairs] for tag in ("lorentz", "J", "P"))
+    P, lower, theta = ([(tag, rho) for rho in range(d)]
+                       for tag in ("P", "theta_lower", "theta"))
+    return {"[L, L]": [L, L], "[L, P]": [L, P], "[J, theta_lower]":
+            [J, lower], "[P, P]": [PP], "[P, theta]": [P, theta],
+            "[J, theta]": [J, [("theta_scalar",)]],
+            "(s, mu)": [[(-1, mu) for mu in range(d)]] * 3,
+            "(None, alpha)": [[(None, a) for a in range(d)]]}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_first_appearance_meets_every_orbit_once(d):
     """``_first_appearance`` yields one slot tuple per orbit of Sym(F) x
-    S_{d-1} for the para, roby and closure slot lists, at the group that
-    ``_sweep`` passes it (Sym(F) only where a slot holds a free key,
-    S_{d-1} only from d = 3; at d <= 2 closure has the trivial group,
+    S_{d-1} for the para, roby and closure slot lists (at d <= 4), at the
+    group that ``_sweep`` passes it (Sym(F) only where a slot holds a free
+    key, S_{d-1} only from d = 3; at d <= 2 closure has the trivial group,
     whose orbits are single tuples), in product order, against orbits
     found by brute force: the connected components of the tuples under the
-    generators of each factor."""
+    generators of each factor.  From d = 3 it yields at least one tuple
+    per S_{d-1} orbit for the tagged slot lists of the poincare, psi and
+    trans sweeps, where S_{d-1} maps every index after a key's tag and
+    re-sorts an index pair: [L, L] at d = 5 yields 11 tuples for 9
+    orbits."""
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
     free = superspace._name_symmetry(alg)
     thetas = [(CLS_THETA, mu) for mu in range(d)]
@@ -386,29 +435,22 @@ def test_first_appearance_meets_every_orbit_once(d):
              for pattern in ("NNN", "NND", "NDN", "NDD", "DDN", "DDD")]
     cases += [[thetas] * k for k in (1, 2, 3)]
     all_keys = _slot_keys(alg, "N") + _slot_keys(alg, "D")
-
-    def orbits(slots, moves):
-        """{tuple: orbit root} over every tuple of ``all_keys``, by
-        union-find under ``moves`` on keys."""
-        root = {}
-
-        def find(t):
-            while root.setdefault(t, t) != t:
-                t = root[t]
-            return t
-        for t in itertools.product(all_keys, repeat=len(slots)):
-            for image in [tuple(map(move, t)) for move in moves]:
-                root[find(image)] = find(t)
-        return {t: find(t) for t in itertools.product(*slots)}
-
-    for slots in cases:
+    for slots in cases if d <= 4 else ():
         names = free if any(key in free for keys in slots
                             for key in keys) else {}
         moves = _index_generators(d) + (_name_generators(alg) if names else [])
-        orbit = orbits(slots, moves)
+        orbit = _orbit_roots([all_keys] * len(slots), slots, moves)
         reps = list(superspace._first_appearance(slots, names, d >= 3))
         assert reps == [t for t in itertools.product(*slots) if t in reps]
         assert sorted(orbit[t] for t in reps) == sorted(set(orbit.values()))
+
+    for name, slots in _tagged_slot_lists(d).items() if d >= 3 else ():
+        orbit = _orbit_roots(slots, slots, _sorted_index_moves(d))
+        reps = list(superspace._first_appearance(slots, {}, True))
+        assert reps == [t for t in itertools.product(*slots) if t in reps]
+        assert {orbit[t] for t in reps} == set(orbit.values()), name
+        if (name, d) == ("[L, L]", 5):
+            assert (len(reps), len(set(orbit.values()))) == (11, 9)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -585,12 +627,47 @@ def test_d_eps1_control_fails_trans_eps(monkeypatch, corrupted_d2_runs):
             "closure.symmetric": 17}
 
 
-def _ordered_deltax_and_LL_residuals(alg):
-    """Reference for ``trans.deltax`` and ``poincare.LL``: every ordered
-    bracket formed directly, with no pair table.  Returns the two residual
-    lists."""
-    d = alg.dimension
-    deltax = CheckReport("trans.deltax", "")
+def _ordered_poincare_and_trans_residuals(alg):
+    """Reference for the five ``poincare.*`` checks and the four ``trans.*``
+    checks: every ordered tuple swept and every bracket formed directly,
+    with no quotient, pair table or ``ad_V`` row.  Returns {check ID:
+    residuals}."""
+    d, eta = alg.dimension, alg.eta
+    reps = {cid: CheckReport(cid, "") for cid in (
+        "poincare.LL", "poincare.LP", "poincare.Jtheta", "poincare.PP",
+        "poincare.Ptheta", "trans.theta", "trans.x", "trans.eps",
+        "trans.deltax")}
+    pairs = list(itertools.combinations(range(d), 2))
+    for (mu, nu), (rho, sigma) in itertools.product(pairs, repeat=2):
+        reps["poincare.LL"].expect_zero(
+            (mu, nu, rho, sigma),
+            commutator(alg.lorentz(mu, nu), alg.lorentz(rho, sigma))
+            - _expected_LL(alg, mu, nu, rho, sigma))
+    for cid, op, vector in (("poincare.LP", alg.lorentz, alg.P),
+                            ("poincare.Jtheta", alg.J, alg.theta_lower)):
+        for (mu, nu), rho in itertools.product(pairs, range(d)):
+            rhs = (vector(mu).scale(eta[nu] if nu == rho else 0)
+                   - vector(nu).scale(eta[mu] if mu == rho else 0))
+            reps[cid].expect_zero((mu, nu, rho),
+                                  commutator(op(mu, nu), vector(rho)) - rhs)
+    for mu, nu in pairs:
+        reps["poincare.PP"].expect_zero((mu, nu),
+                                        commutator(alg.P(mu), alg.P(nu)))
+    for mu, nu in itertools.product(range(d), repeat=2):
+        reps["poincare.Ptheta"].expect_zero(
+            ("P", mu, nu), commutator(alg.P(mu), alg.theta(nu)))
+    for mu, nu in pairs:
+        reps["poincare.Ptheta"].expect_zero(
+            ("J-scalar", mu, nu), commutator(alg.J(mu, nu), alg.theta_scalar()))
+    for i, a in itertools.product((1, 2, 3), range(d)):
+        reps["trans.theta"].expect_zero(
+            (i, a), commutator(alg.V(i), alg.theta(a)) - alg.eps(i, a))
+        reps["trans.x"].expect_zero(
+            (i, a), commutator(alg.V(i), alg.x(a)) - alg.delta_x(i, a))
+    for i, j, a in itertools.product((1, 2, 3), (1, 2, 3), range(d)):
+        reps["trans.eps"].expect_zero((i, j, a),
+                                      commutator(alg.V(i), alg.eps(j, a)))
+    deltax = reps["trans.deltax"]
     dx = [alg.delta_x(1, a) for a in range(d)]
     for a in range(d):
         deltax.expect_zero(("star", a), dx[a].star() - dx[a])
@@ -599,13 +676,7 @@ def _ordered_deltax_and_LL_residuals(alg):
         for key in alg.coordinate_keys:
             deltax.expect_zero(("gen", a, alg.labels[key]),
                                commutator(dx[a], alg._named[key]))
-    LL = CheckReport("poincare.LL", "")
-    pairs = itertools.combinations(range(d), 2)
-    for (mu, nu), (rho, sigma) in itertools.product(pairs, repeat=2):
-        LL.expect_zero((mu, nu, rho, sigma),
-                       commutator(alg.lorentz(mu, nu), alg.lorentz(rho, sigma))
-                       - _expected_LL(alg, mu, nu, rho, sigma))
-    return deltax.residuals, LL.residuals
+    return {cid: rep.residuals for cid, rep in reps.items()}
 
 
 @pytest.mark.parametrize("name, rewrite, at_d2, at_d3", [
@@ -630,9 +701,9 @@ def test_unit_pairing_controls(name, rewrite, at_d2, at_d3, monkeypatch,
     residuals at d = 3 are [delta-x, delta-x]) and ``para1.1``; d_mu
     contracted with d_nu fails ``para1.6`` and, from d = 3, where there is
     more than one L pair, ``poincare.LL``.  Both failing sets are pinned at
-    d = 2 and 3, and at d = 3 the ``trans.deltax`` and ``poincare.LL``
-    residual lists, read from pair tables, equal every ordered bracket
-    formed directly."""
+    d = 2 and 3, and at d = 3 the ``poincare.*`` and ``trans.*`` residual
+    lists, read through ``_sweep`` and pair tables, equal every ordered
+    bracket formed directly."""
     _, reports = corrupted_d2_runs[name]
     assert {r.check_id: len(r.residuals)
             for r in reports if not r.passed} == at_d2
@@ -642,9 +713,8 @@ def test_unit_pairing_controls(name, rewrite, at_d2, at_d3, monkeypatch,
     assert {cid: len(r.residuals)
             for cid, r in reports.items() if not r.passed} == at_d3
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
-    assert (reports["trans.deltax"].residuals,
-            reports["poincare.LL"].residuals) == \
-        _ordered_deltax_and_LL_residuals(alg)
+    ordered = _ordered_poincare_and_trans_residuals(alg)
+    assert {cid: reports[cid].residuals for cid in ordered} == ordered
     if name == "theta-eps1":
         assert sum(r["indices"][0] == "dxdx"
                    for r in reports["trans.deltax"].residuals) == 6
@@ -723,16 +793,49 @@ def _counted_commutator(monkeypatch, *names):
     return calls
 
 
+def _recorded_pair_tables(monkeypatch):
+    """Route every ``_pair_table`` through a recorder; returns the list of
+    (sign, formed) per table, ``formed`` the (u, v) of each bracket that
+    the table formed, in order."""
+    tables = []
+    pair_table = superspace._pair_table
+
+    def recorded(element, sign):
+        formed, keys = [], []
+        tables.append((sign, formed))
+        inner = pair_table(lambda key: keys.append(key) or element(key), sign)
+
+        def recording(u, v):  # forming a bracket names u, then v
+            keys.clear()
+            value = inner(u, v)
+            if len(keys) == 2:
+                formed.append(tuple(keys))
+            return value
+        return recording
+    monkeypatch.setattr(superspace, "_pair_table", recorded)
+    return tables
+
+
 def test_poincare_job_forms_each_bracket_once(monkeypatch):
     """``poincare.*`` and ``order3.superspace`` read one bracket table that
-    forms each unordered pair of distinct keys once: at d = 3 the job forms
-    3 [L, L] (the three [L_b, L_a] are read as -[L_a, L_b], and the three
-    [L_a, L_a] are zero unformed), 9 [L, P], 3 [P, P], 9 [J, theta],
-    9 [P, theta] and 3 [J, theta-scalar] commutators, 36 in all, and
-    ``order3.superspace`` adds none of its own."""
+    forms each unordered pair of distinct keys at most once, and forms no
+    other commutator once V is built (from d = 3 the spatial gate of
+    ``_sweep`` reads V_1..V_3).  At d = 3 it forms 31: ``order3.superspace``
+    reads 3 [L, L] (the [L_b, L_a] are read as -[L_a, L_b], and the
+    [L_a, L_a] are zero unformed), 9 [L, P], 3 [P, P] and 9 [J, theta];
+    ``poincare.Ptheta`` reads one tuple per S_{d-1} orbit first, 5 of the
+    9 [P, theta] and 2 of the 3 [J, theta-scalar]."""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
+    for i in (1, 2, 3):
+        alg.V(i)
+    monkeypatch.setattr(suites, "build", lambda config: alg)
+    tables = _recorded_pair_tables(monkeypatch)
     calls = _counted_commutator(monkeypatch)
     assert all(r.passed for r in run_suite(SuiteSpec("poincare", dimension=3)))
-    assert len(calls) == 36
+    [(sign, formed)] = tables
+    assert sign < 0 and all(u != v for u, v in formed)
+    pairs = {frozenset(pair) for pair in formed}
+    assert len(pairs) == len(formed) == len(calls) == 31
 
 
 def test_V_brackets_come_from_the_ad_V_rows(monkeypatch):
@@ -821,22 +924,7 @@ def test_each_bracket_is_formed_once_inside_a_check(monkeypatch):
     assert len(calls) == 177
     assert sum(_key(b) in eps for _, b in calls) == 36
 
-    tables = []  # per pair table, the (u, v) of each bracket it formed
-    pair_table = superspace._pair_table
-
-    def recorded(element, sign):
-        formed, keys = [], []
-        tables.append((sign, formed))
-        inner = pair_table(lambda key: keys.append(key) or element(key), sign)
-
-        def recording(u, v):  # forming a bracket names u, then v
-            keys.clear()
-            value = inner(u, v)
-            if len(keys) == 2:
-                formed.append(tuple(keys))
-            return value
-        return recording
-    monkeypatch.setattr(superspace, "_pair_table", recorded)
+    tables = _recorded_pair_tables(monkeypatch)
     assert all(r.passed for r in run_suite(SuiteSpec("all", dimension=3)))
     assert len(tables) == 7 and all(formed for _, formed in tables)
     for sign, formed in tables:
@@ -1014,6 +1102,69 @@ def test_expected_sides_have_the_bracket_symmetry(d):
         for i, a in itertools.product((1, 2, 3), range(d)):
             for target in (alg.eps, alg.delta_x):
                 assert act(target(i, a)) == target(i, sigma[a])
+
+
+def _moved_composites(alg):
+    """The accessor calls (name, *args) whose element does not map to the
+    same accessor at mapped indices under a generator of S_{d-1}
+    (``_key_action``): J, lorentz, psi, theta_lower and P, the composites
+    that the poincare and psi values read, at every index tuple."""
+    d, moved = alg.dimension, []
+    for sigma in _spatial_generators(d):
+        act = _key_action(alg, lambda key: (key[0], sigma[key[1]]))
+        for name, fixed, arity in (("J", (), 2), ("lorentz", (), 2),
+                                   ("psi", (1,), 1), ("psi", (-1,), 1),
+                                   ("theta_lower", (), 1), ("P", (), 1)):
+            accessor = getattr(alg, name)
+            for idx in itertools.product(range(d), repeat=arity):
+                if act(accessor(*fixed, *idx)) != \
+                        accessor(*fixed, *(sigma[mu] for mu in idx)):
+                    moved.append((name, *fixed, *idx))
+    return moved
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_composites_map_to_themselves_at_mapped_indices(d, monkeypatch):
+    """The spatial gate verifies the rule table and V_i; the poincare and
+    psi quotients also rest on the composites their values read.  Each of
+    J, lorentz, psi, theta_lower and P maps to itself at mapped indices
+    under both generators of S_{d-1}, and lorentz, J and the eta sides
+    ``_expected_LL`` and ``_rotated`` change sign with the order of each
+    index pair, which ``_sweep`` reads sorted.  From d = 4, with lorentz
+    doubled on every spatial pair that contains d - 1, the rule table and
+    V_i are unchanged and the gate passes, but the quotient passes
+    ``poincare.LL`` and ``poincare.LP`` (every ordered tuple swept reports
+    14 and 4 residuals at d = 4): this test is the one that fails.  (At
+    d = 3 the one spatial pair is {1, 2}, and the doubling is symmetric.)"""
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    assert _moved_composites(alg) == []
+    for mu, nu in itertools.product(range(d), repeat=2):
+        assert alg.lorentz(nu, mu) == -alg.lorentz(mu, nu)
+        assert alg.J(nu, mu) == -alg.J(mu, nu)
+        for rho in range(d):
+            for vector in (alg.P, alg.theta_lower):
+                assert _rotated(alg, vector, nu, mu, rho) == \
+                    -_rotated(alg, vector, mu, nu, rho)
+            for sigma in range(d):
+                want = _expected_LL(alg, mu, nu, rho, sigma)
+                assert _expected_LL(alg, nu, mu, rho, sigma) == -want
+                assert _expected_LL(alg, mu, nu, sigma, rho) == -want
+    if d == 3:
+        return
+    lorentz = superspace.SuperspaceAlgebra.lorentz
+    monkeypatch.setattr(
+        superspace.SuperspaceAlgebra, "lorentz", lambda self, mu, nu:
+        lorentz(self, mu, nu).scale(2 if d - 1 in (mu, nu) and min(mu, nu)
+                                    else 1))
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
+    assert superspace._spatial_symmetry(alg)
+    assert {name for name, *_ in _moved_composites(alg)} == {"lorentz"}
+    reports = check_poincare_realisation(alg, poincare_brackets(alg))
+    assert all(r.passed for r in reports)
+    if d == 4:
+        ordered = _ordered_poincare_and_trans_residuals(alg)
+        assert (len(ordered["poincare.LL"]), len(ordered["poincare.LP"])) \
+            == (14, 4)
 
 
 def test_roby(alg2):
@@ -1209,15 +1360,20 @@ def test_odd_swap_controls(name, rewrite, at_d2, at_d3, monkeypatch,
     """x/P anticommuting across indices fails ``poincare.PP`` and, from
     d = 3, where there is more than one L pair, ``poincare.LL``; x/P
     anticommuting with the theta^mu/d_mu components fails
-    ``poincare.Ptheta``.  Both failing sets are pinned at d = 2 and 3."""
+    ``poincare.Ptheta``.  Both failing sets are pinned at d = 2 and 3, and
+    at d = 3 the ``poincare.*`` and ``trans.*`` residual lists equal the
+    ordered reference's."""
     _, reports = corrupted_d2_runs[name]
     assert {r.check_id: len(r.residuals)
             for r in reports if not r.passed} == at_d2
     monkeypatch.setattr(superspace, "GeneratorSystem",
                         lambda *args: GeneratorSystem(*rewrite(*args)))
-    reports = run_suite(SuiteSpec("all", dimension=3))
-    assert {r.check_id: len(r.residuals)
-            for r in reports if not r.passed} == at_d3
+    reports = {r.check_id: r for r in run_suite(SuiteSpec("all", dimension=3))}
+    assert {cid: len(r.residuals)
+            for cid, r in reports.items() if not r.passed} == at_d3
+    alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(3)))
+    ordered = _ordered_poincare_and_trans_residuals(alg)
+    assert {cid: reports[cid].residuals for cid in ordered} == ordered
 
 
 def test_exponent_form_control(monkeypatch, corrupted_d2_runs):
