@@ -124,9 +124,11 @@ def _run(args, out) -> int:
         except RecursionError:
             print("error: expression is nested too deeply", file=sys.stderr)
             return 2
-        if args.star:
-            value = value.star()
-        print(value)
+        try:  # str() raises for a coefficient past int()'s digit limit
+            print(value.star() if args.star else value)
+        except ValueError:
+            print("error: a coefficient is too long to print", file=sys.stderr)
+            return 2
         return 0
 
     if args.verb == "dump-factor":

@@ -35,7 +35,8 @@ A bare ``q`` is the primitive cube root of unity.
 
 The parser evaluates as it reads: every rule returns the normal-formed
 element it denotes, so there is no syntax tree, and the first error in
-reading order is raised with the offending position.
+reading order is raised with the offending position, after any lexical
+error: an unknown character, or a number past int()'s digit limit.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def _tokenize(src: str):
             continue
         text = m.group()
         kind = m.lastgroup if m.lastgroup != "punct" else text
+        if kind == "num":
+            try:
+                int(text)
+            except ValueError:  # more digits than int() converts
+                raise DslError("number is too long", m.start()) from None
         out.append((kind, text, m.start()))
     out.append(("eof", "", len(src)))
     return out

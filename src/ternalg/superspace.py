@@ -19,12 +19,14 @@ key is a tag followed by indices: a layout key (cls, mu) for ``para``,
 ``roby`` and the closure sweeps, (s, mu) for psi_s mu, a
 ``poincare_brackets`` accessor key with its index pair sorted
 (("lorentz", mu, nu), ("P", rho), ...) for ``poincare``, and the
-index-only (None, alpha) for ``trans``.  One memo, ``_orbit_table``, forms
-a value once per orbit of a signed slot symmetry (``_sorted_slots`` for
-{u, v} and {u, v, w}, ``_ordered_12`` with a sign for [u, v] and
-[[u, v], w]); each ``_pair_table`` is one.  ``roby`` is ``para.1``'s sweep
-reported on its sorted triples.  Every composite symbol (J, L, V,
-delta-x) is one ``sum_of_products`` call over its product pairs.
+index-only (None, alpha) for ``trans`` and ``closure.deltax``, whose
+values of several residual kinds are swept as their nonzero rows
+(``_expect_rows``).  One memo, ``_orbit_table``, forms a value once per
+orbit of a signed slot symmetry (``_sorted_slots`` for {u, v} and
+{u, v, w}, ``_ordered_12`` with a sign for [u, v] and [[u, v], w]); each
+``_pair_table`` is one.  ``roby`` is ``para.1``'s sweep reported on its
+sorted triples.  Every composite symbol (J, L, V, delta-x) is one
+``sum_of_products`` call over its product pairs.
 
 Symmetry quotient.  Two groups act on the slot keys by automorphisms of
 the rule table: Sym(F), which permutes the 1 + 3d free keys F (the scalar
@@ -34,9 +36,8 @@ sector-sign structure), and S_{d-1}, which permutes the spatial indices
 image does, so ``_sweep`` reads one tuple per orbit first and every tuple,
 through the same memo, only if one is nonzero.  Each group is verified
 once per algebra on its two generators (``_name_symmetry``,
-``_spatial_symmetry``).  Three loops stay outside ``_sweep``, each with
-its reason: ``trans.deltax``, ``closure.deltax`` and
-``closure.symmetric``.  Each bracket has one producer: ``trans`` and
+``_spatial_symmetry``).  Only ``closure.symmetric``'s three fixed probes
+stay outside ``_sweep``.  Each bracket has one producer: ``trans`` and
 ``check_closure`` share the rows of ``ad_V``; the closure checks read each
 [V_i, [V_j, [V_k, t]]] from one ``nested_actions`` table per target t;
 ``poincare.*`` and ``order3.superspace`` share one ``poincare_brackets``
@@ -484,6 +485,15 @@ def _expect_swept(rep, alg, slots, value, prefix=(), canon=_identity):
         rep.expect_zero(prefix + _indices(t), v)
 
 
+def _expect_rows(rep, alg, rows):
+    """``rep.expect_zero`` on each (indices, value) row of ``rows(alpha)``,
+    in order, swept (``_sweep``) at (None, alpha) as its nonzero rows."""
+    for _, found in _sweep(alg, [[(None, a) for a in range(alg.dimension)]],
+                           lambda t: [r for r in rows(*_indices(t)) if r[1]]):
+        for row in found:
+            rep.expect_zero(*row)
+
+
 def _pair_table(element, sign):
     """``inner(u, v)``: the commutator (``sign`` -1) or anticommutator (+1)
     of ``element(u)`` and ``element(v)``, an ``_orbit_table`` of the
@@ -705,8 +715,8 @@ def check_psi_bracket(alg: SuperspaceAlgebra) -> CheckReport:
 
 def check_superspace_transformation(alg: SuperspaceAlgebra) -> list[CheckReport]:
     """[V_i, theta^a] = eps_i^a, [V_i, x^a] = delta-x, and reality/centrality
-    of the coordinate shifts.  Every [V_i, g] is read from the rows of
-    ``ad_V``, which the closure suite reuses."""
+    of the coordinate shifts, each swept (``_sweep``) at (None, alpha).  Every
+    [V_i, g] is read from the rows of ``ad_V``, which closure reuses."""
     d = alg.dimension
     alphas, V = [[(None, a) for a in range(d)]], [(1,), (2,), (3,)]
     reports = []
@@ -727,17 +737,13 @@ def check_superspace_transformation(alg: SuperspaceAlgebra) -> list[CheckReport]
     with CheckReport("trans.deltax",
                      "delta-x is star-fixed, commutes with itself and with "
                      "every theta/eps generator") as rep:
-        # a loop of its own: the "gen" rows hold free keys, and delta-x
-        # reads eps_1, which Sym(F) moves
         dx = [alg.delta_x(1, a) for a in range(d)]
         dxdx = _pair_table(dx.__getitem__, -1)
-        for a in range(d):
-            rep.expect_zero(("star", a), dx[a].star() - dx[a])
-            for b in range(d):
-                rep.expect_zero(("dxdx", a, b), dxdx(a, b))
-            for key in alg.coordinate_keys:
-                rep.expect_zero(("gen", a, alg.labels[key]),
-                                commutator(dx[a], alg._named[key]))
+        _expect_rows(rep, alg, lambda a: (
+            (("star", a), dx[a].star() - dx[a]),
+            *((("dxdx", a, b), dxdx(a, b)) for b in range(d)),
+            *((("gen", a, alg.labels[key]), commutator(dx[a], alg._named[key]))
+              for key in alg.coordinate_keys)))
     reports.append(rep)
     return reports
 
@@ -788,6 +794,16 @@ def _expected_leib(alg, a1, a2, a3) -> Element:
                             for i, j, k in itertools.permutations((1, 2, 3))])
 
 
+def _expected_quartic(alg, comm, alpha) -> Element:
+    """The quartic shapes at alpha, summed with ``REALISED_QUARTIC_COEFFS``."""
+    return sum_of_products([
+        (comm((CLS_THETA_SC, 0), (CLS_EPS[j - 1], mu)),
+         comm((CLS_EPS[k - 1], alpha), (CLS_EPS[l - 1], mu)).scale(
+             coeff * alg.eta[mu]))
+        for (j, k, l), coeff in REALISED_QUARTIC_COEFFS.items()
+        for mu in range(alg.dimension)])
+
+
 def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
     """Closure of the coloured algebra on the superspace.
 
@@ -797,10 +813,9 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
     bracket on x^alpha decomposes over the six quartic shapes with
     coefficient multiset {-1, -1, -q, -q, -q^2, -q^2}; (d) that element is
     not star-fixed; (e) [V_j, [V_k, theta^mu]] = 0 (the lemma), and three
-    probe monomials' nested actions are symmetric in the V labels.  (a) and
-    (b) are reduced once per S_{d-1} orbit first (``_sweep``); every nested
-    action on a theta monomial comes from one ``nested_actions`` per tuple.
-    """
+    probe monomials' nested actions are symmetric in the V labels.  All but
+    the probes are reduced once per S_{d-1} orbit first (``_sweep``); every
+    nested action comes from one ``nested_actions`` per target."""
     d = alg.dimension
     reports = []
     thetas = [(CLS_THETA, mu) for mu in range(d)]
@@ -836,22 +851,15 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
                      "[theta,eps][eps,eps] shapes with coefficient multiset "
                      "{-1,-1,-q,-q,-q^2,-q^2}") as rep:
         comm = _pair_table(alg._named.__getitem__, -1)
-        # a loop of its own: one alpha carries two residual kinds, in order
-        for alpha in range(d):
+
+        def rows(alpha):
             a_alpha = colour_action(alg, col3_weights,
                                     nested_actions(alg, alg.x(alpha)))
-            # shape (j, k, l): [theta, eps_j^mu][eps_k^alpha, eps_l_mu] over mu
-            recomposed = sum_of_products([
-                (comm((CLS_THETA_SC, 0), (CLS_EPS[j - 1], mu)),
-                 comm((CLS_EPS[k - 1], alpha), (CLS_EPS[l - 1], mu)).scale(
-                     coeff * alg.eta[mu]))
-                for (j, k, l), coeff in REALISED_QUARTIC_COEFFS.items()
-                for mu in range(d)])
-            rep.expect_zero((alpha,), a_alpha - recomposed)
-            if not (a_alpha.star() - a_alpha):
-                rep.add_residual(("star", alpha),
-                                 "colour bracket on x^alpha is star-fixed; "
-                                 "expected a genuinely complex element")
+            return (((alpha,), a_alpha - _expected_quartic(alg, comm, alpha)),
+                    (("star", alpha), "" if a_alpha.star() - a_alpha else
+                     "colour bracket on x^alpha is star-fixed; "
+                     "expected a genuinely complex element"))
+        _expect_rows(rep, alg, rows)
         rep.notes = ("coefficient multiset matches the reference; "
                      "term-by-term pairing under rightmost-first nesting "
                      "does NOT match the reference tabulation")
@@ -860,7 +868,6 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
     with CheckReport("closure.symmetric",
                      "the triple nested action on a theta monomial is "
                      "symmetric under permuting the V labels") as rep:
-        # a loop of its own: fixed probes, then the lemma rows
         probes = [p for p in ((0, 0, 1), (0, 1, 2), (1, 2, 3)) if max(p) < d]
         if not probes:
             rep.notes = f"probe (0, 0, 1) skipped: it needs theta^1, and d = {d}"
@@ -871,8 +878,7 @@ def check_closure(alg: SuperspaceAlgebra, col3_weights) -> list[CheckReport]:
         # ad_V is a derivation, so with these zero every act(p) on a theta
         # monomial is the same sum, and (b) is (sum of weights) act((1, 2, 3))
         for j, k in itertools.product((1, 2, 3), repeat=2):
-            for mu in range(d):
-                rep.expect_zero(("lemma", j, k, mu),
-                                acts(((CLS_THETA, mu),))((j, k)))
+            _expect_swept(rep, alg, [thetas], lambda t: acts(t)((j, k)),
+                          ("lemma", j, k))
     reports.append(rep)
     return reports

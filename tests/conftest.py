@@ -8,7 +8,7 @@ import pytest
 
 from ternalg import algebra, colour, matrixrep, superspace
 from ternalg.algebra import GeneratorSystem
-from ternalg.cyclo import ONE
+from ternalg.cyclo import ONE, Cyclo
 from ternalg.suites import SuiteSpec, run_suite
 from ternalg.superspace import MetricSignature, SuperspaceConfig, build
 
@@ -221,7 +221,8 @@ def corrupted_d2_runs():
     every later mode (the lower bits), not only those of its own sector.
     The ``KERNEL_MUTANTS`` of ``times_word`` run the engine suite alone:
     it is the suite whose checks no rule table can fail, and a broken
-    kernel fails nearly every check of the others."""
+    kernel fails nearly every check of the others.  Likewise "conj=id"
+    runs the arith suite alone, with ``Cyclo.conj`` the identity."""
     def p_x_negated(names, swap, contraction, square_zero):
         contraction = {(u, v): -c if names[u].startswith("P_") else c
                        for (u, v), c in contraction.items()}
@@ -260,4 +261,8 @@ def corrupted_d2_runs():
             mp.setattr(GeneratorSystem, "times_word", kernel_mutant(*lines))
             spec = SuiteSpec("engine", dimension=2)
             runs[name] = spec, run_suite(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cyclo, "conj", lambda self: self)
+        spec = SuiteSpec("arith", dimension=2)
+        runs["conj=id"] = spec, run_suite(spec)
     return runs

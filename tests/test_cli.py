@@ -185,6 +185,27 @@ def test_eval_bad_literal_position(expr, message, pos, capsys):
     assert f"(at position {pos})" in err
 
 
+LONG = "9" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("1/" + LONG, "number is too long (at position 2)"),
+    ("cbr((" + LONG + ",0,0),(0,1,0),(0,0,1); theta^0, theta^1, d_1)",
+     "number is too long (at position 5)"),
+    ("psi+_" + LONG, "number is too long (at position 5)"),
+    # each literal reads, but their product has 6,000 digits
+    ("9" * 3000 + "*" + "9" * 3000, "a coefficient is too long to print"),
+], ids=["rational", "grade", "psi-index", "product"])
+def test_eval_rejects_numbers_past_the_int_digit_limit(expr, message, capsys):
+    """A literal that ``int()`` refuses to convert, and a result whose
+    coefficient ``str()`` refuses to print, are bad input: exit 2 and one
+    ``error:`` line, with no traceback and nothing printed."""
+    assert main(["eval", expr, "--dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _assert_golden(doc: dict, name: str):
     """``doc`` equals the stored report ``tests/data/<name>`` apart from
     the timings."""

@@ -25,7 +25,8 @@ from ternalg.superspace import (CLS_DEL, CLS_EPS, CLS_P, CLS_THETA,
                                 REFERENCE_QUARTIC_COEFFS, SYM_BRACKET_FAMILIES,
                                 MetricSignature, SuperspaceConfig,
                                 _expected_double, _expected_leib,
-                                _expected_LL, _expected_sym, _label,
+                                _expected_LL, _expected_quartic,
+                                _expected_sym, _label,
                                 _psi_base, _rotated, build,
                                 check_closure, check_parafermion_relations,
                                 check_poincare_realisation, check_psi_bracket,
@@ -270,27 +271,51 @@ def test_roby_is_para1_on_sorted_triples(d, n_roby, monkeypatch):
 
 
 def _ordered_closure_residuals(alg, weights):
-    """Reference for ``closure.leib`` and ``closure.annihilate``: every
-    ordered index tuple of degree 1..3 reduced directly, with no quotient.
-    Returns the two residual lists."""
+    """Reference for the four ``closure.*`` checks: every ordered index
+    tuple of degree 1..3, every alpha and every lemma row (j, k, mu)
+    reduced directly, with no quotient, pair table or ``nested_actions``
+    memo.  Returns {check ID: residuals}."""
     d = alg.dimension
-    leib = CheckReport("closure.leib", "")
+    reps = {cid: CheckReport(cid, "") for cid in (
+        "closure.leib", "closure.annihilate", "closure.deltax",
+        "closure.symmetric")}
     for a1, a2, a3 in itertools.product(range(d), repeat=3):
         target = alg.theta(a1) * alg.theta(a2) * alg.theta(a3)
         rhs = Element.zero(alg.system)
         for i, j, k in itertools.permutations((1, 2, 3)):
             rhs = rhs + alg.eps(i, a1) * alg.eps(j, a2) * alg.eps(k, a3)
-        leib.expect_zero((a1, a2, a3),
-                         alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, target))) - rhs)
-    annihilate = CheckReport("closure.annihilate", "")
+        reps["closure.leib"].expect_zero(
+            (a1, a2, a3), alg.ad_V(1, alg.ad_V(2, alg.ad_V(3, target))) - rhs)
     for degree in (1, 2, 3):
         for idx in itertools.product(range(d), repeat=degree):
             target = alg.theta(idx[0])
             for mu in idx[1:]:
                 target = target * alg.theta(mu)
-            annihilate.expect_zero((degree,) + idx, colour_action(
+            reps["closure.annihilate"].expect_zero((degree,) + idx, colour_action(
                 alg, weights, nested_actions(alg, target)))
-    return leib.residuals, annihilate.residuals
+    th = alg.theta_scalar()
+    for alpha in range(d):
+        bracket = colour_action(alg, weights, nested_actions(alg, alg.x(alpha)))
+        shapes = Element.zero(alg.system)
+        for ((j, k, l), coeff), mu in itertools.product(
+                REALISED_QUARTIC_COEFFS.items(), range(d)):
+            shapes = shapes + (commutator(th, alg.eps(j, mu)) * commutator(
+                alg.eps(k, alpha), alg.eps(l, mu))).scale(coeff * alg.eta[mu])
+        reps["closure.deltax"].expect_zero((alpha,), bracket - shapes)
+        if bracket.star() == bracket:
+            reps["closure.deltax"].add_residual(
+                ("star", alpha), "colour bracket on x^alpha is star-fixed; "
+                "expected a genuinely complex element")
+    for probe in [p for p in ((0, 0, 1), (0, 1, 2), (1, 2, 3)) if max(p) < d]:
+        target = alg.theta(probe[0]) * alg.theta(probe[1]) * alg.theta(probe[2])
+        for i, j, k in itertools.permutations((1, 2, 3)):
+            reps["closure.symmetric"].expect_zero(probe, nested_action(
+                [alg.V(i), alg.V(j), alg.V(k)], target) - nested_action(
+                [alg.V(1), alg.V(2), alg.V(3)], target))
+    for j, k, mu in itertools.product((1, 2, 3), (1, 2, 3), range(d)):
+        reps["closure.symmetric"].expect_zero(
+            ("lemma", j, k, mu), alg.ad_V(j, alg.ad_V(k, alg.theta(mu))))
+    return {cid: rep.residuals for cid, rep in reps.items()}
 
 
 def _control_algebra(name, d, monkeypatch):
@@ -328,25 +353,38 @@ def _first_appearance_indices(idx):
     return tuple(names.setdefault(mu, len(names)) for mu in idx)
 
 
-@pytest.mark.parametrize("name", ["none", "kappa=1/3", "p=3", "non-confluent",
-                                  "unit-weights", "spatial-kappa",
-                                  "last-index"])
+# control -> the ``closure.*`` checks it fails at d = 3 and 4
+CLOSURE_FAILS = {
+    "none": set(), "p=3": set(),
+    "kappa=1/3": {"closure.leib", "closure.deltax"},
+    "non-confluent": {"closure.leib", "closure.annihilate",
+                      "closure.symmetric"},
+    "unit-weights": {"closure.annihilate", "closure.deltax"},
+    "spatial-kappa": {"closure.leib", "closure.deltax"},
+    "last-index": {"closure.leib", "closure.deltax"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_FAILS))
 @pytest.mark.parametrize("d", [3, 4])
 def test_closure_sweeps_match_ordered_reference(d, name, monkeypatch):
-    """``closure.leib`` and ``closure.annihilate``, reduced once per orbit
-    of S_{d-1} first, report tuple for tuple what the ordered sweep
-    reports, on the default algebra and under six controls; the para and
-    roby sweeps are compared too under the three rule tables that the
-    parametrised orbit tests above cannot build.  Under "spatial-kappa"
-    the gate passes and every residual has a spatial index, so these match
-    only if the representatives reach the spatial orbits."""
+    """The four ``closure.*`` checks, reduced once per orbit of S_{d-1}
+    first (the theta tuples, alpha and the lemma rows; not the three
+    probes), report tuple for tuple what the ordered sweep reports, on the
+    default algebra and under six controls, each failing the checks in
+    ``CLOSURE_FAILS``; the para and roby sweeps are compared too under the
+    three rule tables that the parametrised orbit tests above cannot
+    build.  Under "spatial-kappa" the gate passes and every residual has a
+    spatial index, so these match only if the representatives reach the
+    spatial orbits."""
     alg, weights = _control_algebra(name, d, monkeypatch)
     reports = {r.check_id: r.residuals
                for r in check_closure(alg, weights)}
     if name == "spatial-kappa":
-        assert superspace._spatial_symmetry(alg) and reports["closure.leib"]
-    assert (reports["closure.leib"], reports["closure.annihilate"]) == \
-        _ordered_closure_residuals(alg, weights)
+        assert superspace._spatial_symmetry(alg)
+    assert reports == _ordered_closure_residuals(alg, weights)
+    assert {cid for cid, residuals in reports.items() if residuals} == \
+        CLOSURE_FAILS[name]
     if name in ("non-confluent", "spatial-kappa", "last-index"):
         got = [(r.check_id, r.residuals)
                for r in check_parafermion_relations(alg)]
@@ -472,7 +510,7 @@ def test_spatial_gate_refuses_a_rule_table_that_singles_out_an_index(
     load-bearing: forced open at d = 4, the quotient misses residuals."""
     alg, weights = _control_algebra("last-index", d, monkeypatch)
     assert not superspace._spatial_symmetry(alg)
-    leib, _ = _ordered_closure_residuals(alg, weights)
+    leib = _ordered_closure_residuals(alg, weights)["closure.leib"]
     failing = {tuple(r["indices"]) for r in leib}
     assert any(_first_appearance_indices(idx) not in failing
                for idx in failing)
@@ -578,7 +616,10 @@ def test_sweep_forms_each_value_once(d, monkeypatch):
     """Under kappa = 1/3, where sweeps fall back to every tuple, each
     ``_sweep`` call forms ``value`` at most once per canonical key of its
     bracket symmetry across the quotient pass and the fallback: both read
-    one memo."""
+    one memo.  The 25 sweeps are the ten para families, roby,
+    ``closure.leib``, three ``closure.annihilate`` degrees,
+    ``closure.deltax`` and nine lemma rows (j, k) of
+    ``closure.symmetric``."""
     sweep = superspace._sweep
     formed = []
 
@@ -594,7 +635,7 @@ def test_sweep_forms_each_value_once(d, monkeypatch):
     alg, weights = _control_algebra("kappa=1/3", d, monkeypatch)
     reports = (check_parafermion_relations(alg) + [check_roby(alg)]
                + check_closure(alg, weights))
-    assert not all(r.passed for r in reports) and len(formed) == 15
+    assert not all(r.passed for r in reports) and len(formed) == 25
     assert all(len(keys) == len(set(keys)) for keys in formed)
 
 
@@ -904,8 +945,10 @@ def _key(element):
 def test_each_bracket_is_formed_once_inside_a_check(monkeypatch):
     """At d = 3: ``check_superspace_transformation`` forms each
     [delta-x_a, delta-x_b] once per unordered pair a != b (3, not 9); the
-    closure suite forms 177 commutators, 36 of them in ``closure.deltax``
-    (9 [theta, eps_j^mu] and 27 unordered [eps_k^alpha, eps_l^mu]); and
+    closure suite forms 165 commutators, 33 of them in ``closure.deltax``
+    (9 [theta, eps_j^mu] and 24 unordered [eps_k^alpha, eps_l^mu]: it
+    reads alpha = 0 and 1, one per S_{d-1} orbit, so no pair with both
+    indices 2 is formed); and
     over ``--suite all`` none of the seven pair tables forms a pair twice
     or forms both (u, v) and (v, u), and no commutator table forms a
     (u, u)."""
@@ -921,8 +964,8 @@ def test_each_bracket_is_formed_once_inside_a_check(monkeypatch):
     calls.clear()
     assert all(r.passed for r in run_suite(SuiteSpec("closure", dimension=3)))
     eps = [_key(alg.eps(i, mu)) for i in (1, 2, 3) for mu in range(3)]
-    assert len(calls) == 177
-    assert sum(_key(b) in eps for _, b in calls) == 36
+    assert len(calls) == 165
+    assert sum(_key(b) in eps for _, b in calls) == 33
 
     tables = _recorded_pair_tables(monkeypatch)
     assert all(r.passed for r in run_suite(SuiteSpec("all", dimension=3)))
@@ -969,7 +1012,7 @@ def test_colour_action_matches_nested_sum(alg2):
 
 
 # d -> ``ad_V`` calls of one ``check_closure`` call
-CLOSURE_AD_V_CALLS = {2: 211, 3: 330, 5: 396}
+CLOSURE_AD_V_CALLS = {2: 211, 3: 306, 5: 324}
 
 
 @pytest.mark.parametrize("d", sorted(CLOSURE_AD_V_CALLS))
@@ -979,7 +1022,8 @@ def test_closure_forms_each_nested_action_once(d, monkeypatch):
     per theta tuple serves ``closure.leib``, ``.annihilate`` and
     ``.symmetric`` (its lemma rows read the degree-1 tables), and
     ``colour_action`` reads its inner and middle actions from it.  The
-    ``ad_V`` totals are pinned.  Each ``ad_V`` call is traced back through
+    ``ad_V`` totals are pinned; from d = 3 the lemma rows and x^alpha are
+    read at one mu or alpha per S_{d-1} orbit.  Each ``ad_V`` call is traced back through
     the outputs of earlier calls to the element it started from: no call
     that started from a ``nested_actions`` target repeats a (target,
     labels) pair, and no nonzero target value gets a second
@@ -1052,8 +1096,9 @@ def test_expected_sides_have_the_bracket_symmetry(d):
     slot keys (the double families order slots 1-2 whatever their kinds),
     and the psi right-hand side is symmetric in (mu, nu, rho).  From
     d = 3, ``_expected_sym``, ``_expected_double``, the ``closure.leib``
-    right-hand side ``_expected_leib``, the ``trans`` targets eps(i, a)
-    and delta_x(i, a), the eta sides of ``poincare.LL`` (``_expected_LL``),
+    right-hand side ``_expected_leib``, the ``closure.deltax`` quartic side
+    ``_expected_quartic``, the ``trans`` targets eps(i, a) and
+    delta_x(i, a), the eta sides of ``poincare.LL`` (``_expected_LL``),
     ``poincare.LP`` and ``poincare.Jtheta`` (``_rotated``) and
     ``_psi_base`` are also covariant under both generators of S_{d-1}:
     each maps the side at a tuple to the side at the mapped tuple.  At
@@ -1102,6 +1147,10 @@ def test_expected_sides_have_the_bracket_symmetry(d):
         for i, a in itertools.product((1, 2, 3), range(d)):
             for target in (alg.eps, alg.delta_x):
                 assert act(target(i, a)) == target(i, sigma[a])
+        comm = superspace._pair_table(alg._named.__getitem__, -1)
+        for a in range(d):
+            assert act(_expected_quartic(alg, comm, a)) == \
+                _expected_quartic(alg, comm, sigma[a])
 
 
 def _moved_composites(alg):
@@ -1399,13 +1448,19 @@ def test_kernel_mutant_controls(corrupted_d2_runs):
     ``engine.sym3`` because {b, c} and {c, b} reach the kernel by
     different passes: a pair of words with no contraction across it takes
     one pass, in the order its anticommutator names it, so the mutant's
-    wrong signs no longer cancel between the orderings of sym3."""
+    wrong signs no longer cancel between the orderings of sym3.  Likewise
+    "conj=id" (``Cyclo.conj`` the identity) fails the arith suite's
+    ``arith.conj``, on the norm test alone: conj(conj(a)) = a and conj is
+    still a ring map, while a * a is not a nonnegative rational for any of
+    the 20 seed-0 pairs.  A norm test that asks for a non-real and a
+    negative norm at once (``and`` for ``or``) reports 10."""
     for name, want in (
             ("kernel-gap-2", {"engine.confluence": 75, "engine.star": 2,
                               "engine.sym3": 9}),
             ("kernel-front", {"engine.idempotent": 50,
                               "engine.confluence": 270, "engine.star": 30,
-                              "engine.sym3": 24})):
+                              "engine.sym3": 24}),
+            ("conj=id", {"arith.conj": 20})):
         _, reports = corrupted_d2_runs[name]
         assert {r.check_id: len(r.residuals)
                 for r in reports if not r.passed} == want, name
@@ -1432,6 +1487,7 @@ CONTROLS = {
     "poincare.Ptheta": {"xP-theta-odd"},
     "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent", "xP-odd"},
     "colour.axioms": {"B00=1"}, "colour.weights": {"unit-weights"},
+    "arith.conj": {"conj=id"},
     "trans.theta": {"kappa=1/3", "non-confluent", "theta-eps1",
                     "xP-theta-odd"},
     "trans.x": {"Px=-1", "xP-odd", "xP-theta-odd"},
@@ -1463,7 +1519,7 @@ CONTROLS = {
 # check never may.  (order3.* have table-level corruption tests of their
 # own in test_order3.py.)
 NO_CONTROL_YET = {
-    "arith.root", "arith.ring", "arith.conj", "arith.division",
+    "arith.root", "arith.ring", "arith.division",
     "poincare.LL",
     "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
 }
