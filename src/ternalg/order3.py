@@ -12,14 +12,19 @@ each exhaustively over its index ranges:
   4. the four-term fundamental identity contracted over structure
      constants.
 
+Each identity is a row of ``_AXIOMS``: its outer index tuples and, for
+each tuple, a short list of contractions of two tables.  One loop in
+``check_lie_order3`` reads every row.
+
 All entries are exact rationals.  The tables store their nonzero entries
 only, and the checks contract over those: the sum of every index tuple is
 still formed, exactly, and the only terms left out are products with a zero
 factor (the cubic Poincare tables are almost all zeros).
 
-The cubic Poincare extension is provided as a built-in instance, and its
-even sector can be cross-validated against the differential realisation on
-the ternary superspace.
+The cubic Poincare extension is provided as a built-in instance, its
+Lorentz entries written from one rotation rule, and its even sector can be
+cross-validated against the differential realisation on the ternary
+superspace.
 """
 
 from __future__ import annotations
@@ -148,17 +153,45 @@ def _rows(table) -> dict:
     return rows
 
 
-def _chain(acc, first, rows, prefix=(), suffix=(), sign=1):
-    """acc[l] += sign * u * v for every nonzero u = first[m] and every
-    nonzero v = rows[prefix + (m,) + suffix][l]."""
-    for m, u in first:
-        for l, v in rows.get(prefix + (m,) + suffix, ()):
-            acc[l] = acc.get(l, 0) + sign * u * v
-
-
-def _expect_zero_sums(rep, indices, acc):
-    for last in sorted(acc):
-        rep.expect_zero(indices + (last,), acc[last])
+# One row per axiom: (check ID, relation, outer(dim0, dim1) -> the outer
+# index tuples, terms(*t) -> the contractions of the sum at outer tuple t).
+# A contraction (sign, A, lead, B, prefix, suffix) adds
+# sign * A[lead + (m,)] * B[prefix + (m,) + suffix + (l,)] to the sum at the
+# trailing index l, for every m.
+_AXIOMS = (
+    ("order3.jacobi",
+     "f_{ij}^m f_{mk}^l + f_{jk}^m f_{mi}^l + f_{ki}^m f_{mj}^l = 0",
+     lambda n0, n1: itertools.combinations(range(n0), 3),
+     lambda i, j, k: ((1, "f", (i, j), "f", (), (k,)),
+                      (1, "f", (j, k), "f", (), (i,)),
+                      (1, "f", (k, i), "f", (), (j,)))),
+    ("order3.rep",
+     "[R_i, R_j] = f_{ij}^k R_k  (g1 is a g0 representation)",
+     lambda n0, n1: ((i, j, a)
+                     for i, j in itertools.combinations(range(n0), 2)
+                     for a in range(n1)),
+     lambda i, j, a: ((1, "R", (j, a), "R", (i,), ()),
+                      (-1, "R", (i, a), "R", (j,), ()),
+                      (-1, "f", (i, j), "R", (), (a,)))),
+    ("order3.equivariance",
+     "R_{ia}^e Q_{ebc}^j + R_{ib}^e Q_{aec}^j + R_{ic}^e Q_{abe}^j"
+     " = Q_{abc}^k f_{ik}^j  (implied by the even sector acting"
+     " on the ternary bracket)",
+     lambda n0, n1: ((i,) + odd for i in range(n0) for odd in
+                     itertools.combinations_with_replacement(range(n1), 3)),
+     lambda i, a, b, c: ((1, "R", (i, a), "Q", (), (b, c)),
+                         (1, "R", (i, b), "Q", (a,), (c,)),
+                         (1, "R", (i, c), "Q", (a, b), ()),
+                         (-1, "Q", (a, b, c), "f", (i,), ()))),
+    ("order3.fi",
+     "Q_{bcd}^i R_{ia}^e + Q_{dab}^i R_{ic}^e + Q_{cda}^i R_{ib}^e"
+     " + Q_{abc}^i R_{id}^e = 0  (four-term fundamental identity)",
+     lambda n0, n1: itertools.combinations_with_replacement(range(n1), 4),
+     lambda a, b, c, d: ((1, "Q", (b, c, d), "R", (), (a,)),
+                         (1, "Q", (d, a, b), "R", (), (c,)),
+                         (1, "Q", (c, d, a), "R", (), (b,)),
+                         (1, "Q", (a, b, c), "R", (), (d,)))),
+)
 
 
 def check_lie_order3(sc: StructureConstants3) -> list[CheckReport]:
@@ -170,57 +203,20 @@ def check_lie_order3(sc: StructureConstants3) -> list[CheckReport]:
     edited between calls is checked as it stands.  For each outer index
     tuple the sums of the trailing index are reported in ascending order.
     """
-    n0, n1 = sc.dim0, sc.dim1
-    f, R, Q = _rows(sc.f), _rows(sc.R), _rows(sc.Q)
+    tables = {"f": _rows(sc.f), "R": _rows(sc.R), "Q": _rows(sc.Q)}
     reports = []
-
-    with CheckReport("order3.jacobi",
-                     "f_{ij}^m f_{mk}^l + f_{jk}^m f_{mi}^l"
-                     " + f_{ki}^m f_{mj}^l = 0") as rep:
-        for i, j, k in itertools.combinations(range(n0), 3):
-            acc = {}
-            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                _chain(acc, f.get((x, y), ()), f, suffix=(z,))
-            _expect_zero_sums(rep, (i, j, k), acc)
-    reports.append(rep)
-
-    with CheckReport("order3.rep",
-                     "[R_i, R_j] = f_{ij}^k R_k"
-                     "  (g1 is a g0 representation)") as rep:
-        for i, j in itertools.combinations(range(n0), 2):
-            for a in range(n1):
+    for check_id, relation, outer, terms in _AXIOMS:
+        with CheckReport(check_id, relation) as rep:
+            for t in outer(sc.dim0, sc.dim1):
                 acc = {}
-                _chain(acc, R.get((j, a), ()), R, prefix=(i,))
-                _chain(acc, R.get((i, a), ()), R, prefix=(j,), sign=-1)
-                _chain(acc, f.get((i, j), ()), R, suffix=(a,), sign=-1)
-                _expect_zero_sums(rep, (i, j, a), acc)
-    reports.append(rep)
-
-    with CheckReport("order3.equivariance",
-                     "R_{ia}^e Q_{ebc}^j + R_{ib}^e Q_{aec}^j + R_{ic}^e Q_{abe}^j"
-                     " = Q_{abc}^k f_{ik}^j  (implied by the even sector acting"
-                     " on the ternary bracket)") as rep:
-        for i in range(n0):
-            for a, b, c in itertools.combinations_with_replacement(range(n1), 3):
-                acc = {}
-                _chain(acc, R.get((i, a), ()), Q, suffix=(b, c))
-                _chain(acc, R.get((i, b), ()), Q, prefix=(a,), suffix=(c,))
-                _chain(acc, R.get((i, c), ()), Q, prefix=(a, b))
-                _chain(acc, Q.get((a, b, c), ()), f, prefix=(i,), sign=-1)
-                _expect_zero_sums(rep, (i, a, b, c), acc)
-    reports.append(rep)
-
-    with CheckReport("order3.fi",
-                     "Q_{bcd}^i R_{ia}^e + Q_{dab}^i R_{ic}^e + Q_{cda}^i R_{ib}^e"
-                     " + Q_{abc}^i R_{id}^e = 0"
-                     "  (four-term fundamental identity)") as rep:
-        for a, b, c, d in itertools.combinations_with_replacement(range(n1), 4):
-            acc = {}
-            for lead, x in (((b, c, d), a), ((d, a, b), c), ((c, d, a), b),
-                            ((a, b, c), d)):
-                _chain(acc, Q.get(lead, ()), R, suffix=(x,))
-            _expect_zero_sums(rep, (a, b, c, d), acc)
-    reports.append(rep)
+                for sign, a, lead, b, prefix, suffix in terms(*t):
+                    rows = tables[b]
+                    for m, u in tables[a].get(lead, ()):
+                        for l, v in rows.get(prefix + (m,) + suffix, ()):
+                            acc[l] = acc.get(l, 0) + sign * u * v
+                for l in sorted(acc):
+                    rep.expect_zero(t + (l,), acc[l])
+        reports.append(rep)
     return reports
 
 
@@ -236,46 +232,33 @@ def cubic_poincare(metric: MetricSignature) -> StructureConstants3:
     lor_index = {p: i for i, p in enumerate(lorentz_pairs)}
 
     def L(mu, nu):
-        """Basis index and orientation sign of L_{mu nu}; None if mu == nu."""
-        if mu == nu:
-            return None
-        if mu < nu:
-            return lor_index[(mu, nu)], 1
-        return lor_index[(nu, mu)], -1
+        """Basis index and orientation sign of L_{mu nu}, mu != nu."""
+        return (lor_index[mu, nu], 1) if mu < nu else (lor_index[nu, mu], -1)
+
+    def rotate(mu, nu, rho):
+        """[L_{mu nu}, X_rho] = eta_{nu rho} X_mu - eta_{mu rho} X_nu, as
+        (coefficient, index) pairs."""
+        return [(s * eta[rho], x) for s, x, y in ((1, mu, nu), (-1, nu, mu))
+                if y == rho]
 
     f, R, Q = Table(n0, n0, n0), Table(n0, n1, n1), Table(n1, n1, n1, n0)
 
     def add_f(i, j, k, val):
-        f[i, j, k] += Fraction(val)
-        f[j, i, k] -= Fraction(val)
+        f[i, j, k] += val
+        f[j, i, k] -= val
 
     for (mu, nu), (rho, sigma) in itertools.combinations(lorentz_pairs, 2):
-        i, j = lor_index[(mu, nu)], lor_index[(rho, sigma)]
-        # [L_{mu nu}, L_{rho sigma}] = eta_{nu sigma} L_{rho mu}
-        #   - eta_{mu sigma} L_{rho nu} + eta_{nu rho} L_{mu sigma}
-        #   - eta_{mu rho} L_{nu sigma}
-        for (a, b), coef in (((rho, mu), eta[nu] if nu == sigma else 0),
-                             ((rho, nu), -(eta[mu] if mu == sigma else 0)),
-                             ((mu, sigma), eta[nu] if nu == rho else 0),
-                             ((nu, sigma), -(eta[mu] if mu == rho else 0))):
-            if coef:
-                tgt = L(a, b)
-                if tgt is not None:
-                    add_f(i, j, tgt[0], coef * tgt[1])
-    for (mu, nu) in lorentz_pairs:
-        i = lor_index[(mu, nu)]
-        for rho in range(d):
-            # [L_{mu nu}, P_rho] = eta_{nu rho} P_mu - eta_{mu rho} P_nu
-            if nu == rho:
-                add_f(i, n_lor + rho, n_lor + mu, eta[nu])
-            if mu == rho:
-                add_f(i, n_lor + rho, n_lor + nu, -eta[mu])
-        for rho in range(d):
-            # [L_{mu nu}, V_rho] = eta_{nu rho} V_mu - eta_{mu rho} V_nu
-            if nu == rho:
-                R[i, rho, mu] += Fraction(eta[nu])
-            if mu == rho:
-                R[i, rho, nu] -= Fraction(eta[mu])
+        # [L_{mu nu}, L_{rho sigma}] rotates each index of L_{rho sigma}
+        rotated = [(x, sigma, c) for c, x in rotate(mu, nu, rho)] \
+            + [(rho, x, c) for c, x in rotate(mu, nu, sigma)]
+        for a, b, c in rotated:
+            k, s = L(a, b)
+            add_f(lor_index[mu, nu], lor_index[rho, sigma], k, c * s)
+    for (mu, nu), rho in itertools.product(lorentz_pairs, range(d)):
+        # [L_{mu nu}, P_rho] and [L_{mu nu}, V_rho] by the same rule
+        for c, x in rotate(mu, nu, rho):
+            add_f(lor_index[mu, nu], n_lor + rho, n_lor + x, c)
+            R[lor_index[mu, nu], rho, x] += c
     # [P, V] = 0: R rows for translations stay zero
     for mu, nu, rho in itertools.product(range(d), repeat=3):
         for sigma in range(d):

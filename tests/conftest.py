@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from ternalg import algebra, colour, matrixrep, superspace
+from ternalg import algebra, colour, matrixrep, order3, superspace
 from ternalg.algebra import GeneratorSystem
 from ternalg.cyclo import ONE, Cyclo
+from ternalg.order3 import cubic_poincare
 from ternalg.suites import SuiteSpec, run_suite
 from ternalg.superspace import MetricSignature, SuperspaceConfig, build
 
@@ -169,6 +170,34 @@ def rewritten_strings(rewrite):
     return Rep
 
 
+# Three corruptions of the cubic Poincare tables at d = 2, where L_{01},
+# P_0 and P_1 are even indices 0, 1 and 2, and V_0, V_1 odd indices 0 and
+# 1: {table name: {index: new value}}.  "PP=P0" writes [P_0, P_1] = P_0
+# (antisymmetric, as f is stored), "RP0" gives P_0 the action
+# V_0 -> V_0 on a translation row of R that is zero, and "Q-L01" writes
+# Q_{011}^{L_{01}} = 1 to every permutation of its odd indices, so Q keeps
+# its storage symmetry.
+TABLE_EDITS = {
+    "PP=P0": {"f": {(1, 2, 1): 1, (2, 1, 1): -1}},
+    "RP0": {"R": {(1, 0, 0): 1}},
+    "Q-L01": {"Q": {p + (0,): 1
+                    for p in set(itertools.permutations((0, 1, 1)))}},
+}
+
+
+def edited_tables(edits):
+    """``order3.cubic_poincare`` with ``edits`` ({table name: {index:
+    value}}) written into the tables that it returns."""
+    def build_tables(metric):
+        sc = cubic_poincare(metric)
+        for name, entries in edits.items():
+            table = getattr(sc, name)
+            for idx, value in entries.items():
+                table[idx] = value
+        return sc
+    return build_tables
+
+
 @pytest.fixture
 def reference_kernel(monkeypatch):
     """Call it to normal-form every product for the rest of the test with
@@ -219,6 +248,8 @@ def corrupted_d2_runs():
     matrix oracle's Jordan-Wigner
     strings: "no-JW" empties every string, "cross-sector-JW" runs each over
     every later mode (the lower bits), not only those of its own sector.
+    The ``TABLE_EDITS`` corrupt the cubic Poincare tables that the order3
+    and poincare suites read (``edited_tables``).
     The ``KERNEL_MUTANTS`` of ``times_word`` run the engine suite alone:
     it is the suite whose checks no rule table can fail, and a broken
     kernel fails nearly every check of the others.  Likewise "conj=id"
@@ -251,6 +282,8 @@ def corrupted_d2_runs():
                       rewritten_strings(lambda bit, string: 0)),
             "cross-sector-JW": (matrixrep, "MatrixRep",
                                 rewritten_strings(lambda bit, string: bit - 1)),
+            **{name: (order3, "cubic_poincare", edited_tables(edits))
+               for name, edits in TABLE_EDITS.items()},
     }.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(module, attr, value)

@@ -313,6 +313,15 @@ def test_export_sc(tmp_path, capsys):
         assert entries == table and len(doc[name]) == len(table)
 
 
+def test_export_sc_matches_golden(capsys):
+    """``export-sc`` at d = 3 prints the stored document byte for byte: a
+    pin of the tables that is not read back from ``cubic_poincare``."""
+    assert main(["export-sc", "--instance", "cubic-poincare",
+                 "--dim", "3"]) == 0
+    golden = Path(__file__).parent / "data" / "export_sc_d3.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 @pytest.mark.parametrize("dim", ["0", "11"])
 @pytest.mark.parametrize("verb", [
     ["verify", "--suite", "para"],

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (B00_FORM, UncheckedSystem, cross_sector_pairing,
-                      d_d_pairing, eps1_pairing, theta_eps1_pairing,
-                      third_pairing_at, xp_odd, xp_theta_odd)
+from conftest import (B00_FORM, TABLE_EDITS, UncheckedSystem,
+                      cross_sector_pairing, d_d_pairing, edited_tables,
+                      eps1_pairing, theta_eps1_pairing, third_pairing_at,
+                      xp_odd, xp_theta_odd)
 from ternalg import colour, dsl, order3, suites, superspace
 from ternalg.algebra import (TERNARY_ORDERINGS, Element, GeneratorSystem,
                              anticommutator, commutator, nested_action,
@@ -255,11 +256,12 @@ def test_roby_pair_table_matches_ordered_reference(d, kappa, sectors,
     assert len(got) == ROBY_RESIDUALS[d, kappa, sectors]
 
 
-@pytest.mark.parametrize("d, n_roby", [(2, 165), (3, 455)])
-def test_roby_is_para1_on_sorted_triples(d, n_roby, monkeypatch):
+@pytest.mark.parametrize("d", [2, 3])
+def test_roby_is_para1_on_sorted_triples(d, monkeypatch):
     """With three Green sectors, where every triple fails, ``roby``'s
     residuals are ``para.1``'s restricted to non-decreasing slot triples:
-    one identity on the same names."""
+    one identity on the same names.  The counts are those pinned in
+    ``ROBY_RESIDUALS``."""
     monkeypatch.setattr(superspace, "GREEN_SECTORS", (0, 1, 2))
     alg = build(SuperspaceConfig(metric=MetricSignature.minkowski(d)))
     para1 = {r.check_id: r for r in check_parafermion_relations(alg)}["para.1"]
@@ -267,7 +269,8 @@ def test_roby_is_para1_on_sorted_triples(d, n_roby, monkeypatch):
     sorted_triples = [r for r in para1.residuals
                       if sorted(r["indices"], key=names.get) == r["indices"]]
     roby = check_roby(alg).residuals
-    assert roby == sorted_triples and len(roby) == n_roby
+    assert roby == sorted_triples
+    assert len(roby) == ROBY_RESIDUALS[d, Fraction(1, 2), (0, 1, 2)]
 
 
 def _ordered_closure_residuals(alg, weights):
@@ -1466,6 +1469,25 @@ def test_kernel_mutant_controls(corrupted_d2_runs):
                 for r in reports if not r.passed} == want, name
 
 
+def test_table_edit_controls(corrupted_d2_runs):
+    """The ``TABLE_EDITS`` of the cubic Poincare tables fail only order3
+    checks, with these exact residual counts at d = 2, and each edited
+    table keeps its storage symmetries.  ``order3.superspace`` sees the
+    wrong [P_0, P_1] but not "RP0": it compares only the Lorentz rows of R
+    with the realisation, and never reads Q."""
+    for name, want in (
+            ("PP=P0", {"order3.superspace": 1, "order3.jacobi": 1,
+                       "order3.equivariance": 4}),
+            ("RP0", {"order3.rep": 3, "order3.equivariance": 3,
+                     "order3.fi": 2}),
+            ("Q-L01", {"order3.equivariance": 4, "order3.fi": 2})):
+        _, reports = corrupted_d2_runs[name]
+        assert {r.check_id: len(r.residuals)
+                for r in reports if not r.passed} == want, name
+        sc = edited_tables(TABLE_EDITS[name])(MetricSignature.minkowski(2))
+        assert not sc.validate_symmetries(), name
+
+
 # check ID -> the corruptions of ``corrupted_d2_runs`` that fail it at d = 2
 CONTROLS = {
     "engine.idempotent": {"kernel-front"},
@@ -1485,7 +1507,11 @@ CONTROLS = {
     "poincare.Jtheta": {"kappa=1/3", "non-confluent"},
     "poincare.LP": {"Px=-1", "xP-odd"}, "poincare.PP": {"xP-odd"},
     "poincare.Ptheta": {"xP-theta-odd"},
-    "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent", "xP-odd"},
+    "order3.superspace": {"kappa=1/3", "Px=-1", "non-confluent", "xP-odd",
+                          "PP=P0"},
+    "order3.jacobi": {"PP=P0"}, "order3.rep": {"RP0"},
+    "order3.equivariance": {"PP=P0", "RP0", "Q-L01"},
+    "order3.fi": {"RP0", "Q-L01"},
     "colour.axioms": {"B00=1"}, "colour.weights": {"unit-weights"},
     "arith.conj": {"conj=id"},
     "trans.theta": {"kappa=1/3", "non-confluent", "theta-eps1",
@@ -1516,12 +1542,11 @@ CONTROLS = {
 
 # check IDs that no corruption fails: no suite-wide control shows yet
 # that they can fail.  A new corruption shrinks this list; loosening a
-# check never may.  (order3.* have table-level corruption tests of their
-# own in test_order3.py.)
+# check never may.  poincare.LL stays: at d = 2 there is one L, so nothing
+# can fail it there; the d = 3 controls above do.
 NO_CONTROL_YET = {
     "arith.root", "arith.ring", "arith.division",
     "poincare.LL",
-    "order3.jacobi", "order3.rep", "order3.equivariance", "order3.fi",
 }
 
 
